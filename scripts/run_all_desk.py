@@ -24,15 +24,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--configs", default=None,
                         help="config directory (default: configs/ next to this script)")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel runs per experiment")
     args = parser.parse_args()
 
     config_dir = Path(args.configs) if args.configs else Path(__file__).resolve().parent.parent / "configs"
     failures = 0
     for cmd, name in JOBS:
         argv = [cmd, str(config_dir / name)]
-        if args.jobs:
-            argv += ["--jobs", str(args.jobs)]
         print(f"== itrop {' '.join(argv)}")
         code = cli_main(argv)
         print(f"== exit {code}")

@@ -9,8 +9,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (ConfigurationError, ExactOperatorHandle, RandomOperatorFactory,
-                   RngStream, distance, iterate_random)
+from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
+                   RandomOperatorFactory, RngStream, distance, iterate_ensemble, row_norm,
+                   write_atomic)
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATED = "violated"
@@ -106,9 +107,7 @@ class EnsembleSummary:
                 repr(float(self.max[k])),
                 str(self.count),
             ]))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path, metric_name: str = "distance") -> "EnsembleSummary":
@@ -166,20 +165,12 @@ class AssumptionReport:
         })
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def distance_curve(pair, norm: str | None = None) -> np.ndarray:
     """Per-step distance between the exact and randomized orbits of a pair."""
-    tag = norm if norm is not None else pair.norm_tag
-    diff = pair.exact - pair.random
-    if tag == "l2":
-        return np.linalg.norm(diff, axis=1)
-    if tag == "sup":
-        return np.max(np.abs(diff), axis=1)
-    raise ConfigurationError(f"unknown norm {tag!r}")
+    return row_norm(pair.exact - pair.random, norm if norm is not None else pair.norm_tag)
 
 
 def weighted_sequence_metric(a, b, norm: str = "l2") -> float:
@@ -189,13 +180,7 @@ def weighted_sequence_metric(a, b, norm: str = "l2") -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ConfigurationError("sequences must be (K, d) arrays of equal shape")
-    diff = a - b
-    if norm == "l2":
-        per_step = np.linalg.norm(diff, axis=1)
-    elif norm == "sup":
-        per_step = np.max(np.abs(diff), axis=1)
-    else:
-        raise ConfigurationError(f"unknown norm {norm!r}")
+    per_step = row_norm(a - b, norm)
     weights = np.power(2.0, -np.arange(a.shape[0], dtype=np.float64))
     return float(weights @ per_step)
 
@@ -229,23 +214,16 @@ def occupation_measure(trajectory, region: Box) -> np.ndarray:
 
 
 def deviation_probability(samples, target, eps: float, norm: str = "l2"):
-    """Fraction of sample points at distance >= eps from target, with its
-    binomial standard error."""
+    """Fraction of sample points at distance > eps from target (the tail
+    convention of check_sup_probability), with its binomial standard error."""
     pts = np.asarray(samples, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ConfigurationError("samples must be a nonempty (M, d) array")
     if eps <= 0:
         raise ConfigurationError("eps must be positive")
-    target = np.asarray(target, dtype=np.float64)
-    diff = pts - target
-    if norm == "l2":
-        dist = np.linalg.norm(diff, axis=1)
-    elif norm == "sup":
-        dist = np.max(np.abs(diff), axis=1)
-    else:
-        raise ConfigurationError(f"unknown norm {norm!r}")
+    dist = row_norm(pts - np.asarray(target, dtype=np.float64), norm)
     m = pts.shape[0]
-    frac = float(np.mean(dist >= eps))
+    frac = float(np.mean(dist > eps))
     se = float(np.sqrt(frac * (1.0 - frac) / m))
     return frac, se
 
@@ -514,8 +492,9 @@ def _batch_means_se(values: np.ndarray, num_batches: int = 20) -> float:
 
 def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], float],
               horizon: int, runs: int, stream: RngStream) -> LlnReport:
-    """Run several randomized orbits and compare the time average of f on each
-    with the cross-run mean of f at the final step.
+    """Run several randomized orbits (runs 0..runs-1 of stream, moved as one
+    block) and compare the time average of f on each with the cross-run mean
+    of f at the final step.
 
     Both estimate the same stationary expectation when the iteration is
     stable, so they should agree within sampling error.
@@ -524,15 +503,17 @@ def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], floa
         raise ConfigurationError("horizon must be >= 2")
     if runs < 2:
         raise ConfigurationError("runs must be >= 2")
-    time_avgs = np.empty(runs)
-    ses = np.empty(runs)
-    tails = np.empty(runs)
-    for r in range(runs):
-        traj = iterate_random(factory, x0, horizon, stream.child(r))
-        values = np.array([float(f(p)) for p in traj])
-        time_avgs[r] = values[:horizon].mean()
-        ses[r] = _batch_means_se(values[:horizon])
-        tails[r] = values[horizon]
+    values = np.empty((runs, horizon + 1))
+
+    def record(k, alive, z):
+        values[alive, k] = [float(f(p)) for p in z]
+
+    dropped = iterate_ensemble(factory, x0, horizon, stream, range(runs), record)
+    if dropped:
+        raise DivergenceError(dropped[min(dropped)])
+    time_avgs = values[:, :horizon].mean(axis=1)
+    ses = np.array([_batch_means_se(row[:horizon]) for row in values])
+    tails = values[:, horizon]
     tail_mean = float(np.mean(tails))
     tail_se = float(np.std(tails, ddof=1) / np.sqrt(runs))
     spread = float(np.max(time_avgs) - np.min(time_avgs))

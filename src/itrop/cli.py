@@ -18,14 +18,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="itrop",
         description="Simulate iterated random operators that approximate "
                     "contraction maps, and audit their stability.")
-    parser.add_argument("--verbose", action="store_true", help="log one line per run")
+    parser.add_argument("--verbose", action="store_true",
+                        help="log one line per sample size")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment described by a JSON config")
     check_p = sub.add_parser("check", help="run the assumption checks for a config")
     for p in (run_p, check_p):
         p.add_argument("config", help="path to a JSON experiment config")
-        p.add_argument("--jobs", type=int, default=None, help="max concurrent runs")
         p.add_argument("--output-dir", default=None, help="override the config output_dir")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
 
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config)
-    return cfg.with_overrides(seed=args.seed, output_dir=args.output_dir, jobs=args.jobs)
+    return cfg.with_overrides(seed=args.seed, output_dir=args.output_dir)
 
 
 def main(argv=None) -> int:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from enum import IntEnum
 from pathlib import Path
 from typing import Callable
 
@@ -18,8 +18,8 @@ from .analysis import (AssumptionReport, Box, EnsembleSummary, VERDICT_INCONCLUS
                        check_monotone, check_sup_probability, distance_curve, ensemble,
                        lln_audit)
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, distance, iterate_exact,
-                   iterate_random, time_average)
+                   RandomOperatorFactory, RngStream, iterate_ensemble, iterate_exact,
+                   row_norm, write_atomic)
 from .mdp import (MdpModel, bellman_operator, empirical_bellman_factory,
                   empirical_q_factory, load_model, q_operator, random_mdp, solve_exact)
 from .regression import (RegressionProblem, contraction_coefficient, eigen_bounds,
@@ -41,6 +41,19 @@ EXIT_ASSUMPTION = 3
 # Runs are dropped (and counted) when their orbit diverges; beyond this
 # fraction the whole experiment is reported as divergent.
 DIVERGENCE_BUDGET = 0.01
+
+
+class Purpose(IntEnum):
+    """First index of every stream lineage an experiment draws from: each use
+    has its own tag, so no two uses of one master seed share draws."""
+
+    RUN = 0        # (RUN, n, step), read per run
+    LLN = 1        # (LLN, n, step), read per run
+    GRID = 2       # the assumption grid
+    A2 = 3         # (A2, factory, trial)
+    A3_PAIRS = 4   # the ordered pairs of the monotonicity check
+    A3 = 5         # (A3, trial)
+    A5 = 6         # (A5, trial, 0 | 1)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -203,7 +216,7 @@ class CheckSpec:
 
 
 _TOP_KEYS = {"experiment", "master_seed", "runs", "horizon", "sample_sizes",
-             "output_dir", "jobs", "family", "mdp", "regression", "check"}
+             "output_dir", "family", "mdp", "regression", "check"}
 
 
 @dataclass(frozen=True)
@@ -216,7 +229,6 @@ class ExperimentConfig:
     runs: int = 200
     horizon: int = 1000
     output_dir: str = "out"
-    jobs: int = 1
     family: str | None = None
     mdp: MdpSpec | None = None
     regression: RegressionSpec | None = None
@@ -267,7 +279,6 @@ class ExperimentConfig:
             runs=_int_field(data, "runs", default=200, minimum=1),
             horizon=_int_field(data, "horizon", default=1000, minimum=1),
             output_dir=output_dir,
-            jobs=_int_field(data, "jobs", default=1, minimum=1),
             family=None if experiment in FAMILY_EXPERIMENTS else family,
             mdp=mdp_spec,
             regression=reg_spec,
@@ -285,17 +296,14 @@ class ExperimentConfig:
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(data)
 
-    def with_overrides(self, seed: int | None = None, output_dir: str | None = None,
-                       jobs: int | None = None) -> "ExperimentConfig":
+    def with_overrides(self, seed: int | None = None,
+                       output_dir: str | None = None) -> "ExperimentConfig":
         changes = {}
         if seed is not None:
             _require(seed >= 0, "--seed must be nonnegative")
             changes["master_seed"] = seed
         if output_dir is not None:
             changes["output_dir"] = output_dir
-        if jobs is not None:
-            _require(jobs >= 1, "--jobs must be >= 1")
-            changes["jobs"] = jobs
         if not changes:
             return self
         return replace(self, **changes)
@@ -311,7 +319,6 @@ class ExperimentConfig:
             "horizon": self.horizon,
             "sample_sizes": list(self.sample_sizes),
             "output_dir": self.output_dir,
-            "jobs": self.jobs,
             "check": self.check.to_dict(),
         }
         if self.family is not None:
@@ -382,6 +389,10 @@ class RunResult:
     verdicts: dict = field(default_factory=dict)
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_meta(config: ExperimentConfig, out_dir: Path, divergent: list,
                 wall_time: float, extra: dict | None = None) -> Path:
     meta = {
@@ -395,32 +406,26 @@ def _write_meta(config: ExperimentConfig, out_dir: Path, divergent: list,
     if extra:
         meta.update(extra)
     path = out_dir / "meta.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, meta)
     return path
 
 
-def _one_run(bundle: FamilyBundle, factory, exact_traj, stream, n, r, horizon):
-    """Distance and time-average curves for a single randomized run."""
-    try:
-        traj = iterate_random(factory, bundle.x0, horizon, stream.child(n, r))
-    except DivergenceError as exc:
-        log.info("n=%d run=%d diverged at step %d", n, r, exc.step)
-        return None, exc.step
-    diff = exact_traj - traj
-    if bundle.norm == "sup":
-        dist = np.max(np.abs(diff), axis=1)
-    else:
-        dist = np.linalg.norm(diff, axis=1)
-    avg = time_average(traj)
-    gap = avg - bundle.target
-    if bundle.norm == "sup":
-        ta = np.max(np.abs(gap), axis=1)
-    else:
-        ta = np.linalg.norm(gap, axis=1)
-    log.info("n=%d run=%d ok", n, r)
-    return (dist, ta), None
+def _orbit_curves(bundle: FamilyBundle, factory: RandomOperatorFactory,
+                  exact_traj: np.ndarray, stream: RngStream, runs: int, horizon: int):
+    """Per-step orbit distance and time-average gap, (K+1, runs) each, of all
+    runs moved as one block; columns of dropped runs are left unfilled."""
+    dist = np.empty((horizon + 1, runs))
+    gap = np.empty((horizon + 1, runs))
+    total = np.zeros((runs, factory.dimension))
+
+    def record(k, alive, z):
+        cols = slice(None) if alive.size == runs else alive
+        dist[k, cols] = row_norm(z - exact_traj[k], bundle.norm)
+        total[cols] += z
+        gap[k, cols] = row_norm(total[cols] / (k + 1) - bundle.target, bundle.norm)
+
+    dropped = iterate_ensemble(factory, bundle.x0, horizon, stream, range(runs), record)
+    return dist, gap, dropped
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -437,7 +442,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     started = time.perf_counter()
     bundle = build_family(config)
-    stream = RngStream(config.master_seed)
+    stream = RngStream(config.master_seed).child(Purpose.RUN)
     exact_traj = iterate_exact(bundle.op, bundle.x0, config.horizon)
 
     out_dir = Path(config.output_dir)
@@ -446,34 +451,18 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     divergent = []
 
     for n in config.sample_sizes:
-        factory = bundle.factory_for(n)
-        results = [None] * config.runs
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                futures = {r: pool.submit(_one_run, bundle, factory, exact_traj,
-                                          stream, n, r, config.horizon)
-                           for r in range(config.runs)}
-                for r, fut in futures.items():
-                    results[r] = fut.result()
-        else:
-            for r in range(config.runs):
-                results[r] = _one_run(bundle, factory, exact_traj, stream, n, r,
-                                      config.horizon)
-
-        dist_curves, ta_curves = [], []
-        for r, (curves, failed_step) in enumerate(results):
-            if curves is None:
-                divergent.append({"sample_size": n, "run": r, "step": failed_step})
-            else:
-                dist_curves.append(curves[0])
-                ta_curves.append(curves[1])
-
-        if len(dist_curves) < 2 and len(dist_curves) < config.runs:
+        dist, gap, dropped = _orbit_curves(bundle, bundle.factory_for(n), exact_traj,
+                                           stream.child(n), config.runs, config.horizon)
+        divergent.extend({"sample_size": n, "run": r, "step": dropped[r]}
+                         for r in sorted(dropped))
+        log.info("n=%d: %d runs, %d diverged", n, config.runs, len(dropped))
+        alive = np.setdiff1d(np.arange(config.runs), list(dropped))
+        if alive.size < 2 and alive.size < config.runs:
             raise DivergenceError(0, f"fewer than 2 runs survived at sample size {n}")
         dist_path = out_dir / f"distance_n{n}.csv"
         ta_path = out_dir / f"timeavg_n{n}.csv"
-        ensemble(dist_curves, "orbit_distance").to_csv(dist_path)
-        ensemble(ta_curves, "time_average_gap").to_csv(ta_path)
+        ensemble(dist[:, alive].T, "orbit_distance").to_csv(dist_path)
+        ensemble(gap[:, alive].T, "time_average_gap").to_csv(ta_path)
         files.extend([dist_path, ta_path])
 
     total_runs = config.runs * len(config.sample_sizes)
@@ -487,7 +476,7 @@ def _run_lln(config: ExperimentConfig) -> RunResult:
     """Long-run audit: time averages of a scalar summary versus the ensemble tail."""
     started = time.perf_counter()
     bundle = build_family(config, need_target=False)
-    stream = RngStream(config.master_seed)
+    stream = RngStream(config.master_seed).child(Purpose.LLN)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -495,9 +484,7 @@ def _run_lln(config: ExperimentConfig) -> RunResult:
         report = lln_audit(bundle.factory_for(n), bundle.x0, bundle.scalar_summary,
                            config.horizon, config.runs, stream.child(n))
         path = out_dir / f"lln_n{n}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, report.to_dict())
         files.append(path)
         log.info("lln n=%d done", n)
     files.append(_write_meta(config, out_dir, [], time.perf_counter() - started))
@@ -523,19 +510,19 @@ def run_assumption_suite(config: ExperimentConfig) -> RunResult:
 
     exact_traj = iterate_exact(bundle.op, bundle.x0, config.horizon)
     box = Box.around(exact_traj, inflation=0.2)
-    grid = box.sample(stream.child(0).generator(), check.grid_size)
+    grid = box.sample(stream.child(Purpose.GRID).generator(), check.grid_size)
     n_small = config.sample_sizes[0]
 
     factories = [bundle.factory_for(n) for n in config.sample_sizes]
     report_a2 = check_sup_probability(bundle.op, factories, grid, check.eps,
-                                      check.trials, stream.child(1), bundle.norm)
+                                      check.trials, stream.child(Purpose.A2), bundle.norm)
 
-    pairs = _ordered_pairs(box, stream.child(2).generator(), check.pair_count)
+    pairs = _ordered_pairs(box, stream.child(Purpose.A3_PAIRS).generator(), check.pair_count)
     report_a3 = check_monotone(bundle.factory_for(n_small), bundle.x0, pairs,
-                               check.trials, stream.child(3))
+                               check.trials, stream.child(Purpose.A3))
 
     report_a5 = check_contraction_log(bundle.factory_for(n_small), check.pair_count,
-                                      check.trials, box, stream.child(4), bundle.norm)
+                                      check.trials, box, stream.child(Purpose.A5), bundle.norm)
     # An empirical "consistent" is only a lower-bound statement; without an
     # analytic contraction certificate it cannot be upgraded past inconclusive.
     cert = bundle.op.claimed_modulus

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream)
+                   RandomOperatorFactory, RngStream, block_factory, write_atomic)
 
 _ROW_SUM_TOL = 1e-12
+
+# Sample sizes below ALIAS_CROSSOVER * sqrt(S) draw next states from alias
+# tables; larger ones draw counts from numpy's multinomial (see uses_alias).
+ALIAS_CROSSOVER = 35.0
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,11 @@ class MdpModel:
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "discount", float(self.discount))
+
+    @cached_property
+    def _sampler(self) -> "_NextStateSampler":
+        """Sampling tables, built on first use; not part of set-up."""
+        return _NextStateSampler(self)
 
     @property
     def num_states(self) -> int:
@@ -85,11 +96,106 @@ def q_apply(model: MdpModel, q) -> np.ndarray:
     return model.cost + model.discount * (model.transition @ w)
 
 
-def _sampling_weights(model: MdpModel) -> np.ndarray:
-    # Rows renormalized exactly to 1 so the multinomial sampler never rejects
-    # a row whose float sum sits a few ulp away from 1.
-    p = model.transition.reshape(-1, model.num_states)
-    return np.ascontiguousarray(p / p.sum(axis=1, keepdims=True))
+def _alias_tables(p: np.ndarray):
+    """Walker/Vose alias tables for every row of p (rows, k), built in lockstep.
+
+    Each pass finalizes one column per row: the current donor once it has
+    dropped below 1, otherwise the next column in ascending order.  Returns
+    prob (rows, k), the chance that column j keeps its own draw, and alias
+    (rows, k), the flat index r*k + (the column drawn instead).
+    """
+    rows, k = p.shape
+    q = p * k
+    order = np.argsort(q, axis=1, kind="stable")
+    prob = np.ones((rows, k))
+    alias = np.tile(np.arange(k), (rows, 1))
+    lo = np.zeros(rows, dtype=np.int64)
+    hi = np.full(rows, k - 1)
+    r = np.arange(rows)
+    for _ in range(k - 1):
+        donor = order[r, hi]
+        spent = q[r, donor] < 1.0
+        item = np.where(spent, donor, order[r, lo])
+        new_donor = np.where(spent, order[r, hi - 1], donor)
+        prob[r, item] = q[r, item]
+        alias[r, item] = new_donor
+        q[r, new_donor] -= 1.0 - q[r, item]
+        lo += ~spent
+        hi -= spent
+    return prob, alias + k * r[:, None]
+
+
+class _NextStateSampler:
+    """A model's next-state sampling tables, shared by all its factories."""
+
+    def __init__(self, model: MdpModel):
+        s = model.num_states
+        p = model.transition.reshape(-1, s)
+        # Rows renormalized exactly to 1 so the multinomial sampler never
+        # rejects a row whose float sum sits a few ulp away from 1.
+        self.pvals = np.ascontiguousarray(p / p.sum(axis=1, keepdims=True))
+        prob, alias = _alias_tables(self.pvals)
+        self.prob = prob.ravel()
+        self.alias_offset = alias.ravel() - np.arange(alias.size)
+        self.below_s = np.nextafter(float(s), 0.0)
+
+
+def uses_alias(num_states: int, sample_size: int) -> bool:
+    """Whether a realization draws next states from alias tables (S*A*n
+    uniforms per run, counted by bincount) rather than numpy's multinomial.
+
+    The alias cost grows with n and the multinomial's with S: per run the
+    two cost the same near n = 160 at S = 20, A = 5 and near n = 250-350 at
+    S = 100, A = 10, which n = 35 * sqrt(S) matches to within that range.
+    """
+    return sample_size < ALIAS_CROSSOVER * math.sqrt(num_states)
+
+
+def _next_state_counts(model: MdpModel, n: int, stream: RngStream, runs) -> np.ndarray:
+    """(len(runs), S*A, S) counts of n sampled next states per (s, a), per run."""
+    s = model.num_states
+    rows = s * model.num_actions
+    tables = model._sampler
+    if not uses_alias(s, n):
+        counts = np.empty((len(runs), rows, s), dtype=np.int64)
+        for i, gen in enumerate(stream.generators(runs)):
+            counts[i] = gen.multinomial(n, tables.pvals)
+        return counts
+    u = stream.uniforms(rows * n, runs)
+    u *= tables.below_s  # the largest double under S, so no column reaches S
+    col = u.astype(np.int64)
+    u -= col  # the coin: uniform on [0, 1) given the column
+    col += np.repeat(np.arange(0, rows * s, s), n)  # flat table index
+    # where the coin fails, move from the column to its alias
+    jump = tables.alias_offset.take(col)
+    jump *= u >= tables.prob.take(col)
+    col += jump
+    col += np.arange(0, len(runs) * rows * s, rows * s)[:, None]
+    return np.bincount(col.ravel(), minlength=len(runs) * rows * s).reshape(len(runs), rows, s)
+
+
+def _sweep(model: MdpModel, kind: str, kernels: np.ndarray, z: np.ndarray):
+    """Row i of z swept with the empirical kernel kernels[i] (S*A, S)."""
+    m, s, a = len(z), model.num_states, model.num_actions
+    w = z if kind == "value" else z.reshape(m, s, a).min(axis=2)
+    emp = np.matmul(kernels, w[:, :, None]).reshape(m, s, a)
+    out = model.cost + model.discount * emp
+    return out.min(axis=2) if kind == "value" else out.reshape(m, s * a)
+
+
+def _empirical_factory(model: MdpModel, sample_size: int, kind: str) -> RandomOperatorFactory:
+    if sample_size < 1:
+        raise ConfigurationError("sample_size must be >= 1")
+    s, a = model.num_states, model.num_actions
+    row_bytes = 3 * 8 * s * a * s  # counts, kernel, and the sweep's product
+    if uses_alias(s, sample_size):
+        row_bytes += 6 * 8 * s * a * sample_size  # per-sample temporaries
+    return block_factory(
+        sample_size, s if kind == "value" else s * a,
+        draw=lambda stream, runs: _next_state_counts(model, sample_size, stream,
+                                                     runs) / sample_size,
+        move=lambda kernels, z: _sweep(model, kind, kernels, z),
+        row_bytes=row_bytes)
 
 
 def empirical_bellman_factory(model: MdpModel, sample_size: int) -> RandomOperatorFactory:
@@ -99,53 +205,18 @@ def empirical_bellman_factory(model: MdpModel, sample_size: int) -> RandomOperat
     sample_size i.i.d. next states; applying it replaces E v(s') by the
     sample mean.  All applications of one realization share its draws.
     """
-    if sample_size < 1:
-        raise ConfigurationError("sample_size must be >= 1")
-    pvals = _sampling_weights(model)
-    s, a = model.num_states, model.num_actions
-    cost, discount = model.cost, model.discount
-
-    def realize(stream: RngStream):
-        counts = stream.generator().multinomial(sample_size, pvals)
-        weights = counts / sample_size  # (S*A, S), rows sum to 1
-
-        def apply(v):
-            v = _check_value(model, v)
-            emp = weights @ v
-            return (cost + discount * emp.reshape(s, a)).min(axis=1)
-
-        return apply
-
-    return RandomOperatorFactory(sample_size=sample_size, realize=realize, dimension=s)
+    return _empirical_factory(model, sample_size, "value")
 
 
 def empirical_q_factory(model: MdpModel, sample_size: int) -> RandomOperatorFactory:
     """Sampled Q-iteration operators over flattened (S*A,) tables."""
-    if sample_size < 1:
-        raise ConfigurationError("sample_size must be >= 1")
-    pvals = _sampling_weights(model)
-    s, a = model.num_states, model.num_actions
-    cost, discount = model.cost, model.discount
-
-    def realize(stream: RngStream):
-        counts = stream.generator().multinomial(sample_size, pvals)
-        weights = counts / sample_size
-
-        def apply(qflat):
-            q = _check_q(model, np.asarray(qflat).reshape(s, a))
-            w = q.min(axis=1)
-            emp = weights @ w
-            return (cost + discount * emp.reshape(s, a)).ravel()
-
-        return apply
-
-    return RandomOperatorFactory(sample_size=sample_size, realize=realize, dimension=s * a)
+    return _empirical_factory(model, sample_size, "q")
 
 
 def empirical_bellman_apply(model: MdpModel, v, sample_size: int,
                             stream: RngStream) -> np.ndarray:
     """One sampled value sweep; calls with the same stream share their draws."""
-    return empirical_bellman_factory(model, sample_size).realize(stream)(v)
+    return empirical_bellman_factory(model, sample_size).realize(stream)(_check_value(model, v))
 
 
 def empirical_q_apply(model: MdpModel, q, sample_size: int, stream: RngStream) -> np.ndarray:
@@ -274,9 +345,7 @@ def model_from_dict(data: dict) -> MdpModel:
 
 def save_model(model: MdpModel, path) -> None:
     """Write the model as JSON; floats round-trip losslessly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path) -> MdpModel:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream)
+                   RandomOperatorFactory, RngStream, block_factory, write_atomic)
 
 FAMILIES = ("logistic", "poisson")
 SAMPLING_MODES = ("with_replacement", "without_replacement")
@@ -166,15 +166,32 @@ def exact_gd_operator(problem: RegressionProblem,
                                claimed_modulus=modulus)
 
 
+def sample_batches(num_samples: int, batch_size: int, sampling: str, stream: RngStream,
+                   runs) -> np.ndarray:
+    """(len(runs), batch_size) sample indices, one batch per run of stream.
+
+    With replacement a run reads batch_size uniforms u and takes floor(u * N);
+    without replacement it reads N uniform keys and takes the batch_size
+    samples with the smallest keys (in no particular order).
+    """
+    if sampling == "with_replacement":
+        idx = (stream.uniforms(batch_size, runs) * num_samples).astype(np.int64)
+        return np.minimum(idx, num_samples - 1, out=idx)
+    keys = stream.uniforms(num_samples, runs)
+    return np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size]
+
+
 def sgd_factory(problem: RegressionProblem, batch_size: int,
                 sampling: str = "with_replacement") -> RandomOperatorFactory:
     """Minibatch SGD steps as a random-operator factory.
 
-    A realization draws one batch of indices from its stream and applies
-    x -> x - beta * (mean gradient over that batch); repeated applications
-    of the same realization reuse the batch.  Per-sample terms are reduced
-    in ascending index order, so a full batch drawn without replacement
-    reproduces the exact gradient step bitwise.
+    A realization draws one batch of indices from its stream (see
+    sample_batches) and applies x -> x - beta * (mean gradient over that
+    batch); repeated applications of the same realization reuse the batch.
+    A block of runs is stepped without gathering per-run feature rows:
+    t = Z F^T, the batch residuals summed per sample by bincount, then
+    their weighted sum of feature rows.  A full batch drawn without
+    replacement reproduces the exact gradient step.
     """
     n = problem.dataset.num_samples
     if not (1 <= batch_size <= n):
@@ -182,22 +199,25 @@ def sgd_factory(problem: RegressionProblem, batch_size: int,
     if sampling not in SAMPLING_MODES:
         raise ConfigurationError(
             f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}")
+    feats, labels = problem.dataset.features, problem.dataset.labels
+    link = _sigmoid if problem.family == "logistic" else np.exp
 
-    def realize(stream: RngStream):
-        rng = stream.generator()
-        if sampling == "with_replacement":
-            batch = np.sort(rng.integers(0, n, size=batch_size))
-        else:
-            batch = np.sort(rng.choice(n, size=batch_size, replace=False))
-        subset = None if (sampling == "without_replacement" and batch_size == n) else batch
+    def move(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+        m = len(z)
+        rows = np.arange(m)[:, None]
+        t = np.matmul(z[:, None, :], feats.T)[:, 0]  # one product per run
+        with np.errstate(over="ignore"):
+            residual = link(t[rows, idx]) - labels[idx]
+        w = np.bincount((idx + rows * n).ravel(), weights=residual.ravel(),
+                        minlength=m * n).reshape(m, n)
+        grad = np.matmul(w[:, None, :], feats)[:, 0] / batch_size + problem.lam * z
+        return z - problem.beta * grad
 
-        def apply(x):
-            return x - problem.beta * gradient(problem, x, subset=subset)
-
-        return apply
-
-    return RandomOperatorFactory(sample_size=batch_size, realize=realize,
-                                 dimension=problem.dataset.dim)
+    width = batch_size if sampling == "with_replacement" else n
+    draw = lambda stream, runs: sample_batches(n, batch_size, sampling, stream, runs)
+    # per run: t, w and bincount's output (N each), the draws, batch temporaries
+    return block_factory(batch_size, problem.dataset.dim, draw, move,
+                         row_bytes=8 * (3 * n + width + 4 * batch_size))
 
 
 def eigen_bounds(problem: RegressionProblem, region_radius: float = 1.0) -> EigenBounds:
@@ -272,11 +292,8 @@ def synth_dataset(num_samples: int, dim: int, family: str, seed: int) -> Regress
 
 def save_csv_dataset(dataset: RegressionDataset, path) -> None:
     """Write rows as label,feat1,...  The constant column is not stored."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for i in range(dataset.num_samples):
-            row = [dataset.labels[i]] + list(dataset.features[i, 1:])
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    rows = np.column_stack([dataset.labels, dataset.features[:, 1:]])
+    write_atomic(path, "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
 
 
 def load_csv_dataset(path, family: str) -> RegressionDataset:

@@ -44,7 +44,8 @@ def vstar20(mdp20):
 
 @pytest.fixture(scope="module")
 def evi_study(mdp20, vstar20):
-    """R=200 randomized value-iteration runs at K=1000 for n in {1, 25, 400}.
+    """R=200 randomized value-iteration runs at K=1000 for n in {1, 25, 400},
+    moved as one block per n.
 
     Per run and sample size: the mean orbit distance over k in [500, 1000],
     and the time-average gap to v* at k = 50 and k = 1000.
@@ -56,17 +57,22 @@ def evi_study(mdp20, vstar20):
     study = {}
     t0 = time.perf_counter()
     for n in EVI_LADDER:
-        factory = itrop.empirical_bellman_factory(mdp20, n)
-        window = np.empty(R_RUNS)
-        ta50 = np.empty(R_RUNS)
-        ta_end = np.empty(R_RUNS)
-        for r in range(R_RUNS):
-            traj = itrop.iterate_random(factory, x0, HORIZON, stream.child(n, r))
-            window[r] = _sup(exact - traj, axis=1)[WINDOW].mean()
-            gaps = _sup(itrop.time_average(traj) - vstar20, axis=1)
-            ta50[r] = gaps[50]
-            ta_end[r] = gaps[HORIZON]
-        study[n] = {"window": window, "ta50": ta50, "ta_end": ta_end}
+        window = np.zeros(R_RUNS)
+        total = np.zeros((R_RUNS, 20))
+        gaps = {}
+
+        def visit(k, runs, z):
+            if WINDOW.start <= k < WINDOW.stop:
+                window[:] += _sup(exact[k] - z, axis=1)
+            total[:] += z
+            if k in (50, HORIZON):
+                gaps[k] = _sup(total / (k + 1) - vstar20, axis=1)
+
+        dropped = itrop.iterate_ensemble(itrop.empirical_bellman_factory(mdp20, n), x0,
+                                         HORIZON, stream.child(n), range(R_RUNS), visit)
+        assert dropped == {}
+        study[n] = {"window": window / (WINDOW.stop - WINDOW.start),
+                    "ta50": gaps[50], "ta_end": gaps[HORIZON]}
     study["elapsed"] = time.perf_counter() - t0
     return study
 
@@ -84,20 +90,24 @@ def big_logistic():
 
 @pytest.fixture(scope="module")
 def sgd_study(big_logistic):
-    """R=200 minibatch-SGD runs (n=16, K=1000): time-average gap at k=50, 1000."""
+    """R=200 minibatch-SGD runs (n=16, K=1000), moved as one block:
+    time-average gap at k=50, 1000."""
     problem, _ = big_logistic
     target = itrop.solve_reference_minimizer(problem, tol=1e-8)
     factory = itrop.sgd_factory(problem, batch_size=16)
     x0 = np.zeros(problem.dataset.dim)
-    stream = itrop.RngStream(2027)
-    ta50 = np.empty(R_RUNS)
-    ta_end = np.empty(R_RUNS)
-    for r in range(R_RUNS):
-        traj = itrop.iterate_random(factory, x0, HORIZON, stream.child(16, r))
-        gaps = np.linalg.norm(itrop.time_average(traj) - target, axis=1)
-        ta50[r] = gaps[50]
-        ta_end[r] = gaps[HORIZON]
-    return {"ta50": ta50, "ta_end": ta_end}
+    total = np.zeros((R_RUNS, problem.dataset.dim))
+    gaps = {}
+
+    def visit(k, runs, z):
+        total[:] += z
+        if k in (50, HORIZON):
+            gaps[k] = np.linalg.norm(total / (k + 1) - target, axis=1)
+
+    dropped = itrop.iterate_ensemble(factory, x0, HORIZON, itrop.RngStream(2027).child(16),
+                                     range(R_RUNS), visit)
+    assert dropped == {}
+    return {"ta50": gaps[50], "ta_end": gaps[HORIZON]}
 
 
 # ---------------------------------------------------------------- criteria

@@ -226,6 +226,23 @@ def test_deviation_probability_hand_value():
     assert se == pytest.approx(math.sqrt(0.25 / 2), rel=1e-12)
 
 
+def test_tail_convention_is_strict_in_both_estimators():
+    # a point exactly at eps is not a deviation, for either estimator
+    frac, _ = itrop.deviation_probability([[0.0], [2.0], [2.5]], [0.0], eps=2.0)
+    assert frac == pytest.approx(1.0 / 3.0, rel=1e-15)
+    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x), dimension=1)
+    at_eps = itrop.RandomOperatorFactory(
+        sample_size=1, realize=lambda s: (lambda x: np.asarray(x) + 2.0), dimension=1)
+    report = itrop.check_sup_probability(op, [at_eps], [[0.0]], eps=2.0, trials=100,
+                                         stream=itrop.RngStream(53))
+    assert report.evidence[0]["max_probability"] == 0.0
+    beyond = itrop.RandomOperatorFactory(
+        sample_size=1, realize=lambda s: (lambda x: np.asarray(x) + 2.5), dimension=1)
+    report = itrop.check_sup_probability(op, [beyond], [[0.0]], eps=2.0, trials=100,
+                                         stream=itrop.RngStream(53))
+    assert report.evidence[0]["max_probability"] == 1.0
+
+
 def test_deviation_probability_monotone_in_eps():
     pts = np.random.default_rng(8).normal(size=(400, 3))
     fracs = [itrop.deviation_probability(pts, np.zeros(3), eps=e)[0]

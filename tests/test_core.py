@@ -71,6 +71,53 @@ def test_stream_validation():
         itrop.RngStream(3).child(-2)
 
 
+def test_stream_runs_read_disjoint_parts_of_one_stream():
+    s = itrop.RngStream(42).child(3)
+    whole = s.generator().random(12)
+    # fixed-width parts: run r reads draws r*w .. r*w + w - 1
+    u = s.uniforms(4, [0, 1, 2])
+    assert np.array_equal(u.ravel(), whole)
+    assert np.array_equal(s.uniforms(4, [2])[0], whole[8:])
+    assert np.array_equal(s.uniforms(4, [0, 2]), u[[0, 2]])
+    # variable-width parts: run r reads its own region of 2^64 draws
+    bits = np.random.PCG64(np.random.SeedSequence(42, spawn_key=(3,)))
+    bits.advance(3 << 64)
+    assert np.array_equal(s.for_run(3).generator().random(5),
+                          np.random.Generator(bits).random(5))
+    regions = [g.random(5) for g in s.generators([0, 3])]
+    assert np.array_equal(regions[0], whole[:5])
+    assert np.array_equal(regions[1], s.for_run(3).generator().random(5))
+    assert s.for_run(3).child(1) == itrop.RngStream(42, (3, 1), run=3)
+    with pytest.raises(ConfigurationError):
+        itrop.RngStream(1, run=-1)
+
+
+def test_write_atomic_never_leaves_a_partial_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    itrop.core.write_atomic(path, "old\n")
+    assert path.read_text() == "old\n"
+
+    def crash(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(itrop.core.os, "replace", crash)
+    with pytest.raises(OSError):
+        itrop.core.write_atomic(path, "new\n")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_row_norm_matches_distance():
+    diff = np.array([[3.0, -4.0], [0.0, 0.0], [-1.0, 0.5]])
+    assert np.array_equal(itrop.row_norm(diff, "l2"), [5.0, 0.0, np.hypot(1.0, 0.5)])
+    assert np.array_equal(itrop.row_norm(diff, "sup"), [4.0, 0.0, 1.0])
+    for row in diff:
+        for norm in itrop.core.NORMS:
+            assert itrop.row_norm(row, norm) == itrop.distance(row, np.zeros(2), norm)
+    with pytest.raises(ConfigurationError):
+        itrop.row_norm(diff, "l1")
+
+
 def test_different_master_seeds_differ():
     a = itrop.RngStream(1).child(0).generator().random(8)
     b = itrop.RngStream(2).child(0).generator().random(8)
@@ -153,15 +200,16 @@ def test_iterate_random_distinct_runs_differ(mdp20):
 
 
 def test_iterate_random_uses_per_step_substreams():
+    # step k realizes from lineage + (k - 1), read for the orbit's run
     seen = []
 
     def realize(stream):
-        seen.append(stream.lineage)
+        seen.append((stream.lineage, stream.run))
         return lambda x: np.asarray(x)
 
     factory = itrop.RandomOperatorFactory(sample_size=1, realize=realize, dimension=1)
-    itrop.iterate_random(factory, [0.0], 4, itrop.RngStream(1).child(6))
-    assert seen == [(6, 0), (6, 1), (6, 2), (6, 3)]
+    itrop.iterate_random(factory, [0.0], 4, itrop.RngStream(1).child(6).for_run(2))
+    assert seen == [((6, 0), 2), ((6, 1), 2), ((6, 2), 2), ((6, 3), 2)]
 
 
 def test_iterate_random_divergence_guard():

@@ -48,7 +48,7 @@ def write_config(tmp_path, data, name="config.json"):
 def test_config_minimal_evi_defaults(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "experiment": "evi", "master_seed": 0, "sample_sizes": [1]})
-    assert cfg.runs == 200 and cfg.horizon == 1000 and cfg.jobs == 1
+    assert cfg.runs == 200 and cfg.horizon == 1000
     assert cfg.output_dir == "out"
     assert cfg.mdp.num_states == 20 and cfg.mdp.num_actions == 5
     assert cfg.check.trials == 200
@@ -130,13 +130,11 @@ def test_config_to_dict_is_stable_under_reparse(tmp_path):
 def test_config_overrides(tmp_path):
     cfg = ExperimentConfig.from_dict(evi_config(tmp_path))
     assert cfg.with_overrides() is cfg
-    out = cfg.with_overrides(seed=9, output_dir="elsewhere", jobs=3)
-    assert (out.master_seed, out.output_dir, out.jobs) == (9, "elsewhere", 3)
+    out = cfg.with_overrides(seed=9, output_dir="elsewhere")
+    assert (out.master_seed, out.output_dir) == (9, "elsewhere")
     assert out.runs == cfg.runs
     with pytest.raises(ConfigurationError, match="--seed"):
         cfg.with_overrides(seed=-2)
-    with pytest.raises(ConfigurationError, match="--jobs"):
-        cfg.with_overrides(jobs=0)
 
 
 def test_config_from_json_errors(tmp_path):
@@ -238,14 +236,24 @@ def test_run_experiment_is_deterministic_across_directories(tmp_path):
     assert meta_a == meta_b
 
 
-def test_run_experiment_jobs_do_not_change_results(tmp_path):
-    base = evi_config(tmp_path / "serial")
-    run_experiment(ExperimentConfig.from_dict(base))
-    parallel = evi_config(tmp_path / "parallel", jobs=3)
-    run_experiment(ExperimentConfig.from_dict(parallel))
-    for name in ("distance_n1.csv", "timeavg_n5.csv"):
-        assert ((tmp_path / "serial" / name).read_bytes()
-                == (tmp_path / "parallel" / name).read_bytes())
+def test_run_experiment_chunking_does_not_change_results(tmp_path, monkeypatch):
+    # one run per chunk against the whole block at once: the same bytes
+    run_experiment(ExperimentConfig.from_dict(evi_config(tmp_path / "block")))
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", 1)
+    run_experiment(ExperimentConfig.from_dict(evi_config(tmp_path / "chunked")))
+    for name in ("distance_n1.csv", "distance_n5.csv", "timeavg_n1.csv", "timeavg_n5.csv"):
+        assert ((tmp_path / "block" / name).read_bytes()
+                == (tmp_path / "chunked" / name).read_bytes())
+
+
+def test_old_config_with_jobs_fails_fast(tmp_path, capsys):
+    cfg = write_config(tmp_path, evi_config(tmp_path / "o", jobs=2))
+    assert main(["run", cfg]) == 1
+    assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(SystemExit):
+        main(["run", write_config(tmp_path, evi_config(tmp_path / "o"), "ok.json"),
+              "--jobs", "2"])
 
 
 def test_run_experiment_sgd_poisson_families(tmp_path):
@@ -276,8 +284,8 @@ def patch_unstable_family(monkeypatch, runs_that_diverge):
     op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=1)
 
     def realize(stream):
-        _, run, _ = stream.lineage  # iterate_random children are (n, r, k-1)
-        if run in runs_that_diverge:
+        # the engine realizes run r of step stream (RUN, n, k-1) as stream.for_run(r)
+        if stream.run in runs_that_diverge:
             return lambda x: np.asarray(x) * 1e13
         return lambda x: np.asarray(x) / 2.0
 
@@ -323,6 +331,38 @@ def test_too_few_survivors_is_fatal(tmp_path, monkeypatch):
     data = evi_config(tmp_path / "dead", runs=4, horizon=4, sample_sizes=[1])
     with pytest.raises(itrop.DivergenceError, match="fewer than 2"):
         run_experiment(ExperimentConfig.from_dict(data))
+
+
+def test_run_and_a2_draw_from_disjoint_keys(tmp_path, monkeypatch):
+    # every use of a master seed roots its lineage at its own purpose tag
+    keys = []
+    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=1)
+
+    def realize(stream):
+        keys.append((stream.lineage, stream.run))
+        return lambda x: np.asarray(x) / 2.0
+
+    def fake_build_family(config, need_target=True):
+        factory_for = lambda n: itrop.RandomOperatorFactory(
+            sample_size=n, realize=realize, dimension=1)
+        return itrop.experiments.FamilyBundle(
+            name="evi", op=op, factory_for=factory_for, target=np.zeros(1),
+            x0=np.ones(1), norm="sup", scalar_summary=lambda v: float(np.max(np.abs(v))))
+
+    monkeypatch.setattr(itrop.experiments, "build_family", fake_build_family)
+    run_experiment(ExperimentConfig.from_dict(
+        evi_config(tmp_path / "run", runs=3, horizon=4, sample_sizes=[1])))
+    run_keys, keys[:] = set(keys), []
+    run_experiment(ExperimentConfig.from_dict(
+        {"experiment": "assumptions", "family": "evi", "master_seed": 42, "horizon": 4,
+         "sample_sizes": [1, 2], "output_dir": str(tmp_path / "chk"),
+         "check": {"trials": 100, "pair_count": 2, "grid_size": 1}}))
+    a2_keys = {key for key in keys if key[0][0] == itrop.experiments.Purpose.A2}
+    assert len(run_keys) == 3 * 4 and len(a2_keys) == 2 * 100
+    assert run_keys.isdisjoint(a2_keys)
+    assert {lineage[0] for lineage, _ in keys} == {
+        itrop.experiments.Purpose.A2, itrop.experiments.Purpose.A3,
+        itrop.experiments.Purpose.A5}
 
 
 def test_lln_experiment_emits_reports(tmp_path):
@@ -383,11 +423,10 @@ def test_cli_run_evi(tmp_path, capsys):
 def test_cli_flag_overrides_take_effect(tmp_path):
     cfg = write_config(tmp_path, evi_config(tmp_path / "ignored"))
     override = tmp_path / "flagged"
-    assert main(["run", cfg, "--output-dir", str(override), "--seed", "99",
-                 "--jobs", "2"]) == 0
+    assert main(["run", cfg, "--output-dir", str(override), "--seed", "99"]) == 0
     meta = json.loads((override / "meta.json").read_text())
     assert meta["config"]["master_seed"] == 99
-    assert meta["config"]["jobs"] == 2
+    assert "jobs" not in meta["config"]
     assert not (tmp_path / "ignored").exists()
 
 

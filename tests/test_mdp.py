@@ -106,7 +106,7 @@ def deterministic_mdp():
     return itrop.MdpModel(transition=t, cost=cost, discount=0.9)
 
 
-@pytest.mark.parametrize("n", [1, 3, 16])
+@pytest.mark.parametrize("n", [1, 3, 16, 100])
 def test_empirical_bellman_equals_exact_on_deterministic_kernel(n):
     model = deterministic_mdp()
     v = np.array([0.1, -2.0, 3.7])
@@ -116,13 +116,64 @@ def test_empirical_bellman_equals_exact_on_deterministic_kernel(n):
         assert np.array_equal(out, exact)
 
 
-@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("n", [1, 4, 100])
 def test_empirical_q_equals_exact_on_deterministic_kernel(n):
     model = deterministic_mdp()
     q = np.array([[0.3, 1.0], [-0.5, 0.1], [2.0, 0.0]])
     exact = itrop.q_apply(model, q)
     out = itrop.empirical_q_apply(model, q, n, itrop.RngStream(8).child(0))
     assert np.array_equal(out, exact)
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_deterministic_kernel_block_step_is_exact_on_both_samplers(n):
+    model = deterministic_mdp()
+    assert itrop.uses_alias(3, n) == (n == 3)
+    vs = np.array([[0.1, -2.0, 3.7], [1.0 / 3.0, 0.7, -0.2], [5.0, 5.0, -1e-3]])
+    exact = np.array([itrop.bellman_apply(model, v) for v in vs])
+    factory = itrop.empirical_bellman_factory(model, n)
+    assert np.array_equal(factory.step(itrop.RngStream(8).child(1), np.arange(3), vs), exact)
+
+
+def skewed_kernel_model():
+    """Rows with zero-probability next states and very unequal weights."""
+    rng = np.random.default_rng(17)
+    t = rng.random((5, 2, 5)) ** 4
+    t[rng.random((5, 2, 5)) < 0.35] = 0.0
+    t[:, :, 2] += 0.05
+    t /= t.sum(axis=2, keepdims=True)
+    return itrop.MdpModel(transition=t, cost=np.zeros((5, 2)), discount=0.5)
+
+
+def test_alias_tables_reproduce_each_row_exactly():
+    model = skewed_kernel_model()
+    tables = model._sampler
+    s = model.num_states
+    prob = tables.prob.reshape(-1, s)
+    alias = (tables.alias_offset + np.arange(tables.prob.size)).reshape(-1, s) % s
+    recon = prob / s
+    for r in range(prob.shape[0]):
+        np.add.at(recon[r], alias[r], (1.0 - prob[r]) / s)
+    assert np.allclose(recon, tables.pvals, rtol=0, atol=1e-15)
+    # a zero-probability column is never kept by its coin, nor an alias target
+    zero = tables.pvals == 0.0
+    assert np.all(prob[zero] == 0.0)
+    targets = np.take_along_axis(tables.pvals, alias, axis=1)
+    assert np.all(targets[prob < 1.0] > 0.0)
+
+
+def test_alias_sampler_frequencies_match_rows():
+    model = skewed_kernel_model()
+    n, runs = 50, 2400  # 120000 next states per (s, a) row
+    assert itrop.uses_alias(model.num_states, n)
+    counts = itrop.mdp._next_state_counts(model, n, itrop.RngStream(3).child(4),
+                                          np.arange(runs)).sum(axis=0)
+    draws = n * runs
+    p = model._sampler.pvals
+    freq = counts / draws
+    se = np.sqrt(p * (1.0 - p) / draws)
+    assert np.all(counts[p == 0.0] == 0)
+    assert np.all(np.abs(freq - p) <= 5.0 * se + 1e-12)
 
 
 def test_empirical_bellman_same_stream_shares_draws(mdp20):

@@ -183,29 +183,51 @@ def test_sgd_realization_reuses_its_batch(logistic_problem):
 
 
 def test_sgd_batch_consumption_is_predictable(logistic_problem):
-    # the realization must draw exactly one sorted index batch from its stream
+    # a realization reads exactly batch_size uniforms u and uses floor(u * N);
+    # the gradient is reduced per sample (bincount), so it matches the subset
+    # gradient up to summation order
     n = logistic_problem.dataset.num_samples
     x = np.linspace(0.0, 0.5, logistic_problem.dataset.dim)
     for t in range(4):
         stream = itrop.RngStream(43).child(t)
-        expected = np.sort(stream.generator().integers(0, n, size=8))
+        expected = np.floor(stream.generator().random(8) * n).astype(np.int64)
+        batch = itrop.sample_batches(n, 8, "with_replacement", stream, [0])[0]
+        assert np.array_equal(batch, expected)
         f = itrop.sgd_factory(logistic_problem, batch_size=8).realize(stream)
         manual = x - logistic_problem.beta * itrop.gradient(
             logistic_problem, x, subset=expected)
-        assert np.array_equal(f(x), manual)
+        assert np.allclose(f(x), manual, rtol=1e-13, atol=1e-16)
 
 
 def test_sgd_without_replacement_batch_has_distinct_indices(logistic_problem):
+    # the batch is the 16 samples with the smallest of N uniform keys
     n = logistic_problem.dataset.num_samples
     stream = itrop.RngStream(44).child(0)
-    expected = np.sort(stream.generator().choice(n, size=16, replace=False))
+    expected = np.sort(np.argsort(stream.generator().random(n))[:16])
+    batch = itrop.sample_batches(n, 16, "without_replacement", stream, [0])[0]
+    assert np.array_equal(np.sort(batch), expected)
     assert len(set(expected.tolist())) == 16
+    runs = itrop.sample_batches(n, 150, "without_replacement", stream, np.arange(50))
+    assert all(len(set(row.tolist())) == 150 for row in runs)
     f = itrop.sgd_factory(logistic_problem, batch_size=16,
                           sampling="without_replacement").realize(stream)
-    x = np.zeros(n * 0 + logistic_problem.dataset.dim)
+    x = np.zeros(logistic_problem.dataset.dim)
     manual = x - logistic_problem.beta * itrop.gradient(
         logistic_problem, x, subset=expected)
-    assert np.array_equal(f(x), manual)
+    assert np.allclose(f(x), manual, rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
+def test_sgd_indices_are_uniform_over_samples(sampling):
+    num_samples, batch, runs = 40, 10, 20000
+    idx = itrop.sample_batches(num_samples, batch, sampling, itrop.RngStream(48).child(1),
+                               np.arange(runs))
+    assert idx.shape == (runs, batch)
+    assert idx.min() >= 0 and idx.max() < num_samples
+    counts = np.bincount(idx.ravel(), minlength=num_samples)
+    draws = batch * runs
+    p = 1.0 / num_samples
+    assert np.all(np.abs(counts / draws - p) <= 5.0 * np.sqrt(p * (1.0 - p) / draws))
 
 
 def test_sgd_streams_decorrelate_batches(logistic_problem):
