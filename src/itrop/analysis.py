@@ -10,8 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, distance, iterate_ensemble, row_norm,
-                   write_atomic)
+                   RandomOperatorFactory, RngStream, iterate_ensemble, row_norm, write_atomic)
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATED = "violated"
@@ -238,13 +237,26 @@ def _draw_pairs(box: Box, rng: np.random.Generator, pair_count: int) -> np.ndarr
     raise ConfigurationError("box appears degenerate: cannot draw distinct pairs")
 
 
-def _max_ratio(apply_fn, pairs: np.ndarray, norm: str) -> float:
-    best = 0.0
-    for x1, x2 in pairs:
-        num = distance(apply_fn(x1), apply_fn(x2), norm)
-        den = distance(x1, x2, norm)
-        best = max(best, num / den)
-    return best
+def _lipschitz_samples(factory: RandomOperatorFactory, depth: int, pair_count: int,
+                       trials: int, box: Box, stream: RngStream, norm: str) -> np.ndarray:
+    """Per trial t, the max-ratio Lipschitz estimate of the composition of the
+    realizations from stream.child(t, 0..depth-1), over pair_count random
+    pairs drawn from stream.child(t, depth); NaN ratios are skipped."""
+    if pair_count < 2:
+        raise ConfigurationError("pair_count must be >= 2")
+    if trials < 2:
+        raise ConfigurationError("trials must be >= 2")
+    alphas = np.empty(trials)
+    for t in range(trials):
+        layers = [factory.realize(stream.child(t, j)) for j in range(depth)]
+        pairs = _draw_pairs(box, stream.child(t, depth).generator(), pair_count)
+        images = pairs
+        for g in layers:
+            images = g(images)
+        ratios = (row_norm(images[:, 0] - images[:, 1], norm)
+                  / row_norm(pairs[:, 0] - pairs[:, 1], norm))
+        alphas[t] = np.fmax.reduce(ratios, initial=0.0)
+    return alphas
 
 
 def check_sup_probability(op: ExactOperatorHandle,
@@ -265,19 +277,16 @@ def check_sup_probability(op: ExactOperatorHandle,
         raise ConfigurationError("factories must have strictly increasing sample sizes")
     if trials < 100:
         raise ConfigurationError("need trials >= 100 for stable probability estimates")
-    grid = [np.asarray(g, dtype=np.float64) for g in grid]
-    if not grid:
-        raise ConfigurationError("grid must be nonempty")
-    exact = [op.apply(g) for g in grid]
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 2 or not len(grid):
+        raise ConfigurationError("grid must be a nonempty (G, d) array of points")
+    exact = np.apply_along_axis(op.apply, 1, grid)  # exact operators take one point
 
     rows = []
     for i, factory in enumerate(factories):
         exceed = np.zeros(len(grid))
         for t in range(trials):
-            realization = factory.realize(stream.child(i, t))
-            for j, (x, tx) in enumerate(zip(grid, exact)):
-                if distance(realization(x), tx, norm) > eps:
-                    exceed[j] += 1.0
+            exceed += row_norm(factory.realize(stream.child(i, t))(grid) - exact, norm) > eps
         probs = exceed / trials
         j_max = int(np.argmax(probs))
         p = float(probs[j_max])
@@ -311,41 +320,36 @@ def check_monotone(factory: RandomOperatorFactory, x0, pairs, trials: int,
                    stream: RngStream) -> AssumptionReport:
     """Check order preservation of the random operators, realization by realization.
 
-    For each trial one realization is drawn and must satisfy x0 <= f(x0)
-    componentwise together with f(lo) <= f(hi) for every supplied ordered
-    pair (lo, hi), all comparisons exact and all evaluations sharing the
-    trial's draws.
+    pairs is a (P, 2, d) array of ordered pairs (lo, hi).  For each trial one
+    realization is drawn and must satisfy x0 <= f(x0) componentwise together
+    with f(lo) <= f(hi) for every pair, all comparisons exact and all
+    evaluations sharing the trial's draws.  Violations are listed by trial,
+    then pair (-1 for x0).
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     x0 = np.asarray(x0, dtype=np.float64)
-    checked = []
-    for j, (lo, hi) in enumerate(pairs):
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        if np.any(lo > hi):
-            raise ConfigurationError(f"pair {j} is not ordered componentwise")
-        checked.append((lo, hi))
+    pairs = np.asarray(pairs, dtype=np.float64).reshape(len(pairs), 2, x0.size)
+    unordered = np.flatnonzero(np.any(pairs[:, 0] > pairs[:, 1], axis=1))
+    if unordered.size:
+        raise ConfigurationError(f"pair {unordered[0]} is not ordered componentwise")
 
-    violations = []
+    points = np.concatenate([x0[None], pairs.reshape(-1, x0.size)])
+    gaps = np.empty((trials, 1 + len(pairs)))  # column 0: x0, column 1 + j: pair j
     for t in range(trials):
-        realization = factory.realize(stream.child(t))
-        fx0 = realization(x0)
-        gap = float(np.max(x0 - fx0))
-        if gap > 0.0:
-            violations.append({"trial": t, "pair": -1, "max_violation": gap})
-        for j, (lo, hi) in enumerate(checked):
-            gap = float(np.max(realization(lo) - realization(hi)))
-            if gap > 0.0:
-                violations.append({"trial": t, "pair": j, "max_violation": gap})
+        images = factory.realize(stream.child(t))(points)
+        gaps[t, 0] = np.max(x0 - images[0])
+        gaps[t, 1:] = np.max(images[1::2] - images[2::2], axis=1)
+    trial, column = np.nonzero(gaps > 0.0)
 
-    verdict = VERDICT_VIOLATED if violations else VERDICT_CONSISTENT
+    verdict = VERDICT_VIOLATED if trial.size else VERDICT_CONSISTENT
     return AssumptionReport(
         assumption_id="A3-monotone",
-        parameters={"trials": trials, "num_pairs": len(checked),
-                    "violation_count": len(violations)},
+        parameters={"trials": trials, "num_pairs": len(pairs),
+                    "violation_count": int(trial.size)},
         verdict=verdict,
-        evidence=violations[:100])
+        evidence=[{"trial": int(t), "pair": int(c) - 1, "max_violation": float(gaps[t, c])}
+                  for t, c in zip(trial[:100], column[:100])])
 
 
 def _log_alpha_stats(alphas: np.ndarray):
@@ -364,16 +368,7 @@ def check_contraction_log(factory: RandomOperatorFactory, pair_count: int,
     The max-ratio estimate is a lower bound on the true coefficient (more
     pairs can only raise it), so `consistent` is evidence, not proof.
     """
-    if pair_count < 2:
-        raise ConfigurationError("pair_count must be >= 2")
-    if trials < 2:
-        raise ConfigurationError("trials must be >= 2")
-    alphas = np.empty(trials)
-    for t in range(trials):
-        realization = factory.realize(stream.child(t, 0))
-        pairs = _draw_pairs(box, stream.child(t, 1).generator(), pair_count)
-        alphas[t] = _max_ratio(realization, pairs, norm)
-
+    alphas = _lipschitz_samples(factory, 1, pair_count, trials, box, stream, norm)
     mean = float(np.mean(alphas))
     se = float(np.std(alphas, ddof=1) / np.sqrt(trials))
     mean_log, se_log = _log_alpha_stats(alphas)
@@ -404,22 +399,7 @@ def check_composite_lipschitz(factory: RandomOperatorFactory, depth: int,
     independent realizations, with tail estimates P(coefficient > 1 - eps)."""
     if depth < 1:
         raise ConfigurationError("depth must be >= 1")
-    if pair_count < 2:
-        raise ConfigurationError("pair_count must be >= 2")
-    if trials < 2:
-        raise ConfigurationError("trials must be >= 2")
-    alphas = np.empty(trials)
-    for t in range(trials):
-        layers = [factory.realize(stream.child(t, j)) for j in range(depth)]
-
-        def composed(x, _layers=layers):
-            for g in _layers:
-                x = g(x)
-            return x
-
-        pairs = _draw_pairs(box, stream.child(t, depth).generator(), pair_count)
-        alphas[t] = _max_ratio(composed, pairs, norm)
-
+    alphas = _lipschitz_samples(factory, depth, pair_count, trials, box, stream, norm)
     mean = float(np.mean(alphas))
     se = float(np.std(alphas, ddof=1) / np.sqrt(trials))
     rows = [{"eps": float(e),

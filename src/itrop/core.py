@@ -176,9 +176,9 @@ class RandomOperatorFactory:
     """Factory of i.i.d. random approximations of an exact operator.
 
     realize(stream) draws one realization, the one that run stream.run reads
-    from stream: a deterministic map that can be applied to any number of
-    points (all sharing the drawn randomness).  sample_size is the number of
-    per-step samples the realization averages.
+    from stream: a deterministic map of any (..., dimension) array of points
+    to one of the same shape, every row moved with the same drawn randomness.
+    sample_size is the number of per-step samples the realization averages.
 
     step, when present, moves a block of runs at once: step(stream, runs, Z)
     returns the block whose row i is realize(stream.for_run(runs[i]))(Z[i]).
@@ -203,7 +203,15 @@ def block_factory(sample_size: int, dimension: int, draw, move,
 
     def realize(stream: RngStream):
         drawn = draw(stream, [stream.run])
-        return lambda x: move(drawn, np.asarray(x, dtype=np.float64)[None])[0]
+
+        def apply(x):
+            x = np.asarray(x, dtype=np.float64)
+            if x.shape[-1:] != (dimension,):
+                raise ConfigurationError(f"points must have shape (..., {dimension}), "
+                                         f"got {x.shape}")
+            return move(drawn, x.reshape(-1, dimension)).reshape(x.shape)
+
+        return apply
 
     def step(stream: RngStream, runs: np.ndarray, z: np.ndarray) -> np.ndarray:
         if runs.size <= chunk:

@@ -303,14 +303,17 @@ def hoeffding_bound(num_states: int, num_actions: int, eps: float, sample_size: 
                     radius: float) -> float:
     """Tail bound on P(sup-deviation of one sampled sweep > eps) for ||v||_inf <= radius.
 
-    May exceed 1, in which case it is vacuous.
+    2*S*A*exp(-n*eps^2 / (2*radius^2)): Hoeffding for each (s, a) sample mean
+    of values in a range of 2*radius, then a union bound.  A sweep moves by
+    at most discount < 1 times the largest (s, a) deviation, so this holds
+    for any discount.  May exceed 1, in which case it is vacuous.
     """
     if num_states < 1 or num_actions < 1:
         raise ConfigurationError("need at least one state and one action")
     if eps <= 0 or radius <= 0 or sample_size < 1:
         raise ConfigurationError("eps and radius must be positive, sample_size >= 1")
     return float(2.0 * num_states * num_actions
-                 * np.exp(-eps * sample_size / (num_states * radius ** 2)))
+                 * np.exp(-sample_size * eps ** 2 / (2.0 * radius ** 2)))
 
 
 _MODEL_KEYS = {"num_states", "num_actions", "discount", "transition", "cost"}

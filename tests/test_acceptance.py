@@ -223,7 +223,8 @@ def test_criterion_06_hoeffding_tail_dominance(mdp20):
         rows.append(f"n={n}: freq {freq:.4f} <= {ceiling:.4f}")
         ok = ok and freq <= ceiling
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 60.0
+    # the top of the ladder (n = 200) must be where the bound is informative
+    ok = ok and bound < 1.0 and elapsed < 60.0
     _report(6, "tail-frequency-under-hoeffding-bound", ok,
             "; ".join(rows) + f"; {elapsed:.0f}s")
 

@@ -73,6 +73,23 @@ def test_realize_reads_the_same_draws_as_the_engine(mdp20):
         assert np.array_equal(factory.realize(stream.for_run(r))(x), block[r])
 
 
+@pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "qvi-alias",
+                                  "sgd-with", "sgd-without", "sgd-full"])
+@pytest.mark.parametrize("shape", [(7,), (4, 2)])
+def test_realization_moves_a_block_as_it_moves_each_row(mdp20, logistic_problem, name,
+                                                       shape):
+    factory = factories(mdp20, logistic_problem)[name]
+    d = factory.dimension
+    block = np.random.default_rng(34).normal(size=shape + (d,))
+    realization = factory.realize(itrop.RngStream(35).child(4).for_run(2))
+    rows = np.array([realization(x) for x in block.reshape(-1, d)])
+    assert realization(block).shape == block.shape
+    assert np.array_equal(realization(block), rows.reshape(block.shape))
+    assert realization(block[(0,) * len(shape)]).shape == (d,)
+    with pytest.raises(ConfigurationError, match="shape"):
+        realization(np.zeros((2, d + 1)))
+
+
 def test_realize_only_factories_share_the_engine():
     seen = []
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +146,14 @@ def test_config_from_json_errors(tmp_path):
     bad.write_text("{")
     with pytest.raises(ConfigurationError, match="invalid JSON"):
         ExperimentConfig.from_json(bad)
+
+
+DESK_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DESK_CONFIGS, ids=lambda p: p.name)
+def test_desk_configs_parse(path):
+    assert ExperimentConfig.from_json(path).experiment in itrop.experiments.EXPERIMENTS
 
 
 def test_mdp_spec_path_round_trip(tmp_path):

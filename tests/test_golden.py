@@ -34,7 +34,14 @@ CONFIGS = {
     "assumptions": {"experiment": "assumptions", "family": "evi", "master_seed": 11,
                     "horizon": 40, "sample_sizes": [2, 8, 200], "mdp": MDP,
                     "check": {"trials": 100, "pair_count": 4, "grid_size": 2}},
+    # the l2 checker path, and an A3 report with evidence (SGD is not monotone)
+    "assumptions-sgd": {"experiment": "assumptions", "family": "sgd-logistic",
+                        "master_seed": 12, "horizon": 40, "sample_sizes": [4, 16],
+                        "regression": REGRESSION,
+                        "check": {"trials": 100, "pair_count": 4, "grid_size": 2}},
 }
+
+EXIT_CODES = {"assumptions-sgd": 3}  # every other kind exits 0
 
 GOLDEN = {
     "evi": "209d5946136a56ffe51f386769d50895a7d79d0cfa7ac55019ff663f3149a36d",
@@ -43,6 +50,7 @@ GOLDEN = {
     "sgd-poisson": "df91c3561579bf390f424eab4d97cd6a7fcc4564d047cf937893f5827b6efa79",
     "lln": "e3c8a8f8d7b580fa0d237273d7e5f9b74d326ab0b202a32ce6e9d7ffce6027cb",
     "assumptions": "f7db2c7977d172d5a5bf01df76afe552393a79c63a0045b2aa691b8e14caf0ad",
+    "assumptions-sgd": "b7abd870cc5d0c29f96609bf91bb642c9210e63462e4d9f9fe134b6a97212494",
 }
 
 
@@ -71,5 +79,5 @@ def test_golden_output_digest(tmp_path, kind):
     out_dir = tmp_path / kind
     result = run_experiment(ExperimentConfig.from_dict(
         {**CONFIGS[kind], "output_dir": str(out_dir)}))
-    assert result.exit_code == 0
+    assert result.exit_code == EXIT_CODES.get(kind, 0)
     assert output_digest(out_dir) == GOLDEN[kind]

@@ -310,8 +310,8 @@ def test_random_mdp_is_valid_and_deterministic():
 # ---------------------------------------------------------------- tail bound
 
 def test_hoeffding_bound_frozen_value():
-    # oracle: direct evaluation of 2*S*A*exp(-eps*n/(S*r^2))
-    expected = 200.0 * math.exp(-25.0)
+    # oracle: direct evaluation of 2*S*A*exp(-n*eps^2/(2*r^2))
+    expected = 200.0 * math.exp(-125.0)
     got = itrop.hoeffding_bound(20, 5, eps=0.5, sample_size=4000, radius=2.0)
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -329,22 +329,35 @@ def test_hoeffding_bound_validation():
         itrop.hoeffding_bound(20, 5, 0.5, 0, 2.0)
 
 
-def test_tail_bound_dominates_in_a_nonvacuous_regime(ref_mdp2):
-    # n large enough that the bound is far below 1; the empirical frequency
-    # must stay under bound + 3 binomial standard errors
-    v = np.array([2.0, -2.0])
-    exact = itrop.bellman_apply(ref_mdp2, v)
-    n, eps, trials = 200, 1.0, 2000
-    bound = itrop.hoeffding_bound(2, 1, eps, n, 2.0)
-    assert bound < 0.01
-    hits = 0
-    for t in range(trials):
-        out = itrop.empirical_bellman_apply(ref_mdp2, v, n, itrop.RngStream(31).child(t))
-        if np.max(np.abs(out - exact)) > eps:
-            hits += 1
+def tail_frequency(model, v, eps, n, trials, stream):
+    """Fraction of sampled sweeps at sup-distance > eps from the exact sweep,
+    with a binomial standard error floored at one hit."""
+    exact = itrop.bellman_apply(model, v)
+    hits = sum(np.max(np.abs(itrop.empirical_bellman_apply(model, v, n, stream.child(t))
+                             - exact)) > eps for t in range(trials))
     freq = hits / trials
-    se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
-    assert freq <= min(1.0, bound) + 3.0 * se
+    return freq, math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
+
+
+def test_tail_bound_dominates_in_a_nonvacuous_regime(mdp20):
+    # a noisy model and a bound below 1: the empirical frequency must stay
+    # under bound + 3 binomial standard errors
+    v = np.linspace(-1.0, 1.0, 20)
+    n, eps = 200, 0.25
+    bound = itrop.hoeffding_bound(20, 5, eps, n, 1.0)
+    assert bound < 1.0
+    freq, se = tail_frequency(mdp20, v, eps, n, 2000, itrop.RngStream(31))
+    assert freq <= bound + 3.0 * se
+
+
+def test_tail_bound_holds_at_small_eps(mdp20):
+    # the exceedance frequency here is about 0.2 (0.195 over these trials); a
+    # bound whose exponent is linear in eps reads 0.0091
+    v = np.linspace(-1.0, 1.0, 20)
+    n, eps = 20000, 0.01
+    freq, se = tail_frequency(mdp20, v, eps, n, 400, itrop.RngStream(32))
+    assert freq > 0.05
+    assert freq <= min(1.0, itrop.hoeffding_bound(20, 5, eps, n, 1.0)) + 3.0 * se
 
 
 # ---------------------------------------------------------------- serialization
