@@ -1,16 +1,15 @@
 """Simulation toolkit for iterated random operators approximating contraction maps."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import (ConfigurationError, DivergenceError, DIVERGENCE_LIMIT,
                    ExactOperatorHandle, NonConvergenceError, RandomOperatorFactory,
-                   RngStream, TrajectoryPair, distance, fixed_point_residual,
-                   iterate_ensemble, iterate_exact, iterate_random, row_norm, run_paired,
-                   time_average)
+                   RngStream, fixed_point_residual, iterate_ensemble, iterate_exact,
+                   iterate_random, row_norm)
 from .mdp import (MdpModel, bellman_apply, bellman_operator, empirical_bellman_apply,
                   empirical_bellman_factory, empirical_q_apply, empirical_q_factory,
                   hoeffding_bound, load_model, q_apply, q_operator, random_mdp,
-                  sample_next_states, save_model, solve_exact, uses_alias)
+                  save_model, solve_exact, uses_alias)
 from .regression import (EigenBounds, RegressionDataset, RegressionProblem,
                          contraction_coefficient, eigen_bounds, exact_gd_operator,
                          gradient, load_csv_dataset, loss, save_csv_dataset,
@@ -19,8 +18,8 @@ from .regression import (EigenBounds, RegressionDataset, RegressionProblem,
 from .analysis import (AssumptionReport, Box, EnsembleSummary, LlnReport,
                        check_composite_lipschitz, check_contraction_log,
                        check_monotone, check_sup_probability, deviation_probability,
-                       distance_curve, ensemble, lln_audit, mc_pushforward_mean,
-                       occupation_measure, weighted_sequence_metric)
+                       ensemble, lln_audit, mc_pushforward_mean, occupation_measure,
+                       orbit_curves, weighted_sequence_metric)
 from .experiments import (ExperimentConfig, FamilyBundle, RunResult, build_family,
                           run_assumption_suite, run_experiment)
 

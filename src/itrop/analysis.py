@@ -10,7 +10,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, iterate_ensemble, row_norm, write_atomic)
+                   RandomOperatorFactory, RngStream, as_point, iterate_ensemble, row_norm,
+                   write_atomic)
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATED = "violated"
@@ -167,9 +168,29 @@ class AssumptionReport:
         write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def distance_curve(pair, norm: str | None = None) -> np.ndarray:
-    """Per-step distance between the exact and randomized orbits of a pair."""
-    return row_norm(pair.exact - pair.random, norm if norm is not None else pair.norm_tag)
+def orbit_curves(factory: RandomOperatorFactory, exact, target, stream: RngStream,
+                 runs: int, norm: str = "l2"):
+    """Move runs 0..runs-1 of stream as one block for len(exact) - 1 steps from
+    exact[0]; return (distance, gap, dropped).  distance[k, r] = |z_k - exact[k]|
+    and gap[k, r] = |mean(z_0..z_k) - target| for run r, (K+1, runs) each; a run
+    in dropped (run -> step) is NaN from that step on."""
+    exact, target = np.asarray(exact, dtype=np.float64), as_point(target)
+    if exact.ndim != 2 or not len(exact) or exact.shape[1] != target.size:
+        raise ConfigurationError(f"need a nonempty (K+1, {target.size}) orbit for a target "
+                                 f"of dimension {target.size}, got shape {exact.shape}")
+    horizon = len(exact) - 1
+    distance = np.full((horizon + 1, runs), np.nan)
+    gap = np.full((horizon + 1, runs), np.nan)
+    total = np.zeros((runs, exact.shape[1]))
+
+    def record(k, alive, z):
+        cols = slice(None) if alive.size == runs else alive
+        distance[k, cols] = row_norm(z - exact[k], norm)
+        total[cols] += z
+        gap[k, cols] = row_norm(total[cols] / (k + 1) - target, norm)
+
+    dropped = iterate_ensemble(factory, exact[0], horizon, stream, range(runs), record)
+    return distance, gap, dropped
 
 
 def weighted_sequence_metric(a, b, norm: str = "l2") -> float:
@@ -425,16 +446,23 @@ def check_composite_lipschitz(factory: RandomOperatorFactory, depth: int,
         evidence=rows)
 
 
-def mc_pushforward_mean(f: Callable[[np.ndarray], float],
+def _per_row(f: Callable[[np.ndarray], np.ndarray], block: np.ndarray) -> np.ndarray:
+    values = np.asarray(f(block), dtype=np.float64)
+    if values.shape != block.shape[:1]:
+        raise ConfigurationError(f"f must map an (m, d) block to m values, got {values.shape}")
+    return values
+
+
+def mc_pushforward_mean(f: Callable[[np.ndarray], np.ndarray],
                         factory: RandomOperatorFactory, x, trials: int,
                         stream: RngStream):
-    """Monte Carlo estimate of E f(random_op(x)) with its standard error."""
+    """Monte Carlo estimate of E f(random_op(x)) with its standard error; f
+    maps the (trials, d) block of images to one value per row, in one call."""
     if trials < 2:
         raise ConfigurationError("trials must be >= 2")
     x = np.asarray(x, dtype=np.float64)
-    values = np.empty(trials)
-    for t in range(trials):
-        values[t] = f(factory.realize(stream.child(t))(x))
+    images = np.stack([factory.realize(stream.child(t))(x) for t in range(trials)])
+    values = _per_row(f, images)
     return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(trials))
 
 
@@ -460,21 +488,21 @@ class LlnReport:
         })
 
 
-def _batch_means_se(values: np.ndarray, num_batches: int = 20) -> float:
-    # Standard error of the mean of a correlated series via batch means.
-    b = min(num_batches, values.size)
-    if b < 2:
-        return float("nan")
-    width = values.size // b
-    means = values[:b * width].reshape(b, width).mean(axis=1)
-    return float(np.std(means, ddof=1) / np.sqrt(b))
+def _batch_means_se(values: np.ndarray, num_batches: int = 20) -> np.ndarray:
+    # Standard error of the mean of each row (a correlated series) via batch means.
+    runs, length = values.shape
+    b = min(num_batches, length)
+    width = length // b
+    means = values[:, :b * width].reshape(runs, b, width).mean(axis=2)
+    return np.std(means, axis=1, ddof=1) / np.sqrt(b)
 
 
-def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], float],
+def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], np.ndarray],
               horizon: int, runs: int, stream: RngStream) -> LlnReport:
     """Run several randomized orbits (runs 0..runs-1 of stream, moved as one
     block) and compare the time average of f on each with the cross-run mean
-    of f at the final step.
+    of f at the final step.  f maps the (runs, d) block of one step to one
+    value per run, in one call per step.
 
     Both estimate the same stationary expectation when the iteration is
     stable, so they should agree within sampling error.
@@ -486,13 +514,13 @@ def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], floa
     values = np.empty((runs, horizon + 1))
 
     def record(k, alive, z):
-        values[alive, k] = [float(f(p)) for p in z]
+        values[alive, k] = _per_row(f, z)
 
     dropped = iterate_ensemble(factory, x0, horizon, stream, range(runs), record)
     if dropped:
         raise DivergenceError(dropped[min(dropped)])
     time_avgs = values[:, :horizon].mean(axis=1)
-    ses = np.array([_batch_means_se(row[:horizon]) for row in values])
+    ses = _batch_means_se(values[:, :horizon])
     tails = values[:, horizon]
     tail_mean = float(np.mean(tails))
     tail_se = float(np.std(tails, ddof=1) / np.sqrt(runs))

@@ -56,12 +56,6 @@ def row_norm(diff, norm: str = "l2") -> np.ndarray:
     raise ConfigurationError(f"unknown norm {norm!r}, expected one of {NORMS}")
 
 
-def distance(a: np.ndarray, b: np.ndarray, norm: str = "l2") -> float:
-    """Distance between two points under the chosen norm ("l2" or "sup")."""
-    return float(row_norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64),
-                          norm))
-
-
 def write_atomic(path, text: str) -> None:
     """Write text to path through a temporary file in the same directory, so a
     crash never leaves a partial file under the final name."""
@@ -226,16 +220,6 @@ def block_factory(sample_size: int, dimension: int, draw, move,
                                  dimension=dimension, step=step)
 
 
-@dataclass(frozen=True)
-class TrajectoryPair:
-    """An exact orbit and a randomized orbit started from the same point."""
-
-    exact: np.ndarray   # (K+1, d)
-    random: np.ndarray  # (K+1, d)
-    n: int
-    norm_tag: str
-
-
 def _check_start(x0, dimension: int, num_steps: int) -> np.ndarray:
     x0 = as_point(x0)
     if x0.shape != (dimension,):
@@ -321,28 +305,7 @@ def iterate_random(factory: RandomOperatorFactory, z0, num_steps: int,
     return np.array(rows)
 
 
-def run_paired(op: ExactOperatorHandle, factory: RandomOperatorFactory, x0,
-               num_steps: int, run: RngStream, norm: str = "l2") -> TrajectoryPair:
-    """Exact and randomized orbits from a shared start, for distance tracking."""
-    if norm not in NORMS:
-        raise ConfigurationError(f"unknown norm {norm!r}, expected one of {NORMS}")
-    if op.dimension != factory.dimension:
-        raise ConfigurationError("operator and factory dimensions differ")
-    exact = iterate_exact(op, x0, num_steps)
-    random = iterate_random(factory, x0, num_steps, run)
-    return TrajectoryPair(exact=exact, random=random, n=factory.sample_size, norm_tag=norm)
-
-
-def time_average(trajectory: np.ndarray) -> np.ndarray:
-    """Running means: row k is the average of rows 0..k."""
-    traj = np.asarray(trajectory, dtype=np.float64)
-    if traj.ndim != 2 or traj.shape[0] == 0:
-        raise ConfigurationError("trajectory must be a nonempty (K+1, d) array")
-    counts = np.arange(1, traj.shape[0] + 1, dtype=np.float64)
-    return np.cumsum(traj, axis=0) / counts[:, None]
-
-
 def fixed_point_residual(op: ExactOperatorHandle, x, norm: str = "l2") -> float:
     """How far x is from being a fixed point of op."""
     x = as_point(x)
-    return distance(op.apply(x), x, norm)
+    return float(row_norm(op.apply(x) - x, norm))

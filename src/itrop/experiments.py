@@ -13,18 +13,16 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import (AssumptionReport, Box, EnsembleSummary, VERDICT_INCONCLUSIVE,
-                       VERDICT_CONSISTENT, VERDICT_VIOLATED, check_contraction_log,
-                       check_monotone, check_sup_probability, distance_curve, ensemble,
-                       lln_audit)
+from .analysis import (AssumptionReport, Box, VERDICT_INCONCLUSIVE, VERDICT_CONSISTENT,
+                       VERDICT_VIOLATED, check_contraction_log, check_monotone,
+                       check_sup_probability, ensemble, lln_audit, orbit_curves)
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, iterate_ensemble, iterate_exact,
-                   row_norm, write_atomic)
+                   RandomOperatorFactory, RngStream, iterate_exact, row_norm, write_atomic)
 from .mdp import (MdpModel, bellman_operator, empirical_bellman_factory,
                   empirical_q_factory, load_model, q_operator, random_mdp, solve_exact)
-from .regression import (RegressionProblem, contraction_coefficient, eigen_bounds,
-                         exact_gd_operator, load_csv_dataset, sgd_factory,
-                         solve_reference_minimizer, synth_dataset)
+from .regression import (EigenBounds, RegressionProblem, eigen_bounds, exact_gd_operator,
+                         load_csv_dataset, sgd_factory, solve_reference_minimizer,
+                         synth_dataset)
 
 log = logging.getLogger("itrop")
 
@@ -171,17 +169,23 @@ class RegressionSpec:
             return self.lam
         return 5.0 if family == "logistic" else 1.0
 
-    def build(self, family: str) -> RegressionProblem:
+    def build(self, family: str) -> tuple[RegressionProblem, EigenBounds | None]:
+        """The problem and its curvature bounds; lam == 0 gives none (no
+        contraction certificate), which beta "auto" cannot resolve."""
         if self.path is not None:
             dataset = load_csv_dataset(self.path, family)
         else:
             dataset = synth_dataset(self.num_samples, self.dim, family, self.seed)
-        lam = self.resolved_lam(family)
-        beta = self.beta
-        if beta == "auto":
-            probe = RegressionProblem(dataset=dataset, family=family, lam=lam, beta=1.0)
-            beta = 1.0 / eigen_bounds(probe, self.region_radius).upper
-        return RegressionProblem(dataset=dataset, family=family, lam=lam, beta=beta)
+        auto = self.beta == "auto"
+        problem = RegressionProblem(dataset=dataset, family=family,
+                                    lam=self.resolved_lam(family),
+                                    beta=1.0 if auto else self.beta)
+        if problem.lam == 0.0 and not auto:
+            return problem, None
+        bounds = eigen_bounds(problem, self.region_radius)  # raises at lam == 0
+        if auto:
+            problem = replace(problem, beta=1.0 / bounds.upper)
+        return problem, bounds
 
     def to_dict(self, family: str) -> dict:
         source = ({"path": self.path} if self.path is not None
@@ -334,13 +338,11 @@ class ExperimentConfig:
 class FamilyBundle:
     """Everything an experiment needs about one operator family."""
 
-    name: str
     op: ExactOperatorHandle
     factory_for: Callable[[int], RandomOperatorFactory]
     target: np.ndarray | None
     x0: np.ndarray
     norm: str
-    scalar_summary: Callable[[np.ndarray], float]
 
 
 def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBundle:
@@ -361,22 +363,16 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
             op = q_operator(model)
             target = solve_exact(model, "q", tol=1e-10).ravel() if need_target else None
             factory_for = lambda n: empirical_q_factory(model, n)
-        return FamilyBundle(name=name, op=op, factory_for=factory_for, target=target,
-                            x0=np.zeros(op.dimension), norm="sup",
-                            scalar_summary=lambda v: float(np.max(np.abs(v))))
+        return FamilyBundle(op=op, factory_for=factory_for, target=target,
+                            x0=np.zeros(op.dimension), norm="sup")
 
     family = name.split("-")[-1]
-    problem = config.regression.build(family)
-    try:
-        bounds = eigen_bounds(problem, config.regression.region_radius)
-    except ConfigurationError:
-        bounds = None  # lam == 0: no analytic contraction certificate
+    problem, bounds = config.regression.build(family)
     op = exact_gd_operator(problem, bounds)
     target = solve_reference_minimizer(problem, tol=1e-8) if need_target else None
     factory_for = lambda n: sgd_factory(problem, n, config.regression.sampling)
-    return FamilyBundle(name=name, op=op, factory_for=factory_for, target=target,
-                        x0=np.zeros(op.dimension), norm="l2",
-                        scalar_summary=lambda x: float(np.linalg.norm(x)))
+    return FamilyBundle(op=op, factory_for=factory_for, target=target,
+                        x0=np.zeros(op.dimension), norm="l2")
 
 
 @dataclass
@@ -410,24 +406,6 @@ def _write_meta(config: ExperimentConfig, out_dir: Path, divergent: list,
     return path
 
 
-def _orbit_curves(bundle: FamilyBundle, factory: RandomOperatorFactory,
-                  exact_traj: np.ndarray, stream: RngStream, runs: int, horizon: int):
-    """Per-step orbit distance and time-average gap, (K+1, runs) each, of all
-    runs moved as one block; columns of dropped runs are left unfilled."""
-    dist = np.empty((horizon + 1, runs))
-    gap = np.empty((horizon + 1, runs))
-    total = np.zeros((runs, factory.dimension))
-
-    def record(k, alive, z):
-        cols = slice(None) if alive.size == runs else alive
-        dist[k, cols] = row_norm(z - exact_traj[k], bundle.norm)
-        total[cols] += z
-        gap[k, cols] = row_norm(total[cols] / (k + 1) - bundle.target, bundle.norm)
-
-    dropped = iterate_ensemble(factory, bundle.x0, horizon, stream, range(runs), record)
-    return dist, gap, dropped
-
-
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run a trajectory (or lln) experiment and emit its files.
 
@@ -451,8 +429,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     divergent = []
 
     for n in config.sample_sizes:
-        dist, gap, dropped = _orbit_curves(bundle, bundle.factory_for(n), exact_traj,
-                                           stream.child(n), config.runs, config.horizon)
+        dist, gap, dropped = orbit_curves(bundle.factory_for(n), exact_traj, bundle.target,
+                                          stream.child(n), config.runs, bundle.norm)
         divergent.extend({"sample_size": n, "run": r, "step": dropped[r]}
                          for r in sorted(dropped))
         log.info("n=%d: %d runs, %d diverged", n, config.runs, len(dropped))
@@ -473,7 +451,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 
 def _run_lln(config: ExperimentConfig) -> RunResult:
-    """Long-run audit: time averages of a scalar summary versus the ensemble tail."""
+    """Long-run audit: time averages of the orbit's norm versus the ensemble tail."""
     started = time.perf_counter()
     bundle = build_family(config, need_target=False)
     stream = RngStream(config.master_seed).child(Purpose.LLN)
@@ -481,7 +459,7 @@ def _run_lln(config: ExperimentConfig) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     for n in config.sample_sizes:
-        report = lln_audit(bundle.factory_for(n), bundle.x0, bundle.scalar_summary,
+        report = lln_audit(bundle.factory_for(n), bundle.x0, lambda z: row_norm(z, bundle.norm),
                            config.horizon, config.runs, stream.child(n))
         path = out_dir / f"lln_n{n}.json"
         _write_json(path, report.to_dict())

@@ -243,24 +243,6 @@ def q_operator(model: MdpModel) -> ExactOperatorHandle:
     return ExactOperatorHandle(apply=apply, dimension=s * a, claimed_modulus=model.discount)
 
 
-def sample_next_states(model: MdpModel, state: int, action: int, sample_size: int,
-                       stream: RngStream) -> np.ndarray:
-    """sample_size i.i.d. next states from p(. | state, action).
-
-    Inverse-CDF draws: binary search of uniforms in the cumulative row.
-    """
-    if not (0 <= state < model.num_states):
-        raise ConfigurationError(f"state {state} out of range")
-    if not (0 <= action < model.num_actions):
-        raise ConfigurationError(f"action {action} out of range")
-    if sample_size < 1:
-        raise ConfigurationError("sample_size must be >= 1")
-    cum = np.cumsum(model.transition[state, action])
-    cum[-1] = 1.0  # guard the top end against accumulated rounding
-    u = stream.generator().random(sample_size)
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
-
-
 def solve_exact(model: MdpModel, kind: str = "value", tol: float = 1e-10,
                 max_iterations: int = 10 ** 6) -> np.ndarray:
     """Fixed point of the exact sweep by iteration.

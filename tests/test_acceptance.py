@@ -270,7 +270,7 @@ def test_criterion_08_sampled_sweep_sits_below_exact_mean(mdp20):
 
 def test_criterion_09_time_average_vs_ensemble_tail(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 25)
-    f = lambda p: float(np.max(np.abs(p)))
+    f = lambda z: _sup(z, axis=1)
     report = itrop.lln_audit(factory, np.zeros(20), f, horizon=10 ** 4,
                              runs=R_RUNS, stream=itrop.RngStream(909).child(25))
     ta = report.time_averages

@@ -72,37 +72,98 @@ def test_box_validation():
         itrop.Box.around(np.zeros((0, 2)))
 
 
-# ---------------------------------------------------------------- distance curves
+# ---------------------------------------------------------------- orbit curves
+
+def halving_op(dim):
+    return itrop.ExactOperatorHandle(apply=lambda x: x / 2.0, dimension=dim)
+
 
 def test_distance_curve_zero_for_identical_routes():
     dim = 3
-    op = itrop.ExactOperatorHandle(apply=lambda x: x / 2.0, dimension=dim)
-    pair = itrop.run_paired(op, make_halving_factory(dim), np.ones(dim), 6,
-                            itrop.RngStream(1).child(0))
-    assert np.array_equal(itrop.distance_curve(pair), np.zeros(7))
+    exact = itrop.iterate_exact(halving_op(dim), np.ones(dim), 6)
+    for norm in ("l2", "sup"):
+        dist, gap, dropped = itrop.orbit_curves(make_halving_factory(dim), exact,
+                                                np.zeros(dim), itrop.RngStream(1).child(0),
+                                                4, norm)
+        assert dist.shape == gap.shape == (7, 4) and dropped == {}
+        assert np.array_equal(dist, np.zeros((7, 4)))
+        # every run averages the same orbit
+        assert np.all(gap == gap[:, :1]) and np.all(gap > 0.0)
 
 
 def test_distance_curve_hand_values_and_norm_override():
-    pair = itrop.TrajectoryPair(exact=np.array([[0.0, 0.0], [3.0, 4.0]]),
-                                random=np.zeros((2, 2)), n=1, norm_tag="l2")
-    assert itrop.distance_curve(pair).tolist() == [0.0, 5.0]
-    assert itrop.distance_curve(pair, norm="sup").tolist() == [0.0, 4.0]
+    # the random orbit rests at 0 while a hand-made "exact" orbit jumps to (3, 4)
+    exact = np.array([[0.0, 0.0], [3.0, 4.0]])
+    target = np.array([3.0, 4.0])
+    identity, stream = constant_scale_factory(2, 1.0), itrop.RngStream(0)
+    dist, gap, _ = itrop.orbit_curves(identity, exact, target, stream, 2, "l2")
+    assert dist.tolist() == [[0.0, 0.0], [5.0, 5.0]]
+    assert gap.tolist() == [[5.0, 5.0], [5.0, 5.0]]
+    dist, gap, _ = itrop.orbit_curves(identity, exact, target, stream, 2, "sup")
+    assert dist.tolist() == [[0.0, 0.0], [4.0, 4.0]]
+    assert gap.tolist() == [[4.0, 4.0], [4.0, 4.0]]
     with pytest.raises(ConfigurationError):
-        itrop.distance_curve(pair, norm="manhattan")
+        itrop.orbit_curves(identity, exact, target, stream, 2, "manhattan")
+
+
+def test_orbit_curves_rejects_bad_inputs_before_the_first_step():
+    calls = []
+
+    def realize(stream):
+        calls.append(stream)
+        return lambda x: np.asarray(x)
+
+    factory = itrop.RandomOperatorFactory(sample_size=1, realize=realize, dimension=2)
+    exact = np.zeros((4, 2))
+    stream = itrop.RngStream(0)
+    with pytest.raises(ConfigurationError, match="target"):
+        itrop.orbit_curves(factory, exact, np.zeros(3), stream, 2)
+    with pytest.raises(ConfigurationError, match="norm"):
+        itrop.orbit_curves(factory, exact, np.zeros(2), stream, 2, norm="manhattan")
+    with pytest.raises(ConfigurationError, match="nonempty"):
+        itrop.orbit_curves(factory, np.empty((0, 2)), np.zeros(2), stream, 2)
+    with pytest.raises(ConfigurationError, match="dimension"):  # orbit of the wrong operator
+        itrop.orbit_curves(factory, np.zeros((4, 3)), np.zeros(3), stream, 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("family", ["evi", "sgd"])
+def test_orbit_curves_columns_are_the_runs_alone(family, mdp20, logistic_problem):
+    # column r: the distance of run r's orbit, computed alone, from the exact one
+    # (bitwise), and the distance of its prefix means from the target
+    if family == "evi":
+        op, norm = itrop.bellman_operator(mdp20), "sup"
+        factory = itrop.empirical_bellman_factory(mdp20, 5)
+        target = itrop.solve_exact(mdp20, "value", tol=1e-10)
+    else:
+        op, norm = itrop.exact_gd_operator(logistic_problem), "l2"
+        factory = itrop.sgd_factory(logistic_problem, 8)
+        target = itrop.solve_reference_minimizer(logistic_problem)
+    horizon, runs = 30, 4
+    exact = itrop.iterate_exact(op, np.zeros(op.dimension), horizon)
+    stream = itrop.RngStream(17).child(5)
+    dist, gap, dropped = itrop.orbit_curves(factory, exact, target, stream, runs, norm)
+    assert dist.shape == gap.shape == (horizon + 1, runs) and dropped == {}
+    for r in range(runs):
+        traj = itrop.iterate_random(factory, exact[0], horizon, stream.for_run(r))
+        assert np.array_equal(dist[:, r], itrop.row_norm(traj - exact, norm))
+        prefix_means = np.array([traj[:k + 1].mean(axis=0) for k in range(horizon + 1)])
+        assert np.allclose(gap[:, r], itrop.row_norm(prefix_means - target, norm),
+                           rtol=1e-12, atol=1e-14)
 
 
 def test_distance_curve_obeys_stepwise_triangle_bound(mdp20):
     # d_k <= alpha * d_{k-1} + ||exact_step(y_{k-1}) - realization_k(y_{k-1})||
     op = itrop.bellman_operator(mdp20)
     factory = itrop.empirical_bellman_factory(mdp20, 5)
-    run = itrop.RngStream(19).child(2)
-    pair = itrop.run_paired(op, factory, np.zeros(20), 40, run, norm="sup")
-    d = itrop.distance_curve(pair)
-    for k in range(1, 41):
-        f_k = factory.realize(run.child(k - 1))
-        y_prev = pair.exact[k - 1]
-        noise = np.max(np.abs(op.apply(y_prev) - f_k(y_prev)))
-        assert d[k] <= mdp20.discount * d[k - 1] + noise + 1e-12
+    stream = itrop.RngStream(19).child(2)
+    exact = itrop.iterate_exact(op, np.zeros(20), 40)
+    d, _, _ = itrop.orbit_curves(factory, exact, np.zeros(20), stream, 3, "sup")
+    for r in range(3):
+        for k in range(1, 41):
+            f_k = factory.realize(stream.child(k - 1).for_run(r))
+            noise = np.max(np.abs(op.apply(exact[k - 1]) - f_k(exact[k - 1])))
+            assert d[k, r] <= mdp20.discount * d[k - 1, r] + noise + 1e-12
 
 
 # ---------------------------------------------------------------- sequence metric
@@ -545,7 +606,7 @@ def test_composite_validation():
 # ---------------------------------------------------------------- pushforward / averages
 
 def test_mc_pushforward_mean_deterministic_factory():
-    f = lambda p: float(np.max(np.abs(p)))
+    f = lambda z: np.max(np.abs(z), axis=1)
     mean, se = itrop.mc_pushforward_mean(f, make_halving_factory(1), [2.0],
                                          trials=5, stream=itrop.RngStream(80).child(0))
     assert mean == 1.0 and se == 0.0
@@ -553,7 +614,7 @@ def test_mc_pushforward_mean_deterministic_factory():
 
 def test_mc_pushforward_mean_tracks_expectation():
     factory = make_shift_factory(2, scale=0.5)
-    f = lambda p: float(p[0])
+    f = lambda z: z[:, 0]
     mean, se = itrop.mc_pushforward_mean(f, factory, [1.0, 0.0], trials=400,
                                          stream=itrop.RngStream(81).child(0))
     assert abs(mean - 1.0) <= 4.0 * se
@@ -565,7 +626,7 @@ def test_mc_pushforward_mean_tracks_expectation():
 # ---------------------------------------------------------------- LLN audit
 
 def test_lln_audit_halving_orbit_closed_form():
-    f = lambda p: float(np.max(np.abs(p)))
+    f = lambda z: np.max(np.abs(z), axis=1)
     horizon = 8
     report = itrop.lln_audit(make_halving_factory(1), [1.0], f, horizon=horizon,
                              runs=2, stream=itrop.RngStream(90).child(0))
@@ -580,7 +641,7 @@ def test_lln_audit_halving_orbit_closed_form():
 def test_lln_audit_constant_orbit_is_exact():
     factory = itrop.RandomOperatorFactory(
         sample_size=1, realize=lambda s: (lambda x: np.asarray(x)), dimension=2)
-    f = lambda p: float(p[0] + p[1])
+    f = lambda z: z[:, 0] + z[:, 1]
     report = itrop.lln_audit(factory, [1.0, 2.0], f, horizon=40, runs=3,
                              stream=itrop.RngStream(91).child(0))
     assert np.array_equal(report.time_averages, np.full(3, 3.0))
@@ -596,3 +657,44 @@ def test_lln_audit_validation():
         itrop.lln_audit(factory, [1.0], f, horizon=1, runs=2, stream=itrop.RngStream(0))
     with pytest.raises(ConfigurationError, match="runs"):
         itrop.lln_audit(factory, [1.0], f, horizon=4, runs=1, stream=itrop.RngStream(0))
+
+
+def test_summaries_apply_f_once_to_a_block():
+    blocks = []
+
+    def f(z):
+        blocks.append(z.shape)
+        return z[:, 0]
+
+    itrop.lln_audit(make_shift_factory(2), [0.0, 0.0], f, horizon=6, runs=3,
+                    stream=itrop.RngStream(92).child(0))
+    assert blocks == [(3, 2)] * 7  # one call per step 0..horizon
+    blocks.clear()
+    itrop.mc_pushforward_mean(f, make_shift_factory(2), [1.0, 0.0], trials=5,
+                              stream=itrop.RngStream(93).child(0))
+    assert blocks == [(5, 2)]
+
+
+def test_summaries_reject_f_without_one_value_per_row():
+    # a per-point summary such as float(max |p|) would reduce the whole block
+    f = lambda p: float(np.max(np.abs(p)))
+    with pytest.raises(ConfigurationError, match="m values"):
+        itrop.lln_audit(make_halving_factory(1), [1.0], f, horizon=4, runs=2,
+                        stream=itrop.RngStream(0))
+    with pytest.raises(ConfigurationError, match="m values"):
+        itrop.mc_pushforward_mean(f, make_halving_factory(1), [2.0], trials=3,
+                                  stream=itrop.RngStream(0))
+
+
+def test_batch_means_se_of_a_block_matches_each_row():
+    def one_row(values, num_batches=20):
+        b = min(num_batches, values.size)
+        width = values.size // b
+        means = values[:b * width].reshape(b, width).mean(axis=1)
+        return float(np.std(means, ddof=1) / np.sqrt(b))
+
+    rng = np.random.default_rng(94)
+    for length in (2, 3, 19, 20, 41, 1000, 1003):
+        block = rng.standard_exponential((25, length + 1)) * rng.uniform(1e-3, 1e3)
+        got = itrop.analysis._batch_means_se(block[:, :length])
+        assert got.tolist() == [one_row(row[:length]) for row in block]

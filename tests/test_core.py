@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import itrop
 from itrop.core import ConfigurationError, DivergenceError
 
-from conftest import make_halving_factory
+from conftest import make_halving_factory, make_shift_factory
 
 
 def affine_op(a: float, dim: int) -> itrop.ExactOperatorHandle:
@@ -29,15 +29,6 @@ def test_as_point_rejects_bad_shapes_and_values():
         itrop.core.as_point([1.0, np.nan])
     with pytest.raises(ConfigurationError):
         itrop.core.as_point([])
-
-
-def test_distance_hand_values():
-    a = np.array([0.0, 0.0])
-    b = np.array([3.0, 4.0])
-    assert itrop.distance(a, b, "l2") == 5.0
-    assert itrop.distance(a, b, "sup") == 4.0
-    with pytest.raises(ConfigurationError):
-        itrop.distance(a, b, "l1")
 
 
 # ---------------------------------------------------------------- streams
@@ -107,13 +98,24 @@ def test_write_atomic_never_leaves_a_partial_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
+def test_distance_hand_values():
+    # one point gives a scalar: the distance of a and b is the norm of b - a
+    a, b = np.array([0.0, 0.0]), np.array([3.0, 4.0])
+    assert itrop.row_norm(b - a, "l2") == 5.0
+    assert itrop.row_norm(b - a, "sup") == 4.0
+    assert itrop.row_norm(b - a).shape == ()
+    with pytest.raises(ConfigurationError):
+        itrop.row_norm(b - a, "l1")
+
+
 def test_row_norm_matches_distance():
+    # a block's row norms are the one-point distances of its rows from 0
     diff = np.array([[3.0, -4.0], [0.0, 0.0], [-1.0, 0.5]])
     assert np.array_equal(itrop.row_norm(diff, "l2"), [5.0, 0.0, np.hypot(1.0, 0.5)])
     assert np.array_equal(itrop.row_norm(diff, "sup"), [4.0, 0.0, 1.0])
-    for row in diff:
-        for norm in itrop.core.NORMS:
-            assert itrop.row_norm(row, norm) == itrop.distance(row, np.zeros(2), norm)
+    for norm in itrop.core.NORMS:
+        for row, value in zip(diff, itrop.row_norm(diff, norm)):
+            assert itrop.row_norm(row, norm) == value
     with pytest.raises(ConfigurationError):
         itrop.row_norm(diff, "l1")
 
@@ -221,57 +223,65 @@ def test_iterate_random_divergence_guard():
         itrop.iterate_random(factory, [1.0], 100, itrop.RngStream(0).child(0))
 
 
-# ---------------------------------------------------------------- run_paired
+# ---------------------------------------------------------------- orbit curves
 
 def test_run_paired_identical_routes_give_zero_distance():
-    op = affine_op(0.5, 2)
-    pair = itrop.run_paired(op, make_halving_factory(2), [4.0, 4.0], 6,
-                            itrop.RngStream(0).child(0), norm="sup")
-    assert np.array_equal(pair.exact, pair.random)
-    assert np.all(itrop.distance_curve(pair) == 0.0)
-    assert pair.n == 1 and pair.norm_tag == "sup"
+    exact = itrop.iterate_exact(affine_op(0.5, 2), [4.0, 4.0], 6)
+    dist, _, dropped = itrop.orbit_curves(make_halving_factory(2), exact, [0.0, 0.0],
+                                          itrop.RngStream(0).child(0), 2, norm="sup")
+    assert np.array_equal(dist, np.zeros((7, 2))) and dropped == {}
 
 
 def test_run_paired_zero_steps():
-    op = affine_op(0.5, 1)
-    pair = itrop.run_paired(op, make_halving_factory(1), [2.0], 0,
-                            itrop.RngStream(0).child(0))
-    assert pair.exact.shape == (1, 1)
-    assert np.array_equal(pair.exact, pair.random)
+    exact = itrop.iterate_exact(affine_op(0.5, 1), [2.0], 0)
+    dist, gap, dropped = itrop.orbit_curves(make_halving_factory(1), exact, [0.5],
+                                            itrop.RngStream(0).child(0), 3)
+    assert dist.tolist() == [[0.0, 0.0, 0.0]]
+    assert gap.tolist() == [[1.5, 1.5, 1.5]]
+    assert dropped == {}
 
 
 def test_run_paired_dimension_mismatch():
+    exact = itrop.iterate_exact(affine_op(0.5, 2), [1.0, 1.0], 3)
     with pytest.raises(ConfigurationError):
-        itrop.run_paired(affine_op(0.5, 2), make_halving_factory(3), [1.0, 1.0], 3,
-                         itrop.RngStream(0).child(0))
+        itrop.orbit_curves(make_halving_factory(3), exact, [0.0, 0.0],
+                           itrop.RngStream(0).child(0), 2)
 
 
 def test_run_paired_rejects_unknown_norm():
+    exact = itrop.iterate_exact(affine_op(0.5, 1), [1.0], 3)
     with pytest.raises(ConfigurationError):
-        itrop.run_paired(affine_op(0.5, 1), make_halving_factory(1), [1.0], 3,
-                         itrop.RngStream(0).child(0), norm="manhattan")
+        itrop.orbit_curves(make_halving_factory(1), exact, [0.0],
+                           itrop.RngStream(0).child(0), 2, norm="manhattan")
 
-
-# ---------------------------------------------------------------- time_average
 
 def test_time_average_matches_prefix_oracle():
-    rng = np.random.default_rng(5)
-    traj = rng.normal(size=(13, 4))
-    # oracle: direct prefix means
-    expected = np.array([traj[: k + 1].mean(axis=0) for k in range(13)])
-    got = itrop.time_average(traj)
-    assert np.allclose(got, expected, rtol=0, atol=1e-12)
-    assert np.array_equal(got[0], traj[0])
+    # gap[k] is the distance of the prefix mean of the random orbit from the target
+    factory = make_shift_factory(4)
+    stream = itrop.RngStream(5).child(0)
+    target = np.random.default_rng(5).normal(size=4)
+    exact = itrop.iterate_exact(affine_op(0.5, 4), np.ones(4), 12)
+    _, gap, _ = itrop.orbit_curves(factory, exact, target, stream, 2)
+    for r in range(2):
+        traj = itrop.iterate_random(factory, exact[0], 12, stream.for_run(r))
+        # oracle: direct prefix means
+        expected = np.array([traj[: k + 1].mean(axis=0) for k in range(13)])
+        assert np.allclose(gap[:, r], itrop.row_norm(expected - target), rtol=0, atol=1e-12)
+        assert gap[0, r] == itrop.row_norm(traj[0] - target)
 
 
 def test_time_average_constant_orbit():
-    traj = np.tile([2.0, -1.0], (6, 1))
-    assert np.array_equal(itrop.time_average(traj), traj)
+    exact = np.tile([2.0, -1.0], (6, 1))
+    dist, gap, _ = itrop.orbit_curves(identity_factory(2), exact, [0.0, 0.0],
+                                      itrop.RngStream(0), 2, "sup")
+    assert np.array_equal(dist, np.zeros((6, 2)))
+    assert np.array_equal(gap, np.full((6, 2), 2.0))
 
 
 def test_time_average_rejects_empty():
     with pytest.raises(ConfigurationError):
-        itrop.time_average(np.empty((0, 3)))
+        itrop.orbit_curves(identity_factory(3), np.empty((0, 3)), np.zeros(3),
+                           itrop.RngStream(0), 2)
 
 
 # ---------------------------------------------------------------- residual
@@ -292,10 +302,10 @@ def test_contraction_orbit_decays_geometrically(coords, modulus):
     x0 = np.asarray(coords)
     op = affine_op(modulus, x0.size)
     traj = itrop.iterate_exact(op, x0, 12)
-    d0 = itrop.distance(x0, np.zeros_like(x0))
+    d0 = itrop.row_norm(x0)
     # Absolute 1e-12 floor: the l2 norm squares its inputs, so distances below
     # ~1e-150 lose relative precision to subnormal underflow even though the
     # orbit itself is computed exactly.
     for k in range(13):
-        dk = itrop.distance(traj[k], np.zeros_like(x0))
+        dk = itrop.row_norm(traj[k])
         assert dk <= modulus ** k * d0 * (1.0 + 1e-12) + 1e-12

@@ -195,10 +195,23 @@ def test_build_family_without_target_skips_solves(tmp_path):
 
 def test_auto_beta_matches_curvature_bound(tmp_path):
     cfg = ExperimentConfig.from_dict(sgd_config(tmp_path))
-    problem = cfg.regression.build("logistic")
-    bounds = itrop.eigen_bounds(problem)
-    assert problem.beta == pytest.approx(1.0 / bounds.upper, rel=1e-12)
+    problem, bounds = cfg.regression.build("logistic")
+    assert bounds == itrop.eigen_bounds(problem)
+    assert problem.beta == 1.0 / bounds.upper
     assert problem.lam == 5.0  # family default when omitted
+    assert build_family(cfg).op.claimed_modulus == itrop.contraction_coefficient(
+        bounds, problem.beta)
+
+
+def test_unregularized_problem_has_no_curvature_bounds(tmp_path):
+    source = {"num_samples": 60, "dim": 4, "seed": 1, "lambda": 0}
+    explicit = ExperimentConfig.from_dict(sgd_config(tmp_path,
+                                                     regression={**source, "beta": 0.05}))
+    problem, bounds = explicit.regression.build("logistic")
+    assert bounds is None and problem.beta == 0.05 and problem.lam == 0.0
+    auto = ExperimentConfig.from_dict(sgd_config(tmp_path, regression=source))
+    with pytest.raises(ConfigurationError, match="lam > 0"):
+        auto.regression.build("logistic")
 
 
 # ---------------------------------------------------------------- orchestration
@@ -302,9 +315,8 @@ def patch_unstable_family(monkeypatch, runs_that_diverge):
         factory_for = lambda n: itrop.RandomOperatorFactory(
             sample_size=n, realize=realize, dimension=1)
         return itrop.experiments.FamilyBundle(
-            name="evi", op=op, factory_for=factory_for,
-            target=np.zeros(1), x0=np.ones(1), norm="sup",
-            scalar_summary=lambda v: float(np.max(np.abs(v))))
+            op=op, factory_for=factory_for,
+            target=np.zeros(1), x0=np.ones(1), norm="sup")
 
     monkeypatch.setattr(itrop.experiments, "build_family", fake_build_family)
 
@@ -324,6 +336,20 @@ def test_divergent_runs_are_dropped_and_counted(tmp_path, monkeypatch):
     # surviving runs still produced full ensembles
     summary = itrop.EnsembleSummary.from_csv(tmp_path / "div" / "distance_n1.csv")
     assert summary.count == 6
+
+
+def test_orbit_curves_of_a_dropped_run_are_nan_from_its_drop_step(tmp_path, monkeypatch):
+    patch_unstable_family(monkeypatch, runs_that_diverge={1, 3})
+    bundle = itrop.experiments.build_family(
+        ExperimentConfig.from_dict(evi_config(tmp_path, runs=5, horizon=6)))
+    exact = itrop.iterate_exact(bundle.op, bundle.x0, 6)
+    dist, gap, dropped = itrop.orbit_curves(bundle.factory_for(1), exact, bundle.target,
+                                            itrop.RngStream(0).child(0, 1), 5, bundle.norm)
+    assert dropped == {1: 1, 3: 1}
+    for curve in (dist, gap):
+        assert np.all(np.isfinite(curve[0]))
+        assert np.all(np.isnan(curve[1:, [1, 3]]))
+        assert np.all(np.isfinite(curve[:, [0, 2, 4]]))
 
 
 def test_divergence_within_budget_still_succeeds(tmp_path, monkeypatch):
@@ -355,8 +381,8 @@ def test_run_and_a2_draw_from_disjoint_keys(tmp_path, monkeypatch):
         factory_for = lambda n: itrop.RandomOperatorFactory(
             sample_size=n, realize=realize, dimension=1)
         return itrop.experiments.FamilyBundle(
-            name="evi", op=op, factory_for=factory_for, target=np.zeros(1),
-            x0=np.ones(1), norm="sup", scalar_summary=lambda v: float(np.max(np.abs(v))))
+            op=op, factory_for=factory_for, target=np.zeros(1),
+            x0=np.ones(1), norm="sup")
 
     monkeypatch.setattr(itrop.experiments, "build_family", fake_build_family)
     run_experiment(ExperimentConfig.from_dict(

@@ -31,6 +31,10 @@ CONFIGS = {
                     "regression": {**REGRESSION, "sampling": "without_replacement"}},
     "lln": {"experiment": "lln", "family": "evi", "master_seed": 3, "runs": 3,
             "horizon": 40, "sample_sizes": [2, 200], "mdp": MDP},
+    # the l2 lln path (a row-wise norm of each step's block)
+    "lln-sgd": {"experiment": "lln", "family": "sgd-logistic", "master_seed": 13,
+                "runs": 3, "horizon": 40, "sample_sizes": [4, 16],
+                "regression": REGRESSION},
     "assumptions": {"experiment": "assumptions", "family": "evi", "master_seed": 11,
                     "horizon": 40, "sample_sizes": [2, 8, 200], "mdp": MDP,
                     "check": {"trials": 100, "pair_count": 4, "grid_size": 2}},
@@ -44,13 +48,14 @@ CONFIGS = {
 EXIT_CODES = {"assumptions-sgd": 3}  # every other kind exits 0
 
 GOLDEN = {
-    "evi": "209d5946136a56ffe51f386769d50895a7d79d0cfa7ac55019ff663f3149a36d",
-    "qvi": "a28bbd140ceb4a5e08adc3c54b8e5fe23721595e5919e305f13726c635647549",
-    "sgd-logistic": "f1f9b994216e4f9e5e9302f35d060364b86a246c9d36cff184cdefb2eb122117",
-    "sgd-poisson": "df91c3561579bf390f424eab4d97cd6a7fcc4564d047cf937893f5827b6efa79",
-    "lln": "e3c8a8f8d7b580fa0d237273d7e5f9b74d326ab0b202a32ce6e9d7ffce6027cb",
-    "assumptions": "f7db2c7977d172d5a5bf01df76afe552393a79c63a0045b2aa691b8e14caf0ad",
-    "assumptions-sgd": "b7abd870cc5d0c29f96609bf91bb642c9210e63462e4d9f9fe134b6a97212494",
+    "evi": "7d1c1c106c9f9e83fed820f0d2599cb18ebc98a9a9469dc65e334f33a24a5790",
+    "qvi": "bc7e0857c5f4e39d1fb0ad46513c9d1b4cc34371043f2edc598a31a45b835742",
+    "sgd-logistic": "cab154776f800e72dd139ac8d19f2d160d14e18bc251578e62107d9d689e0963",
+    "sgd-poisson": "7c640340ea525e4121855df1479a988d329d79f35cc9639d2b5757465eccd616",
+    "lln": "b0ca0d2ab63b3c36ea75a254d8d6edd6ab4ddf63b3bddc9ec3c54e8dc403e786",
+    "lln-sgd": "c531d039d17f86cdf3149b1daad0fef282d6a2accb7f54f30b7343f0cded8459",
+    "assumptions": "b84252c8d28c8daa104a50d2338194503592fcac7e9cb289ccde9692e075fe8b",
+    "assumptions-sgd": "8889c5c9e1251b14b46e752e34120909bc2162c0e8e3e421a3c44a28580fa93b",
 }
 
 

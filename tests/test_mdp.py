@@ -258,40 +258,6 @@ def test_empirical_factories_validate_sample_size(mdp20):
         itrop.empirical_q_factory(mdp20, -1)
 
 
-# ---------------------------------------------------------------- next-state sampling
-
-def test_sample_next_states_deterministic_row():
-    model = deterministic_mdp()
-    out = itrop.sample_next_states(model, 2, 1, 50, itrop.RngStream(1).child(0))
-    assert np.all(out == 2)
-
-
-def test_sample_next_states_reproducible(ref_mdp2):
-    s = itrop.RngStream(5).child(9)
-    a = itrop.sample_next_states(ref_mdp2, 0, 0, 32, s)
-    assert np.array_equal(a, itrop.sample_next_states(ref_mdp2, 0, 0, 32, s))
-
-
-def test_sample_next_states_frequencies_match_row():
-    t = np.array([[[0.3, 0.7]], [[0.5, 0.5]]])
-    model = itrop.MdpModel(transition=t, cost=np.zeros((2, 1)), discount=0.5)
-    n = 20000
-    draws = itrop.sample_next_states(model, 0, 0, n, itrop.RngStream(2).child(0))
-    freq = np.mean(draws == 1)
-    # binomial CLT oracle: 4 sigma tolerance around p = 0.7
-    sigma = math.sqrt(0.7 * 0.3 / n)
-    assert abs(freq - 0.7) <= 4.0 * sigma
-
-
-def test_sample_next_states_validates_indices(ref_mdp2):
-    with pytest.raises(ConfigurationError):
-        itrop.sample_next_states(ref_mdp2, 2, 0, 4, itrop.RngStream(0))
-    with pytest.raises(ConfigurationError):
-        itrop.sample_next_states(ref_mdp2, 0, 1, 4, itrop.RngStream(0))
-    with pytest.raises(ConfigurationError):
-        itrop.sample_next_states(ref_mdp2, 0, 0, 0, itrop.RngStream(0))
-
-
 # ---------------------------------------------------------------- random instances
 
 def test_random_mdp_is_valid_and_deterministic():
