@@ -1,7 +1,8 @@
 """Print a compact table from an experiment output directory.
 
 Shows, per sample size, the mean orbit distance and time-average gap at a few
-checkpoints, plus the run count and any divergence recorded in meta.json.
+checkpoints, plus the run count, any divergence and the realizations drawn per
+sample size recorded in meta.json.
 """
 
 import argparse
@@ -26,6 +27,10 @@ def main():
     meta = json.loads((out / "meta.json").read_text())
     print(f"experiment={meta['config']['experiment']} runs={meta['config']['runs']} "
           f"divergent={meta['divergent_run_count']}")
+    drawn = meta.get("realizations_drawn", [])
+    if drawn:
+        print("realizations drawn: " + "  ".join(f"n={d['sample_size']}: {d['count']}"
+                                                 for d in drawn))
 
     for kind, label in (("distance", "orbit distance"), ("timeavg", "time-average gap")):
         paths = sorted(out.glob(f"{kind}_n*.csv"),

@@ -411,7 +411,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     Trajectory experiments write, per sample size n: distance_n<n>.csv
     (distance between exact and randomized orbits) and timeavg_n<n>.csv
-    (distance of the running orbit average to the fixed point), plus meta.json.
+    (distance of the running orbit average to the fixed point), plus meta.json,
+    which records the realizations drawn per sample size.
     """
     if config.experiment == "assumptions":
         return run_assumption_suite(config)
@@ -427,13 +428,21 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     divergent = []
+    drawn = []
 
     for n in config.sample_sizes:
+        begun = time.perf_counter()
         dist, gap, dropped = orbit_curves(bundle.factory_for(n), exact_traj, bundle.target,
                                           stream.child(n), config.runs, bundle.norm)
+        seconds = time.perf_counter() - begun
         divergent.extend({"sample_size": n, "run": r, "step": dropped[r]}
                          for r in sorted(dropped))
-        log.info("n=%d: %d runs, %d diverged", n, config.runs, len(dropped))
+        # a run dropped at step k drew the realizations of steps 1..k only
+        count = config.runs * config.horizon - sum(config.horizon - k
+                                                   for k in dropped.values())
+        drawn.append({"sample_size": n, "count": count})
+        log.info("n=%d: %d runs, %d diverged, %d realizations, %.0f/s",
+                 n, config.runs, len(dropped), count, count / seconds)
         alive = np.setdiff1d(np.arange(config.runs), list(dropped))
         if alive.size < 2 and alive.size < config.runs:
             raise DivergenceError(0, f"fewer than 2 runs survived at sample size {n}")
@@ -444,7 +453,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         files.extend([dist_path, ta_path])
 
     total_runs = config.runs * len(config.sample_sizes)
-    files.append(_write_meta(config, out_dir, divergent, time.perf_counter() - started))
+    files.append(_write_meta(config, out_dir, divergent, time.perf_counter() - started,
+                             extra={"realizations_drawn": drawn}))
     code = EXIT_DIVERGENCE if len(divergent) > DIVERGENCE_BUDGET * total_runs else EXIT_OK
     return RunResult(exit_code=code, output_files=files,
                      divergent_run_count=len(divergent))

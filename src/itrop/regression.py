@@ -172,13 +172,13 @@ def sample_batches(num_samples: int, batch_size: int, sampling: str, stream: Rng
 
     With replacement a run reads batch_size uniforms u and takes floor(u * N);
     without replacement it reads N uniform keys and takes the batch_size
-    samples with the smallest keys (in no particular order).
+    samples with the smallest keys, ascending.
     """
     if sampling == "with_replacement":
         idx = (stream.uniforms(batch_size, runs) * num_samples).astype(np.int64)
         return np.minimum(idx, num_samples - 1, out=idx)
     keys = stream.uniforms(num_samples, runs)
-    return np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size]
+    return np.sort(np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size], axis=1)
 
 
 def sgd_factory(problem: RegressionProblem, batch_size: int,
@@ -188,10 +188,9 @@ def sgd_factory(problem: RegressionProblem, batch_size: int,
     A realization draws one batch of indices from its stream (see
     sample_batches) and applies x -> x - beta * (mean gradient over that
     batch); repeated applications of the same realization reuse the batch.
-    A block of runs is stepped without gathering per-run feature rows:
-    t = Z F^T, the batch residuals summed per sample by bincount, then
-    their weighted sum of feature rows.  A full batch drawn without
-    replacement reproduces the exact gradient step.
+    Each run of a block gathers its own batch_size feature rows, so a step
+    costs batch_size * d per run whatever the dataset size.  A full batch
+    drawn without replacement reproduces the exact gradient step.
     """
     n = problem.dataset.num_samples
     if not (1 <= batch_size <= n):
@@ -203,21 +202,17 @@ def sgd_factory(problem: RegressionProblem, batch_size: int,
     link = _sigmoid if problem.family == "logistic" else np.exp
 
     def move(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-        m = len(z)
-        rows = np.arange(m)[:, None]
-        t = np.matmul(z[:, None, :], feats.T)[:, 0]  # one product per run
+        x = feats.take(idx, axis=0)  # (runs or 1, batch_size, d): each run's batch rows
         with np.errstate(over="ignore"):
-            residual = link(t[rows, idx]) - labels[idx]
-        w = np.bincount((idx + rows * n).ravel(), weights=residual.ravel(),
-                        minlength=m * n).reshape(m, n)
-        grad = np.matmul(w[:, None, :], feats)[:, 0] / batch_size + problem.lam * z
+            residual = link(np.matmul(x, z[:, :, None])[..., 0]) - labels.take(idx)
+        grad = np.matmul(residual[:, None, :], x)[:, 0] / batch_size + problem.lam * z
         return z - problem.beta * grad
 
     width = batch_size if sampling == "with_replacement" else n
     draw = lambda stream, runs: sample_batches(n, batch_size, sampling, stream, runs)
-    # per run: t, w and bincount's output (N each), the draws, batch temporaries
+    # per run: the gathered rows, t, residual and batch temporaries, the draws
     return block_factory(batch_size, problem.dataset.dim, draw, move,
-                         row_bytes=8 * (3 * n + width + 4 * batch_size))
+                         row_bytes=8 * (batch_size * (problem.dataset.dim + 4) + width))
 
 
 def eigen_bounds(problem: RegressionProblem, region_radius: float = 1.0) -> EigenBounds:

@@ -53,7 +53,8 @@ def test_run_alone_equals_its_row_in_a_batch(mdp20, logistic_problem, name, runs
         assert not np.array_equal(batch[0], batch[1])
 
 
-@pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "sgd-with"])
+@pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "sgd-with", "sgd-without",
+                                  "sgd-full"])
 def test_chunking_over_runs_does_not_change_orbits(mdp20, logistic_problem, monkeypatch,
                                                     name):
     stream = itrop.RngStream(32).child(1)

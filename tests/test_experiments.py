@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +338,23 @@ def test_divergent_runs_are_dropped_and_counted(tmp_path, monkeypatch):
     # surviving runs still produced full ensembles
     summary = itrop.EnsembleSummary.from_csv(tmp_path / "div" / "distance_n1.csv")
     assert summary.count == 6
+
+
+@pytest.mark.parametrize("diverging, count", [(set(), 80), ({1, 3}, 62)])
+def test_meta_counts_the_realizations_each_sample_size_drew(tmp_path, monkeypatch, caplog,
+                                                            diverging, count):
+    # 8 runs of 10 steps; a run dropped at step 1 never draws for steps 2..10
+    patch_unstable_family(monkeypatch, runs_that_diverge=diverging)
+    data = evi_config(tmp_path / "count", runs=8, horizon=10)
+    with caplog.at_level(logging.INFO, logger="itrop"):
+        run_experiment(ExperimentConfig.from_dict(data))
+    meta = json.loads((tmp_path / "count" / "meta.json").read_text())
+    assert meta["realizations_drawn"] == [{"sample_size": 1, "count": count},
+                                          {"sample_size": 5, "count": count}]
+    # the wall-clock rate goes to the log only
+    for n in (1, 5):
+        assert re.search(rf"n={n}: 8 runs, {len(diverging)} diverged, {count} "
+                         rf"realizations, \d+/s", caplog.text)
 
 
 def test_orbit_curves_of_a_dropped_run_are_nan_from_its_drop_step(tmp_path, monkeypatch):

@@ -48,14 +48,14 @@ CONFIGS = {
 EXIT_CODES = {"assumptions-sgd": 3}  # every other kind exits 0
 
 GOLDEN = {
-    "evi": "7d1c1c106c9f9e83fed820f0d2599cb18ebc98a9a9469dc65e334f33a24a5790",
-    "qvi": "bc7e0857c5f4e39d1fb0ad46513c9d1b4cc34371043f2edc598a31a45b835742",
-    "sgd-logistic": "cab154776f800e72dd139ac8d19f2d160d14e18bc251578e62107d9d689e0963",
-    "sgd-poisson": "7c640340ea525e4121855df1479a988d329d79f35cc9639d2b5757465eccd616",
-    "lln": "b0ca0d2ab63b3c36ea75a254d8d6edd6ab4ddf63b3bddc9ec3c54e8dc403e786",
-    "lln-sgd": "c531d039d17f86cdf3149b1daad0fef282d6a2accb7f54f30b7343f0cded8459",
-    "assumptions": "b84252c8d28c8daa104a50d2338194503592fcac7e9cb289ccde9692e075fe8b",
-    "assumptions-sgd": "8889c5c9e1251b14b46e752e34120909bc2162c0e8e3e421a3c44a28580fa93b",
+    "evi": "7acf010bf5af274dfe93fe48f5788cb0c1cf47c7251150bc7ea734906c1bc473",
+    "qvi": "27d66cc494f3d451e1666676c55f63b1969eb827109c16e4a63e9e42baa293cf",
+    "sgd-logistic": "1bf2fbb4e4e439a9b5c8f04a093c75d8282ddaa5b90ca36eb93c19a7b240f1ef",
+    "sgd-poisson": "c02d91bd5c4e6921dd6a80f521b3f6ddd68196228944ecdb0ec8d977769c348e",
+    "lln": "5035eff613487648ec023b2a3bd0aa0e632843788b308ca9a43755cd11e5ea26",
+    "lln-sgd": "cd94216ab076e51b6ad85a636625f9fe2fd134044b4130c4ebd0c44454a3e7c2",
+    "assumptions": "bc5b98d3f062c3a288a3699b59d9a3dbaa5627a2f7b3acc53f4013fd8b0780cb",
+    "assumptions-sgd": "26a0473a27da080f8c121b95e0b6a74e4cc085928ebbab7a773e8f79dc78d3a9",
 }
 
 

@@ -183,9 +183,8 @@ def test_sgd_realization_reuses_its_batch(logistic_problem):
 
 
 def test_sgd_batch_consumption_is_predictable(logistic_problem):
-    # a realization reads exactly batch_size uniforms u and uses floor(u * N);
-    # the gradient is reduced per sample (bincount), so it matches the subset
-    # gradient up to summation order
+    # a realization reads exactly batch_size uniforms u and uses floor(u * N),
+    # and its step is the subset gradient step, bit for bit
     n = logistic_problem.dataset.num_samples
     x = np.linspace(0.0, 0.5, logistic_problem.dataset.dim)
     for t in range(4):
@@ -196,16 +195,16 @@ def test_sgd_batch_consumption_is_predictable(logistic_problem):
         f = itrop.sgd_factory(logistic_problem, batch_size=8).realize(stream)
         manual = x - logistic_problem.beta * itrop.gradient(
             logistic_problem, x, subset=expected)
-        assert np.allclose(f(x), manual, rtol=1e-13, atol=1e-16)
+        assert np.array_equal(f(x), manual)
 
 
 def test_sgd_without_replacement_batch_has_distinct_indices(logistic_problem):
-    # the batch is the 16 samples with the smallest of N uniform keys
+    # the batch is the 16 samples with the smallest of N uniform keys, ascending
     n = logistic_problem.dataset.num_samples
     stream = itrop.RngStream(44).child(0)
     expected = np.sort(np.argsort(stream.generator().random(n))[:16])
     batch = itrop.sample_batches(n, 16, "without_replacement", stream, [0])[0]
-    assert np.array_equal(np.sort(batch), expected)
+    assert np.array_equal(batch, expected)
     assert len(set(expected.tolist())) == 16
     runs = itrop.sample_batches(n, 150, "without_replacement", stream, np.arange(50))
     assert all(len(set(row.tolist())) == 150 for row in runs)
@@ -214,7 +213,16 @@ def test_sgd_without_replacement_batch_has_distinct_indices(logistic_problem):
     x = np.zeros(logistic_problem.dataset.dim)
     manual = x - logistic_problem.beta * itrop.gradient(
         logistic_problem, x, subset=expected)
-    assert np.allclose(f(x), manual, rtol=1e-13, atol=1e-16)
+    assert np.array_equal(f(x), manual)
+
+
+@pytest.mark.parametrize("batch", [16, 200])
+def test_sgd_without_replacement_batches_are_ascending(batch):
+    num_samples = 200
+    idx = itrop.sample_batches(num_samples, batch, "without_replacement",
+                               itrop.RngStream(45).child(2), np.arange(40))
+    assert idx.shape == (40, batch)
+    assert np.all(np.diff(idx, axis=1) > 0)
 
 
 @pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
