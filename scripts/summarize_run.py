@@ -1,8 +1,8 @@
 """Print a compact table from an experiment output directory.
 
 Shows, per sample size, the mean orbit distance and time-average gap at a few
-checkpoints, plus the run count, any divergence and the realizations drawn per
-sample size recorded in meta.json.
+checkpoints, plus the run count, any divergence, the realizations drawn per
+sample size and the reference solve's certificate recorded in meta.json.
 """
 
 import argparse
@@ -31,6 +31,13 @@ def main():
     if drawn:
         print("realizations drawn: " + "  ".join(f"n={d['sample_size']}: {d['count']}"
                                                  for d in drawn))
+    solve = meta.get("reference_solve")
+    if solve:
+        print(f"reference solve: {solve['method']}, {solve['iterations']} iterations, "
+              f"residual {solve['residual']:.3g}, distance to the fixed point "
+              f"<= {solve['certified_bound']:.3g}"
+              + (f", beta {solve['beta']:.6g}" if "beta" in solve else "")
+              + f", claimed modulus {solve['claimed_modulus']:.6g}")
 
     for kind, label in (("distance", "orbit distance"), ("timeavg", "time-average gap")):
         paths = sorted(out.glob(f"{kind}_n*.csv"),

@@ -1,6 +1,6 @@
 """Simulation toolkit for iterated random operators approximating contraction maps."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .core import (ConfigurationError, DivergenceError, DIVERGENCE_LIMIT,
                    ExactOperatorHandle, NonConvergenceError, RandomOperatorFactory,

@@ -18,11 +18,10 @@ from .analysis import (AssumptionReport, Box, VERDICT_INCONCLUSIVE, VERDICT_CONS
                        check_sup_probability, ensemble, lln_audit, orbit_curves)
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
                    RandomOperatorFactory, RngStream, iterate_exact, row_norm, write_atomic)
-from .mdp import (MdpModel, bellman_operator, empirical_bellman_factory,
-                  empirical_q_factory, load_model, q_operator, random_mdp, solve_exact)
-from .regression import (EigenBounds, RegressionProblem, eigen_bounds, exact_gd_operator,
-                         load_csv_dataset, sgd_factory, solve_reference_minimizer,
-                         synth_dataset)
+from .mdp import (MdpModel, _value_iteration, bellman_operator, empirical_bellman_factory,
+                  empirical_q_factory, load_model, q_operator, random_mdp)
+from .regression import (EigenBounds, RegressionProblem, _newton_minimizer, eigen_bounds,
+                         exact_gd_operator, load_csv_dataset, sgd_factory, synth_dataset)
 
 log = logging.getLogger("itrop")
 
@@ -336,13 +335,15 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class FamilyBundle:
-    """Everything an experiment needs about one operator family."""
+    """Everything an experiment needs about one operator family; `solve`
+    certifies how the target was computed (None when it was not)."""
 
     op: ExactOperatorHandle
     factory_for: Callable[[int], RandomOperatorFactory]
     target: np.ndarray | None
     x0: np.ndarray
     norm: str
+    solve: dict | None = None
 
 
 def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBundle:
@@ -350,29 +351,42 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
 
     The fixed-point solve is skipped (target=None) when not requested; the
     assumption suite and the long-run audit work on families whose reference
-    point is unavailable, e.g. unregularized regression.
+    point is unavailable, e.g. unregularized regression.  The solve's
+    certificate bounds the target's distance to the true fixed point: in sup
+    norm by discount / (1 - discount) times the last value-iteration step, in
+    l2 by the final gradient norm over lam (strong convexity).
     """
     name = config.family_name()
+    target = solve = None
     if name in ("evi", "qvi"):
         model = config.mdp.build()
         if name == "evi":
-            op = bellman_operator(model)
-            target = solve_exact(model, "value", tol=1e-10) if need_target else None
+            op, kind = bellman_operator(model), "value"
             factory_for = lambda n: empirical_bellman_factory(model, n)
         else:
-            op = q_operator(model)
-            target = solve_exact(model, "q", tol=1e-10).ravel() if need_target else None
+            op, kind = q_operator(model), "q"
             factory_for = lambda n: empirical_q_factory(model, n)
+        if need_target:
+            fixed, sweeps, moved = _value_iteration(model, kind, tol=1e-10)
+            target = fixed.ravel()
+            gamma = model.discount
+            solve = {"method": "value-iteration", "iterations": sweeps, "residual": moved,
+                     "certified_bound": gamma / (1.0 - gamma) * moved,
+                     "claimed_modulus": op.claimed_modulus}
         return FamilyBundle(op=op, factory_for=factory_for, target=target,
-                            x0=np.zeros(op.dimension), norm="sup")
+                            x0=np.zeros(op.dimension), norm="sup", solve=solve)
 
     family = name.split("-")[-1]
     problem, bounds = config.regression.build(family)
     op = exact_gd_operator(problem, bounds)
-    target = solve_reference_minimizer(problem, tol=1e-8) if need_target else None
+    if need_target:
+        target, steps, gnorm = _newton_minimizer(problem, tol=1e-8)
+        solve = {"method": "damped-newton", "iterations": steps, "residual": gnorm,
+                 "certified_bound": gnorm / problem.lam, "beta": problem.beta,
+                 "claimed_modulus": op.claimed_modulus}
     factory_for = lambda n: sgd_factory(problem, n, config.regression.sampling)
     return FamilyBundle(op=op, factory_for=factory_for, target=target,
-                        x0=np.zeros(op.dimension), norm="l2")
+                        x0=np.zeros(op.dimension), norm="l2", solve=solve)
 
 
 @dataclass
@@ -412,7 +426,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     Trajectory experiments write, per sample size n: distance_n<n>.csv
     (distance between exact and randomized orbits) and timeavg_n<n>.csv
     (distance of the running orbit average to the fixed point), plus meta.json,
-    which records the realizations drawn per sample size.
+    which records the realizations drawn per sample size and the reference
+    solve's certificate (FamilyBundle.solve).
     """
     if config.experiment == "assumptions":
         return run_assumption_suite(config)
@@ -454,7 +469,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     total_runs = config.runs * len(config.sample_sizes)
     files.append(_write_meta(config, out_dir, divergent, time.perf_counter() - started,
-                             extra={"realizations_drawn": drawn}))
+                             extra={"realizations_drawn": drawn,
+                                    "reference_solve": bundle.solve}))
     code = EXIT_DIVERGENCE if len(divergent) > DIVERGENCE_BUDGET * total_runs else EXIT_OK
     return RunResult(exit_code=code, output_files=files,
                      divergent_run_count=len(divergent))

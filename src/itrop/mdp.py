@@ -243,13 +243,9 @@ def q_operator(model: MdpModel) -> ExactOperatorHandle:
     return ExactOperatorHandle(apply=apply, dimension=s * a, claimed_modulus=model.discount)
 
 
-def solve_exact(model: MdpModel, kind: str = "value", tol: float = 1e-10,
-                max_iterations: int = 10 ** 6) -> np.ndarray:
-    """Fixed point of the exact sweep by iteration.
-
-    Stops once the sup-norm step shrinks below tol * (1 - discount) / discount,
-    which bounds the remaining distance to the fixed point by tol.
-    """
+def _value_iteration(model: MdpModel, kind: str, tol: float = 1e-10,
+                     max_iterations: int = 10 ** 6) -> tuple[np.ndarray, int, float]:
+    """(fixed point, sweeps, last sup-norm step ||Tx - x||) of solve_exact."""
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
     if kind == "value":
@@ -261,13 +257,26 @@ def solve_exact(model: MdpModel, kind: str = "value", tol: float = 1e-10,
     else:
         raise ConfigurationError(f"kind must be 'value' or 'q', got {kind!r}")
     threshold = tol * (1.0 - model.discount) / model.discount
-    for _ in range(max_iterations):
+    for sweep in range(1, max_iterations + 1):
         nxt = step(x)
-        if np.max(np.abs(nxt - x)) <= threshold:
-            return nxt
+        moved = float(np.max(np.abs(nxt - x)))
+        if moved <= threshold:
+            return nxt, sweep, moved
         x = nxt
     raise NonConvergenceError(
-        f"no fixed point to tolerance {tol} within {max_iterations} sweeps")
+        f"reference solve did not converge: no fixed point to tolerance {tol} "
+        f"within {max_iterations} sweeps")
+
+
+def solve_exact(model: MdpModel, kind: str = "value", tol: float = 1e-10,
+                max_iterations: int = 10 ** 6) -> np.ndarray:
+    """Fixed point of the exact sweep by iteration.
+
+    Stops once the sup-norm step ||Tx - x|| shrinks below
+    tol * (1 - discount) / discount; then ||Tx - x*|| <= discount / (1 - discount)
+    * ||Tx - x|| <= tol, and Tx is returned.
+    """
+    return _value_iteration(model, kind, tol, max_iterations)[0]
 
 
 def random_mdp(num_states: int, num_actions: int, seed: int, discount: float = 0.9) -> MdpModel:

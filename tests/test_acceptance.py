@@ -202,8 +202,10 @@ def test_criterion_05_gradient_matches_finite_differences():
 
 
 def test_criterion_06_hoeffding_tail_dominance(mdp20):
-    v = np.linspace(-2.0, 2.0, 20)
-    assert _sup(v) == 2.0
+    # r = 1 and eps = 0.5 put every rung's bound below 1 (0.386, 7.5e-4,
+    # 2.8e-9), so each rung can fail
+    v = np.linspace(-1.0, 1.0, 20)
+    assert _sup(v) == 1.0
     exact = itrop.bellman_apply(mdp20, v)
     trials = 10 ** 4
     stream = itrop.RngStream(606)
@@ -217,14 +219,13 @@ def test_criterion_06_hoeffding_tail_dominance(mdp20):
             if _sup(out - exact) > 0.5:
                 hits += 1
         freq = hits / trials
-        bound = itrop.hoeffding_bound(20, 5, eps=0.5, sample_size=n, radius=2.0)
+        bound = itrop.hoeffding_bound(20, 5, eps=0.5, sample_size=n, radius=1.0)
         se = math.sqrt(freq * (1.0 - freq) / trials)
-        ceiling = min(1.0, bound) + 3.0 * se
-        rows.append(f"n={n}: freq {freq:.4f} <= {ceiling:.4f}")
-        ok = ok and freq <= ceiling
+        ceiling = bound + 3.0 * se
+        rows.append(f"n={n}: freq {freq:.4f} <= {ceiling:.4g}")
+        ok = ok and bound < 1.0 and freq <= ceiling
     elapsed = time.perf_counter() - t0
-    # the top of the ladder (n = 200) must be where the bound is informative
-    ok = ok and bound < 1.0 and elapsed < 60.0
+    ok = ok and elapsed < 60.0
     _report(6, "tail-frequency-under-hoeffding-bound", ok,
             "; ".join(rows) + f"; {elapsed:.0f}s")
 

@@ -357,6 +357,39 @@ def test_meta_counts_the_realizations_each_sample_size_drew(tmp_path, monkeypatc
                          rf"realizations, \d+/s", caplog.text)
 
 
+@pytest.mark.parametrize("experiment", ["evi", "qvi"])
+def test_meta_certifies_the_value_iteration_solve(tmp_path, experiment):
+    data = evi_config(tmp_path / "run", experiment=experiment, runs=2, horizon=3)
+    config = ExperimentConfig.from_dict(data)
+    run_experiment(config)
+    solve = json.loads((tmp_path / "run" / "meta.json").read_text())["reference_solve"]
+    # oracle: sweep the exact operator from 0 until its sup-norm step is below
+    # tol * (1 - gamma) / gamma, counting sweeps
+    model = config.mdp.build()
+    gamma = model.discount
+    op = itrop.bellman_operator(model) if experiment == "evi" else itrop.q_operator(model)
+    x, sweeps = np.zeros(op.dimension), 0
+    while True:
+        nxt, sweeps = op.apply(x), sweeps + 1
+        step = float(np.max(np.abs(nxt - x)))
+        if step <= 1e-10 * (1.0 - gamma) / gamma:
+            break
+        x = nxt
+    assert solve == {"method": "value-iteration", "iterations": sweeps, "residual": step,
+                     "certified_bound": gamma / (1.0 - gamma) * step,
+                     "claimed_modulus": gamma}
+    assert solve["certified_bound"] <= 1e-10
+    assert np.array_equal(build_family(config).target, nxt)
+
+
+@pytest.mark.parametrize("experiment", ["lln", "assumptions"])
+def test_runs_without_a_solve_record_none(tmp_path, experiment):
+    data = evi_config(tmp_path / "run", experiment=experiment, family="evi", runs=2,
+                      horizon=3, check={"trials": 100, "pair_count": 2, "grid_size": 1})
+    run_experiment(ExperimentConfig.from_dict(data))
+    assert "reference_solve" not in json.loads((tmp_path / "run" / "meta.json").read_text())
+
+
 def test_orbit_curves_of_a_dropped_run_are_nan_from_its_drop_step(tmp_path, monkeypatch):
     patch_unstable_family(monkeypatch, runs_that_diverge={1, 3})
     bundle = itrop.experiments.build_family(
@@ -502,13 +535,26 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
 
 
 def test_cli_divergence_exits_two(tmp_path, capsys):
-    # a deliberately huge step size blows up the reference GD solve
+    # a deliberately huge step size: the Newton reference solve does not use
+    # beta and converges, but the exact gradient-descent orbit blows up
     data = sgd_config(tmp_path / "d", experiment="sgd-poisson",
                       regression={"num_samples": 40, "dim": 3, "seed": 5,
                                   "beta": 1e6})
     cfg = write_config(tmp_path, data)
     assert main(["run", cfg]) == 2
-    assert "runtime failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime failure: orbit diverged at step" in err
+    assert "reference solve" not in err
+
+
+def test_cli_reference_solve_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # the 60 x 4 logistic problem needs 2 Newton steps; allow 1
+    newton = itrop.experiments._newton_minimizer
+    monkeypatch.setattr(itrop.experiments, "_newton_minimizer",
+                        lambda problem, tol: newton(problem, tol, max_iterations=1))
+    cfg = write_config(tmp_path, sgd_config(tmp_path / "d"))
+    assert main(["run", cfg]) == 2
+    assert "runtime failure: reference solve did not converge" in capsys.readouterr().err
 
 
 def test_cli_check_evi_exits_zero(tmp_path, capsys):

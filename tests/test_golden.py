@@ -48,14 +48,14 @@ CONFIGS = {
 EXIT_CODES = {"assumptions-sgd": 3}  # every other kind exits 0
 
 GOLDEN = {
-    "evi": "7acf010bf5af274dfe93fe48f5788cb0c1cf47c7251150bc7ea734906c1bc473",
-    "qvi": "27d66cc494f3d451e1666676c55f63b1969eb827109c16e4a63e9e42baa293cf",
-    "sgd-logistic": "1bf2fbb4e4e439a9b5c8f04a093c75d8282ddaa5b90ca36eb93c19a7b240f1ef",
-    "sgd-poisson": "c02d91bd5c4e6921dd6a80f521b3f6ddd68196228944ecdb0ec8d977769c348e",
-    "lln": "5035eff613487648ec023b2a3bd0aa0e632843788b308ca9a43755cd11e5ea26",
-    "lln-sgd": "cd94216ab076e51b6ad85a636625f9fe2fd134044b4130c4ebd0c44454a3e7c2",
-    "assumptions": "bc5b98d3f062c3a288a3699b59d9a3dbaa5627a2f7b3acc53f4013fd8b0780cb",
-    "assumptions-sgd": "26a0473a27da080f8c121b95e0b6a74e4cc085928ebbab7a773e8f79dc78d3a9",
+    "evi": "ebbb35391b9a26234d3db3fc2b6196dd5e5d80ba40fbf07dbb92d893fc751153",
+    "qvi": "73b91eb5271af6cab1d78dfb3ec5e4f3c2ea0554e61cd8702865c215aee0aa3f",
+    "sgd-logistic": "a0e177d4015201d3a26c98097e4c63e394449e13b054cc14069136a909cf7b7a",
+    "sgd-poisson": "8b81b61249afe2640ae45d634683942b0afc0df295cd82a027f37043b39cd5f5",
+    "lln": "53264d06cce656ac2ead6df485fb9496b3910b1f70f5f522e81d329cc8620908",
+    "lln-sgd": "ae9770c302104f28b052309b239f7608da2172262f9e60f3d989f84c7b3f33ac",
+    "assumptions": "0d1a00d8a48c8b6c82c275376ec3b928354d85fa2c0da18b20d69bed35dd429a",
+    "assumptions-sgd": "3eb31640addd968e3e9419399af306fbc9e13ce5871b3443ef9afb7974c97422",
 }
 
 

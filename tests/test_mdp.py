@@ -84,7 +84,7 @@ def test_solve_exact_tolerance_semantics(ref_mdp2):
 
 
 def test_solve_exact_iteration_cap(mdp20):
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match="reference solve did not converge"):
         itrop.solve_exact(mdp20, "value", tol=1e-10, max_iterations=3)
 
 

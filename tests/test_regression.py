@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import itrop
 from itrop.core import ConfigurationError, NonConvergenceError
+from itrop.experiments import ExperimentConfig, build_family, run_experiment
 from itrop.regression import _check_labels
 
 
@@ -376,6 +378,57 @@ def test_reference_minimizer_validation(logistic_problem, poisson_problem):
         itrop.solve_reference_minimizer(logistic_problem, tol=0.0)
     with pytest.raises(NonConvergenceError):
         itrop.solve_reference_minimizer(poisson_problem, tol=1e-12, max_iterations=2)
+
+
+@pytest.mark.parametrize("fixture", ["logistic_problem", "poisson_problem"])
+def test_reference_minimizer_agrees_with_gradient_descent(request, fixture):
+    problem = request.getfixturevalue(fixture)
+    tol = 1e-8
+    x = itrop.solve_reference_minimizer(problem, tol=tol)
+    # oracle: the exact GD step at beta = 1/upper, iterated to the same tolerance
+    op = itrop.exact_gd_operator(problem)
+    y = np.zeros(problem.dataset.dim)
+    for _ in range(10 ** 5):
+        if np.linalg.norm(itrop.gradient(problem, y)) <= tol:
+            break
+        y = op.apply(y)
+    else:
+        pytest.fail("gradient-descent oracle did not converge")
+    # each lies within tol / lam of the minimizer (strong convexity)
+    assert np.linalg.norm(x - y) <= 2 * tol / problem.lam
+
+
+def test_reference_solve_with_a_wrong_gradient_fails_the_certificate(
+        logistic_problem, monkeypatch):
+    true_gradient = itrop.gradient
+    offset = np.full(logistic_problem.dataset.dim, 1e-3)
+    monkeypatch.setattr(itrop.regression, "gradient",
+                        lambda problem, x, subset=None: true_gradient(problem, x, subset)
+                        + offset)
+    try:
+        x = itrop.solve_reference_minimizer(logistic_problem, tol=1e-8)
+    except NonConvergenceError:
+        return
+    assert np.linalg.norm(true_gradient(logistic_problem, x)) > 1e-8
+
+
+@pytest.mark.parametrize("experiment", ["sgd-logistic", "sgd-poisson"])
+def test_meta_certifies_the_reference_solve(tmp_path, experiment):
+    config = ExperimentConfig.from_dict({
+        "experiment": experiment, "master_seed": 7, "runs": 2, "horizon": 5,
+        "sample_sizes": [4], "output_dir": str(tmp_path),
+        "regression": {"num_samples": 60, "dim": 4, "seed": 1}})
+    run_experiment(config)
+    solve = json.loads((tmp_path / "meta.json").read_text())["reference_solve"]
+    problem, bounds = config.regression.build(experiment.split("-")[1])
+    target = build_family(config).target
+    gnorm = float(np.linalg.norm(itrop.gradient(problem, target)))
+    assert solve["method"] == "damped-newton"
+    assert 1 <= solve["iterations"] < 10
+    assert solve["residual"] == gnorm <= 1e-8
+    assert solve["certified_bound"] == gnorm / problem.lam
+    assert solve["beta"] == problem.beta == 1.0 / bounds.upper
+    assert solve["claimed_modulus"] == itrop.contraction_coefficient(bounds, problem.beta)
 
 
 # ---------------------------------------------------------------- synthetic data
