@@ -2,7 +2,9 @@
 
 Shows, per sample size, the mean orbit distance and time-average gap at a few
 checkpoints, plus the run count, any divergence, the realizations drawn per
-sample size and the reference solve's certificate recorded in meta.json.
+sample size and the reference solve's certificate recorded in meta.json.  For
+a check it shows the trials, each assumption's verdict and the realizations
+each checker drew per sample size.
 """
 
 import argparse
@@ -25,12 +27,20 @@ def main():
     out = Path(args.out_dir)
 
     meta = json.loads((out / "meta.json").read_text())
-    print(f"experiment={meta['config']['experiment']} runs={meta['config']['runs']} "
-          f"divergent={meta['divergent_run_count']}")
+    config = meta["config"]
+    if config["experiment"] == "assumptions":
+        print(f"experiment=assumptions family={config['family']} "
+              f"trials={config['check']['trials']}")
+        for assumption, verdict in meta["verdicts"].items():
+            print(f"  {assumption}: {verdict}")
+    else:
+        print(f"experiment={config['experiment']} runs={config['runs']} "
+              f"divergent={meta['divergent_run_count']}")
     drawn = meta.get("realizations_drawn", [])
     if drawn:
-        print("realizations drawn: " + "  ".join(f"n={d['sample_size']}: {d['count']}"
-                                                 for d in drawn))
+        print("realizations drawn: " + "  ".join(
+            (f"{d['assumption_id']} " if "assumption_id" in d else "")
+            + f"n={d['sample_size']}: {d['count']}" for d in drawn))
     solve = meta.get("reference_solve")
     if solve:
         print(f"reference solve: {solve['method']}, {solve['iterations']} iterations, "

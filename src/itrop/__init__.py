@@ -1,6 +1,6 @@
 """Simulation toolkit for iterated random operators approximating contraction maps."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .core import (ConfigurationError, DivergenceError, DIVERGENCE_LIMIT,
                    ExactOperatorHandle, NonConvergenceError, RandomOperatorFactory,
@@ -18,8 +18,8 @@ from .regression import (EigenBounds, RegressionDataset, RegressionProblem,
 from .analysis import (AssumptionReport, Box, EnsembleSummary, LlnReport,
                        check_composite_lipschitz, check_contraction_log,
                        check_monotone, check_sup_probability, deviation_probability,
-                       ensemble, lln_audit, mc_pushforward_mean, occupation_measure,
-                       orbit_curves, weighted_sequence_metric)
+                       ensemble, lln_audit, occupation_measure, orbit_curves,
+                       weighted_sequence_metric)
 from .experiments import (ExperimentConfig, FamilyBundle, RunResult, build_family,
                           run_assumption_suite, run_experiment)
 

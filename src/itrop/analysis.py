@@ -9,9 +9,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, as_point, iterate_ensemble, row_norm,
-                   write_atomic)
+                   RandomOperatorFactory, RngStream, _step_by_realize, as_point,
+                   iterate_ensemble, row_norm, write_atomic)
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATED = "violated"
@@ -248,6 +249,54 @@ def deviation_probability(samples, target, eps: float, norm: str = "l2"):
     return frac, se
 
 
+def _by_trial(trials: int, block_bytes: int, stat) -> np.ndarray:
+    """stat(runs) for trials 0..trials-1, trial t being run t of the checker's
+    streams; rows stacked in trial order.
+
+    Trials are drawn in chunks of consecutive runs, at least one, and each
+    chunk is reduced by stat before the next is drawn.  A trial holds about
+    four blocks of its points (block_bytes each): the points, their images
+    and the differences its statistic takes, which a chunk keeps under
+    CHUNK_BYTES.
+    """
+    chunk = max(1, core.CHUNK_BYTES // (4 * block_bytes))
+    return np.concatenate([stat(np.arange(lo, min(lo + chunk, trials)))
+                           for lo in range(0, trials, chunk)])
+
+
+def _images(factory: RandomOperatorFactory, stream: RngStream, runs: np.ndarray,
+            points: np.ndarray) -> np.ndarray:
+    """Row i of the (m, P, d) block points moved by run runs[i]'s realization;
+    a (P, d) block is moved by every run."""
+    step = factory.step or _step_by_realize(factory)
+    block = np.broadcast_to(points, (runs.size,) + points.shape[-2:])
+    return np.asarray(step(stream, runs, block), dtype=np.float64)
+
+
+def _exceedances(factory: RandomOperatorFactory, grid: np.ndarray, exact: np.ndarray,
+                 eps: float, trials: int, stream: RngStream, norm: str) -> np.ndarray:
+    """(trials, G) flags: trial t's image of grid point g lies farther than
+    eps from exact[g], the grid being moved by run t of stream."""
+    def flags(runs):
+        return row_norm(_images(factory, stream, runs, grid) - exact, norm) > eps
+
+    return _by_trial(trials, grid.nbytes, flags)
+
+
+def _monotone_gaps(factory: RandomOperatorFactory, x0: np.ndarray, pairs: np.ndarray,
+                   trials: int, stream: RngStream) -> np.ndarray:
+    """(trials, 1 + P) largest order violations of trial t, run t of stream:
+    column 0 is max(x0 - f(x0)), column 1 + j is max(f(lo_j) - f(hi_j))."""
+    points = np.concatenate([x0[None], pairs.reshape(-1, x0.size)])
+
+    def gaps(runs):
+        images = _images(factory, stream, runs, points)
+        return np.concatenate([np.max(x0 - images[:, :1], axis=2),
+                               np.max(images[:, 1::2] - images[:, 2::2], axis=2)], axis=1)
+
+    return _by_trial(trials, points.nbytes, gaps)
+
+
 def _draw_pairs(box: Box, rng: np.random.Generator, pair_count: int) -> np.ndarray:
     pairs = box.sample(rng, (pair_count, 2))
     for _ in range(100):
@@ -260,24 +309,29 @@ def _draw_pairs(box: Box, rng: np.random.Generator, pair_count: int) -> np.ndarr
 
 def _lipschitz_samples(factory: RandomOperatorFactory, depth: int, pair_count: int,
                        trials: int, box: Box, stream: RngStream, norm: str) -> np.ndarray:
-    """Per trial t, the max-ratio Lipschitz estimate of the composition of the
-    realizations from stream.child(t, 0..depth-1), over pair_count random
-    pairs drawn from stream.child(t, depth); NaN ratios are skipped."""
+    """Per trial t, the max-ratio Lipschitz estimate of the composition of run
+    t's realizations from stream.child(0..depth-1), over pair_count random
+    pairs drawn from run t's part of stream.child(depth); NaN ratios are
+    skipped.  A trial's first k pairs are the same for any pair_count >= k."""
     if pair_count < 2:
         raise ConfigurationError("pair_count must be >= 2")
     if trials < 2:
         raise ConfigurationError("trials must be >= 2")
-    alphas = np.empty(trials)
-    for t in range(trials):
-        layers = [factory.realize(stream.child(t, j)) for j in range(depth)]
-        pairs = _draw_pairs(box, stream.child(t, depth).generator(), pair_count)
-        images = pairs
-        for g in layers:
-            images = g(images)
-        ratios = (row_norm(images[:, 0] - images[:, 1], norm)
-                  / row_norm(pairs[:, 0] - pairs[:, 1], norm))
-        alphas[t] = np.fmax.reduce(ratios, initial=0.0)
-    return alphas
+    layers = [stream.child(j) for j in range(depth)]
+    pair_stream = stream.child(depth)
+
+    def max_ratios(runs):
+        pairs = np.stack([_draw_pairs(box, rng, pair_count)
+                          for rng in pair_stream.generators(runs)])
+        images = pairs.reshape(runs.size, 2 * pair_count, box.dim)
+        for layer in layers:
+            images = _images(factory, layer, runs, images)
+        images = images.reshape(pairs.shape)
+        ratios = (row_norm(images[:, :, 0] - images[:, :, 1], norm)
+                  / row_norm(pairs[:, :, 0] - pairs[:, :, 1], norm))
+        return np.fmax.reduce(ratios, axis=1, initial=0.0)
+
+    return _by_trial(trials, 2 * 8 * pair_count * box.dim, max_ratios)
 
 
 def check_sup_probability(op: ExactOperatorHandle,
@@ -305,10 +359,8 @@ def check_sup_probability(op: ExactOperatorHandle,
 
     rows = []
     for i, factory in enumerate(factories):
-        exceed = np.zeros(len(grid))
-        for t in range(trials):
-            exceed += row_norm(factory.realize(stream.child(i, t))(grid) - exact, norm) > eps
-        probs = exceed / trials
+        probs = _exceedances(factory, grid, exact, eps, trials, stream.child(i),
+                             norm).sum(axis=0) / trials
         j_max = int(np.argmax(probs))
         p = float(probs[j_max])
         rows.append({
@@ -355,12 +407,7 @@ def check_monotone(factory: RandomOperatorFactory, x0, pairs, trials: int,
     if unordered.size:
         raise ConfigurationError(f"pair {unordered[0]} is not ordered componentwise")
 
-    points = np.concatenate([x0[None], pairs.reshape(-1, x0.size)])
-    gaps = np.empty((trials, 1 + len(pairs)))  # column 0: x0, column 1 + j: pair j
-    for t in range(trials):
-        images = factory.realize(stream.child(t))(points)
-        gaps[t, 0] = np.max(x0 - images[0])
-        gaps[t, 1:] = np.max(images[1::2] - images[2::2], axis=1)
+    gaps = _monotone_gaps(factory, x0, pairs, trials, stream)
     trial, column = np.nonzero(gaps > 0.0)
 
     verdict = VERDICT_VIOLATED if trial.size else VERDICT_CONSISTENT
@@ -446,26 +493,6 @@ def check_composite_lipschitz(factory: RandomOperatorFactory, depth: int,
         evidence=rows)
 
 
-def _per_row(f: Callable[[np.ndarray], np.ndarray], block: np.ndarray) -> np.ndarray:
-    values = np.asarray(f(block), dtype=np.float64)
-    if values.shape != block.shape[:1]:
-        raise ConfigurationError(f"f must map an (m, d) block to m values, got {values.shape}")
-    return values
-
-
-def mc_pushforward_mean(f: Callable[[np.ndarray], np.ndarray],
-                        factory: RandomOperatorFactory, x, trials: int,
-                        stream: RngStream):
-    """Monte Carlo estimate of E f(random_op(x)) with its standard error; f
-    maps the (trials, d) block of images to one value per row, in one call."""
-    if trials < 2:
-        raise ConfigurationError("trials must be >= 2")
-    x = np.asarray(x, dtype=np.float64)
-    images = np.stack([factory.realize(stream.child(t))(x) for t in range(trials)])
-    values = _per_row(f, images)
-    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(trials))
-
-
 @dataclass(frozen=True)
 class LlnReport:
     """Time averages of f along randomized orbits versus the ensemble tail mean."""
@@ -514,7 +541,11 @@ def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], np.n
     values = np.empty((runs, horizon + 1))
 
     def record(k, alive, z):
-        values[alive, k] = _per_row(f, z)
+        row = np.asarray(f(z), dtype=np.float64)
+        if row.shape != alive.shape:
+            raise ConfigurationError(
+                f"f must map an (m, d) block to m values, got {row.shape}")
+        values[alive, k] = row
 
     dropped = iterate_ensemble(factory, x0, horizon, stream, range(runs), record)
     if dropped:

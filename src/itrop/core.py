@@ -175,7 +175,9 @@ class RandomOperatorFactory:
     sample_size is the number of per-step samples the realization averages.
 
     step, when present, moves a block of runs at once: step(stream, runs, Z)
-    returns the block whose row i is realize(stream.for_run(runs[i]))(Z[i]).
+    returns the block whose row i is realize(stream.for_run(runs[i]))(Z[i]),
+    bitwise.  Z is (m, d), one point per run (the engine's step), or
+    (m, P, d), a block of P points per run (the checkers' trials).
     Factories without it are stepped one run at a time through realize.
     """
 
@@ -186,14 +188,17 @@ class RandomOperatorFactory:
 
 
 def block_factory(sample_size: int, dimension: int, draw, move,
-                  row_bytes: int) -> RandomOperatorFactory:
+                  row_bytes: int, point_bytes: int) -> RandomOperatorFactory:
     """Factory whose realizations are draw(stream, runs), the runs' draws from
-    stream, followed by move(draws, Z), the block of points they move.
+    stream, followed by move(draws, Z), which moves row i of the (m, P, d)
+    block Z with the draws of runs[i].  The engine's (m, d) step is P = 1 and
+    a realization is m = 1, so both run the same move.
 
-    row_bytes bounds the temporaries of one run; a step draws and moves
-    chunks of at most CHUNK_BYTES // row_bytes runs.
+    row_bytes bounds the temporaries of one run moving one point, and
+    point_bytes those of each further point; a step draws and moves chunks
+    of at most CHUNK_BYTES // (row_bytes + (P - 1) * point_bytes) runs.
     """
-    chunk = max(1, CHUNK_BYTES // max(1, row_bytes))
+    budget = CHUNK_BYTES
 
     def realize(stream: RngStream):
         drawn = draw(stream, [stream.run])
@@ -203,18 +208,20 @@ def block_factory(sample_size: int, dimension: int, draw, move,
             if x.shape[-1:] != (dimension,):
                 raise ConfigurationError(f"points must have shape (..., {dimension}), "
                                          f"got {x.shape}")
-            return move(drawn, x.reshape(-1, dimension)).reshape(x.shape)
+            return move(drawn, x.reshape(1, -1, dimension)).reshape(x.shape)
 
         return apply
 
     def step(stream: RngStream, runs: np.ndarray, z: np.ndarray) -> np.ndarray:
+        block = z.reshape(len(z), -1, dimension)
+        chunk = max(1, budget // (row_bytes + (block.shape[1] - 1) * point_bytes))
         if runs.size <= chunk:
-            return move(draw(stream, runs), z)
-        out = np.empty_like(z)
+            return move(draw(stream, runs), block).reshape(z.shape)
+        out = np.empty(block.shape)
         for lo in range(0, runs.size, chunk):
             part = slice(lo, lo + chunk)
-            out[part] = move(draw(stream, runs[part]), z[part])
-        return out
+            out[part] = move(draw(stream, runs[part]), block[part])
+        return out.reshape(z.shape)
 
     return RandomOperatorFactory(sample_size=sample_size, realize=realize,
                                  dimension=dimension, step=step)

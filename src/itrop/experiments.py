@@ -47,10 +47,10 @@ class Purpose(IntEnum):
     RUN = 0        # (RUN, n, step), read per run
     LLN = 1        # (LLN, n, step), read per run
     GRID = 2       # the assumption grid
-    A2 = 3         # (A2, factory, trial)
+    A2 = 3         # (A2, factory), trial t read as run t
     A3_PAIRS = 4   # the ordered pairs of the monotonicity check
-    A3 = 5         # (A3, trial)
-    A5 = 6         # (A5, trial, 0 | 1)
+    A3 = 5         # (A3,), trial t read as run t
+    A5 = 6         # (A5, 0) the realization and (A5, 1) the pairs, trial t read as run t
 
 
 def _require(cond: bool, message: str) -> None:
@@ -477,7 +477,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 
 def _run_lln(config: ExperimentConfig) -> RunResult:
-    """Long-run audit: time averages of the orbit's norm versus the ensemble tail."""
+    """Long-run audit: time averages of the orbit's norm versus the ensemble tail;
+    meta.json records the realizations drawn per sample size."""
     started = time.perf_counter()
     bundle = build_family(config, need_target=False)
     stream = RngStream(config.master_seed).child(Purpose.LLN)
@@ -491,7 +492,11 @@ def _run_lln(config: ExperimentConfig) -> RunResult:
         _write_json(path, report.to_dict())
         files.append(path)
         log.info("lln n=%d done", n)
-    files.append(_write_meta(config, out_dir, [], time.perf_counter() - started))
+    # lln_audit raises on any dropped run, so every run drew every step
+    drawn = [{"sample_size": n, "count": config.runs * config.horizon}
+             for n in config.sample_sizes]
+    files.append(_write_meta(config, out_dir, [], time.perf_counter() - started,
+                             extra={"realizations_drawn": drawn}))
     return RunResult(exit_code=EXIT_OK, output_files=files)
 
 
@@ -506,7 +511,8 @@ def _ordered_pairs(box: Box, rng: np.random.Generator, count: int) -> np.ndarray
 
 def run_assumption_suite(config: ExperimentConfig) -> RunResult:
     """Run the stability checks for the configured family and emit one JSON
-    report per assumption; exit code flags any violated verdict."""
+    report per assumption; exit code flags any violated verdict.  meta.json
+    records the verdicts and the realizations each checker drew per sample size."""
     started = time.perf_counter()
     bundle = build_family(config, need_target=False)
     stream = RngStream(config.master_seed)
@@ -547,7 +553,12 @@ def run_assumption_suite(config: ExperimentConfig) -> RunResult:
         report.save(path)
         files.append(path)
         verdicts[report.assumption_id] = report.verdict
+    # one realization per trial: A2 at every sample size, A3 and A5 at the first
+    drawn = ([{"assumption_id": report_a2.assumption_id, "sample_size": n,
+               "count": check.trials} for n in config.sample_sizes]
+             + [{"assumption_id": report.assumption_id, "sample_size": config.sample_sizes[0],
+                 "count": check.trials} for report in (report_a3, report_a5)])
     files.append(_write_meta(config, out_dir, [], time.perf_counter() - started,
-                             extra={"verdicts": verdicts}))
+                             extra={"verdicts": verdicts, "realizations_drawn": drawn}))
     code = EXIT_ASSUMPTION if VERDICT_VIOLATED in verdicts.values() else EXIT_OK
     return RunResult(exit_code=code, output_files=files, verdicts=verdicts)

@@ -175,12 +175,13 @@ def _next_state_counts(model: MdpModel, n: int, stream: RngStream, runs) -> np.n
 
 
 def _sweep(model: MdpModel, kind: str, kernels: np.ndarray, z: np.ndarray):
-    """Row i of z swept with the empirical kernel kernels[i] (S*A, S)."""
-    m, s, a = len(z), model.num_states, model.num_actions
-    w = z if kind == "value" else z.reshape(m, s, a).min(axis=2)
-    emp = np.matmul(kernels, w[:, :, None]).reshape(m, s, a)
+    """Each point of row i of the (m, P, d) block z swept with the empirical
+    kernel kernels[i] (S*A, S), one mat-vec per point."""
+    (m, p, _), s, a = z.shape, model.num_states, model.num_actions
+    w = z if kind == "value" else z.reshape(m, p, s, a).min(axis=3)
+    emp = np.matmul(kernels[:, None], w[..., None]).reshape(m, p, s, a)
     out = model.cost + model.discount * emp
-    return out.min(axis=2) if kind == "value" else out.reshape(m, s * a)
+    return out.min(axis=3) if kind == "value" else out.reshape(m, p, s * a)
 
 
 def _empirical_factory(model: MdpModel, sample_size: int, kind: str) -> RandomOperatorFactory:
@@ -190,12 +191,13 @@ def _empirical_factory(model: MdpModel, sample_size: int, kind: str) -> RandomOp
     row_bytes = 3 * 8 * s * a * s  # counts, kernel, and the sweep's product
     if uses_alias(s, sample_size):
         row_bytes += 6 * 8 * s * a * sample_size  # per-sample temporaries
+    point_bytes = 3 * 8 * s * a  # each further point's product, its sum and image
     return block_factory(
         sample_size, s if kind == "value" else s * a,
         draw=lambda stream, runs: _next_state_counts(model, sample_size, stream,
                                                      runs) / sample_size,
         move=lambda kernels, z: _sweep(model, kind, kernels, z),
-        row_bytes=row_bytes)
+        row_bytes=row_bytes, point_bytes=point_bytes)
 
 
 def empirical_bellman_factory(model: MdpModel, sample_size: int) -> RandomOperatorFactory:

@@ -208,17 +208,23 @@ def sgd_factory(problem: RegressionProblem, batch_size: int,
     link = _sigmoid if problem.family == "logistic" else np.exp
 
     def move(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-        x = feats.take(idx, axis=0)  # (runs or 1, batch_size, d): each run's batch rows
+        # z is (m, P, d); each run's batch rows, (m, 1, batch_size, d), meet
+        # its P points one mat-vec at a time
+        x = feats.take(idx, axis=0)[:, None]
         with np.errstate(over="ignore"):
-            residual = link(np.matmul(x, z[:, :, None])[..., 0]) - labels.take(idx)
-        grad = np.matmul(residual[:, None, :], x)[:, 0] / batch_size + problem.lam * z
+            residual = (link(np.matmul(x, z[..., None])[..., 0])
+                        - labels.take(idx)[:, None])
+        grad = np.matmul(residual[..., None, :], x)[..., 0, :] / batch_size + problem.lam * z
         return z - problem.beta * grad
 
     width = batch_size if sampling == "with_replacement" else n
     draw = lambda stream, runs: sample_batches(n, batch_size, sampling, stream, runs)
-    # per run: the gathered rows, t, residual and batch temporaries, the draws
-    return block_factory(batch_size, problem.dataset.dim, draw, move,
-                         row_bytes=8 * (batch_size * (problem.dataset.dim + 4) + width))
+    # per run: the gathered rows, t, residual and batch temporaries, the draws;
+    # per further point: its t, link and residual, and its gradient temporaries
+    d = problem.dataset.dim
+    return block_factory(batch_size, d, draw, move,
+                         row_bytes=8 * (batch_size * (d + 4) + width),
+                         point_bytes=8 * (3 * batch_size + 4 * d))
 
 
 def eigen_bounds(problem: RegressionProblem, region_radius: float = 1.0) -> EigenBounds:

@@ -603,24 +603,100 @@ def test_composite_validation():
                                         itrop.RngStream(0))
 
 
-# ---------------------------------------------------------------- pushforward / averages
+# ---------------------------------------------------------------- trials as runs
 
-def test_mc_pushforward_mean_deterministic_factory():
-    f = lambda z: np.max(np.abs(z), axis=1)
-    mean, se = itrop.mc_pushforward_mean(f, make_halving_factory(1), [2.0],
-                                         trials=5, stream=itrop.RngStream(80).child(0))
-    assert mean == 1.0 and se == 0.0
+CHECKED_FACTORIES = ["evi-alias", "evi-multinomial", "qvi-alias", "sgd-with", "sgd-without"]
 
 
-def test_mc_pushforward_mean_tracks_expectation():
-    factory = make_shift_factory(2, scale=0.5)
-    f = lambda z: z[:, 0]
-    mean, se = itrop.mc_pushforward_mean(f, factory, [1.0, 0.0], trials=400,
-                                         stream=itrop.RngStream(81).child(0))
-    assert abs(mean - 1.0) <= 4.0 * se
-    with pytest.raises(ConfigurationError):
-        itrop.mc_pushforward_mean(f, factory, [1.0, 0.0], trials=1,
-                                  stream=itrop.RngStream(0))
+def checked_factory(name, mdp20, logistic_problem):
+    if name == "evi-alias":
+        assert itrop.uses_alias(20, 5)
+        return itrop.empirical_bellman_factory(mdp20, 5)
+    if name == "evi-multinomial":
+        assert not itrop.uses_alias(20, 400)
+        return itrop.empirical_bellman_factory(mdp20, 400)
+    if name == "qvi-alias":
+        return itrop.empirical_q_factory(mdp20, 5)
+    sampling = "with_replacement" if name == "sgd-with" else "without_replacement"
+    return itrop.sgd_factory(logistic_problem, 8, sampling)
+
+
+def per_trial_values(factory, stream, trials=12):
+    """Each checker's per-trial statistic: A2 flags, A3 gaps, A5 and A4 max ratios."""
+    d = factory.dimension
+    rng = np.random.default_rng(95)
+    grid = rng.uniform(-1.0, 1.0, (3, d))
+    lo = rng.uniform(-1.0, 1.0, (4, d))
+    pairs = np.stack([lo, lo + rng.uniform(0.0, 0.5, (4, d))], axis=1)
+    # A2 measures from one realization's images, at a median distance, so flags vary
+    exact = factory.realize(stream.child(9))(grid)
+    eps = np.median(itrop.row_norm(factory.realize(stream.child(10))(grid) - exact, "sup"))
+    an = itrop.analysis
+    return {
+        "A2": an._exceedances(factory, grid, exact, eps, trials, stream.child(0), "sup"),
+        "A3": an._monotone_gaps(factory, np.zeros(d), pairs, trials, stream.child(1)),
+        "A5": an._lipschitz_samples(factory, 1, 4, trials, unit_box(d), stream.child(2), "l2"),
+        "A4": an._lipschitz_samples(factory, 2, 4, trials, unit_box(d), stream.child(3), "sup"),
+    }, grid, pairs, exact, eps
+
+
+@pytest.mark.parametrize("name", CHECKED_FACTORIES)
+def test_checker_trials_do_not_depend_on_the_chunking(mdp20, logistic_problem, monkeypatch,
+                                                      name):
+    stream = itrop.RngStream(96)
+    whole, *_ = per_trial_values(checked_factory(name, mdp20, logistic_problem), stream)
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", 1)  # one trial per chunk, one run per draw
+    alone, *_ = per_trial_values(checked_factory(name, mdp20, logistic_problem), stream)
+    for key in whole:
+        assert whole[key].shape[0] == 12
+        assert np.array_equal(whole[key], alone[key]), key
+
+
+@pytest.mark.parametrize("name", CHECKED_FACTORIES)
+def test_checker_trial_t_is_run_t_realized_alone(mdp20, logistic_problem, name):
+    factory = checked_factory(name, mdp20, logistic_problem)
+    d = factory.dimension
+    stream = itrop.RngStream(97)
+    values, grid, pairs, exact, eps = per_trial_values(factory, stream)
+    points = np.concatenate([np.zeros((1, d)), pairs.reshape(-1, d)])
+    box = unit_box(d)
+    for t in range(12):
+        images = factory.realize(stream.child(0).for_run(t))(grid)
+        assert np.array_equal(values["A2"][t], itrop.row_norm(images - exact, "sup") > eps)
+        images = factory.realize(stream.child(1).for_run(t))(points)
+        assert np.array_equal(values["A3"][t], np.concatenate(
+            [[np.max(-images[0])], np.max(images[1::2] - images[2::2], axis=1)]))
+        for key, child, depth, norm in (("A5", 2, 1, "l2"), ("A4", 3, 2, "sup")):
+            s = stream.child(child)
+            before = itrop.analysis._draw_pairs(box, s.child(depth).for_run(t).generator(), 4)
+            after = before
+            for j in range(depth):
+                after = factory.realize(s.child(j).for_run(t))(after)
+            ratios = (itrop.row_norm(after[:, 0] - after[:, 1], norm)
+                      / itrop.row_norm(before[:, 0] - before[:, 1], norm))
+            assert values[key][t] == np.max(ratios)
+
+
+@pytest.mark.parametrize("name", ["evi-alias", "sgd-with"])
+def test_checkers_step_realize_only_factories_by_realize(mdp20, logistic_problem, name):
+    # a factory without step goes through realize run by run, and reads the same draws
+    factory = checked_factory(name, mdp20, logistic_problem)
+    bare = itrop.RandomOperatorFactory(sample_size=factory.sample_size,
+                                       realize=factory.realize, dimension=factory.dimension)
+    assert bare.step is None
+    d, stream, box = factory.dimension, itrop.RngStream(98), unit_box(factory.dimension)
+    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=d)
+    pairs = [(np.zeros(d), np.ones(d)), (-np.ones(d), np.zeros(d))]
+
+    def reports(f):
+        return [r.to_dict() for r in (
+            itrop.check_sup_probability(op, [f], box.sample(np.random.default_rng(0), 3),
+                                        0.5, 100, stream.child(0)),
+            itrop.check_monotone(f, np.zeros(d), pairs, 100, stream.child(1)),
+            itrop.check_contraction_log(f, 4, 100, box, stream.child(2)),
+            itrop.check_composite_lipschitz(f, 2, 4, 100, box, stream.child(3)))]
+
+    assert reports(bare) == reports(factory)
 
 
 # ---------------------------------------------------------------- LLN audit
@@ -669,10 +745,6 @@ def test_summaries_apply_f_once_to_a_block():
     itrop.lln_audit(make_shift_factory(2), [0.0, 0.0], f, horizon=6, runs=3,
                     stream=itrop.RngStream(92).child(0))
     assert blocks == [(3, 2)] * 7  # one call per step 0..horizon
-    blocks.clear()
-    itrop.mc_pushforward_mean(f, make_shift_factory(2), [1.0, 0.0], trials=5,
-                              stream=itrop.RngStream(93).child(0))
-    assert blocks == [(5, 2)]
 
 
 def test_summaries_reject_f_without_one_value_per_row():
@@ -681,9 +753,6 @@ def test_summaries_reject_f_without_one_value_per_row():
     with pytest.raises(ConfigurationError, match="m values"):
         itrop.lln_audit(make_halving_factory(1), [1.0], f, horizon=4, runs=2,
                         stream=itrop.RngStream(0))
-    with pytest.raises(ConfigurationError, match="m values"):
-        itrop.mc_pushforward_mean(f, make_halving_factory(1), [2.0], trials=3,
-                                  stream=itrop.RngStream(0))
 
 
 def test_batch_means_se_of_a_block_matches_each_row():

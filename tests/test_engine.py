@@ -76,6 +76,27 @@ def test_realize_reads_the_same_draws_as_the_engine(mdp20):
 
 @pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "qvi-alias",
                                   "sgd-with", "sgd-without", "sgd-full"])
+@pytest.mark.parametrize("chunk_bytes", [1 << 20, 1])
+def test_step_moves_a_block_of_points_per_run(mdp20, logistic_problem, monkeypatch, name,
+                                              chunk_bytes):
+    # the checkers' (m, P, d) step: row i is run runs[i]'s realization of Z[i]
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", chunk_bytes)
+    factory = factories(mdp20, logistic_problem)[name]
+    stream = itrop.RngStream(36).child(3)
+    runs = np.array([0, 2, 3, 7])
+    z = np.random.default_rng(37).normal(size=(4, 5, factory.dimension))
+    block = factory.step(stream, runs, z)
+    assert block.shape == z.shape
+    for i, r in enumerate(runs):
+        assert np.array_equal(block[i], factory.realize(stream.for_run(r))(z[i]))
+    # a broadcast block (the same points for every run) moves as its copy does
+    shared = np.broadcast_to(z[0], z.shape)
+    assert np.array_equal(factory.step(stream, runs, shared),
+                          factory.step(stream, runs, np.ascontiguousarray(shared)))
+
+
+@pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "qvi-alias",
+                                  "sgd-with", "sgd-without", "sgd-full"])
 @pytest.mark.parametrize("shape", [(7,), (4, 2)])
 def test_realization_moves_a_block_as_it_moves_each_row(mdp20, logistic_problem, name,
                                                        shape):

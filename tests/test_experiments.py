@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -616,3 +617,81 @@ def test_cli_run_lln_config(tmp_path, capsys):
             "mdp": {"num_states": 5, "num_actions": 2, "seed": 1, "discount": 0.7}}
     assert main(["run", write_config(tmp_path, data)]) == 0
     assert (tmp_path / "lln" / "lln_n4.json").exists()
+
+
+AUDIT_LADDER = [1, 16, 256]  # the audit-evi benchmark's shapes: S=20, A=5, 16 pairs, grid 5
+
+
+def audit_config(out_dir, model_path, trials):
+    return {"experiment": "assumptions", "family": "evi", "master_seed": 17,
+            "horizon": 200, "sample_sizes": AUDIT_LADDER, "output_dir": str(out_dir),
+            "mdp": {"path": str(model_path)},
+            "check": {"trials": trials, "eps": 0.25, "pair_count": 16, "grid_size": 5}}
+
+
+@pytest.mark.parametrize("trials", [100, 1000])
+def test_assumption_suite_derives_one_stream_per_checker(tmp_path, monkeypatch, trials):
+    # the grid, the A3 pairs, A2 per sample size, A3, and A5's realization and
+    # pairs: trial t reads run t of its checker's stream, so the count does not
+    # grow with trials (the model comes from a file and draws no stream)
+    model_path = tmp_path / "model.json"
+    itrop.save_model(itrop.random_mdp(20, 5, seed=4), model_path)
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("spawn_key"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    result = run_experiment(ExperimentConfig.from_dict(
+        audit_config(tmp_path / "chk", model_path, trials)))
+    assert "violated" not in result.verdicts.values()
+    assert len(built) <= len(AUDIT_LADDER) + 5
+
+
+def test_check_meta_counts_the_realizations_each_checker_drew(tmp_path):
+    model_path = tmp_path / "model.json"
+    itrop.save_model(itrop.random_mdp(20, 5, seed=4), model_path)
+    trials = 100
+    run_experiment(ExperimentConfig.from_dict(audit_config(tmp_path / "chk", model_path,
+                                                           trials)))
+    meta = json.loads((tmp_path / "chk" / "meta.json").read_text())
+    assert meta["realizations_drawn"] == (
+        [{"assumption_id": "A2-sup-prob", "sample_size": n, "count": trials}
+         for n in AUDIT_LADDER]
+        + [{"assumption_id": "A3-monotone", "sample_size": 1, "count": trials},
+           {"assumption_id": "A5-contraction-log", "sample_size": 1, "count": trials}])
+    # the figure the benchmark's realizations_per_s divides by
+    total = sum(entry["count"] for entry in meta["realizations_drawn"])
+    assert total == trials * len(AUDIT_LADDER) + 2 * trials
+
+
+def test_lln_meta_counts_runs_times_horizon(tmp_path):
+    data = {"experiment": "lln", "family": "evi", "master_seed": 3,
+            "runs": 3, "horizon": 40, "sample_sizes": [2, 8],
+            "output_dir": str(tmp_path / "lln"),
+            "mdp": {"num_states": 5, "num_actions": 2, "seed": 1, "discount": 0.7}}
+    run_experiment(ExperimentConfig.from_dict(data))
+    meta = json.loads((tmp_path / "lln" / "meta.json").read_text())
+    assert meta["realizations_drawn"] == [{"sample_size": 2, "count": 120},
+                                          {"sample_size": 8, "count": 120}]
+
+
+def test_summarize_run_prints_a_check_s_verdicts_and_counts(tmp_path, monkeypatch, capsys):
+    data = {"experiment": "assumptions", "family": "evi", "master_seed": 11,
+            "horizon": 40, "sample_sizes": [2, 8], "output_dir": str(tmp_path / "chk"),
+            "mdp": {"num_states": 5, "num_actions": 2, "seed": 1, "discount": 0.7},
+            "check": {"trials": 120, "pair_count": 8, "grid_size": 3}}
+    run_experiment(ExperimentConfig.from_dict(data))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "summarize_run.py"
+    monkeypatch.setattr("sys.argv", ["summarize_run.py", str(tmp_path / "chk")])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "runs=" not in out  # a check draws no orbits
+    assert "trials=120" in out
+    for line in ("A2-sup-prob: consistent", "A3-monotone: consistent",
+                 "A5-contraction-log: consistent",
+                 "A2-sup-prob n=2: 120", "A2-sup-prob n=8: 120", "A3-monotone n=2: 120",
+                 "A5-contraction-log n=2: 120"):
+        assert line in out

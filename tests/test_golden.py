@@ -48,14 +48,14 @@ CONFIGS = {
 EXIT_CODES = {"assumptions-sgd": 3}  # every other kind exits 0
 
 GOLDEN = {
-    "evi": "ebbb35391b9a26234d3db3fc2b6196dd5e5d80ba40fbf07dbb92d893fc751153",
-    "qvi": "73b91eb5271af6cab1d78dfb3ec5e4f3c2ea0554e61cd8702865c215aee0aa3f",
-    "sgd-logistic": "a0e177d4015201d3a26c98097e4c63e394449e13b054cc14069136a909cf7b7a",
-    "sgd-poisson": "8b81b61249afe2640ae45d634683942b0afc0df295cd82a027f37043b39cd5f5",
-    "lln": "53264d06cce656ac2ead6df485fb9496b3910b1f70f5f522e81d329cc8620908",
-    "lln-sgd": "ae9770c302104f28b052309b239f7608da2172262f9e60f3d989f84c7b3f33ac",
-    "assumptions": "0d1a00d8a48c8b6c82c275376ec3b928354d85fa2c0da18b20d69bed35dd429a",
-    "assumptions-sgd": "3eb31640addd968e3e9419399af306fbc9e13ce5871b3443ef9afb7974c97422",
+    "evi": "78c1d89c74995e2b20c1bb3389cc13589970f8ad48137f5f86f2de0423fa84e9",
+    "qvi": "e203e99e3aa20a40f4bbd8120db9ad6d2b5cd44ff3a79f1b0407740aabb842f9",
+    "sgd-logistic": "229584a2a80d0b248c0584f6bf18a35d0a68da7e7764c17f24b7987b9f49a426",
+    "sgd-poisson": "a808a4bded83dc380d64d7c1f8c76f7b2ee4bb11628fff493b534f7f67c982b0",
+    "lln": "737d670b8c9c90a431b680d61127cf4f8944163fa7cf1e5de25d6a2accb6720c",
+    "lln-sgd": "138e6721ed48ab4e97f497c3a1539d401d5a713186e65f57cf1ec128cdf19ca3",
+    "assumptions": "ba59fb1620ef8e56a90429a15d683847944007731c1da95a5990bcbcebb99fe3",
+    "assumptions-sgd": "57acebed249460a5cb588cb8ee9aaae9a439e426ec7b4d6bfa62578957e3fa6a",
 }
 
 
