@@ -1,10 +1,11 @@
-"""Run every desk-scale config in configs/ and report exit codes.
+"""Run every desk-scale config in configs/ and report exit codes and wall seconds.
 
 These finish in seconds and regenerate the out/ directories deterministically.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from itrop.cli import main as cli_main
@@ -31,8 +32,9 @@ def main():
     for cmd, name in JOBS:
         argv = [cmd, str(config_dir / name)]
         print(f"== itrop {' '.join(argv)}")
+        start = time.perf_counter()
         code = cli_main(argv)
-        print(f"== exit {code}")
+        print(f"== exit {code}  wall {time.perf_counter() - start:.2f} s")
         if code != 0:
             failures += 1
     return 1 if failures else 0

@@ -4,8 +4,8 @@ __version__ = "0.6.0"
 
 from .core import (ConfigurationError, DivergenceError, DIVERGENCE_LIMIT,
                    ExactOperatorHandle, NonConvergenceError, RandomOperatorFactory,
-                   RngStream, fixed_point_residual, iterate_ensemble, iterate_exact,
-                   iterate_random, row_norm)
+                   RngStream, block_factory, fixed_point_residual, iterate_ensemble,
+                   iterate_exact, iterate_random, row_norm)
 from .mdp import (MdpModel, bellman_apply, bellman_operator, empirical_bellman_apply,
                   empirical_bellman_factory, empirical_q_apply, empirical_q_factory,
                   hoeffding_bound, load_model, q_apply, q_operator, random_mdp,

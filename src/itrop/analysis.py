@@ -11,7 +11,7 @@ import numpy as np
 
 from . import core
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, _step_by_realize, as_point,
+                   RandomOperatorFactory, RngStream, as_point,
                    iterate_ensemble, row_norm, write_atomic)
 
 VERDICT_CONSISTENT = "consistent"
@@ -268,9 +268,8 @@ def _images(factory: RandomOperatorFactory, stream: RngStream, runs: np.ndarray,
             points: np.ndarray) -> np.ndarray:
     """Row i of the (m, P, d) block points moved by run runs[i]'s realization;
     a (P, d) block is moved by every run."""
-    step = factory.step or _step_by_realize(factory)
     block = np.broadcast_to(points, (runs.size,) + points.shape[-2:])
-    return np.asarray(step(stream, runs, block), dtype=np.float64)
+    return np.asarray(factory.step(stream, runs, block), dtype=np.float64)
 
 
 def _exceedances(factory: RandomOperatorFactory, grid: np.ndarray, exact: np.ndarray,

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -78,7 +82,10 @@ class RngStream:
     statistically independent generators, and the same lineage always
     reproduces the same draws.  `run` selects the part of the lineage's
     stream that one run reads, so runs drawn together never share draws and
-    a run's draws do not depend on which other runs are drawn with it.
+    a run's draws do not depend on which other runs are drawn with it, nor
+    on the thread that draws them: several threads may read one stream
+    object at once (the engine draws multinomial next states ahead on the
+    usable CPUs), and every read gives the same bytes as a serial one.
     """
 
     master_seed: int
@@ -107,16 +114,20 @@ class RngStream:
                                                       spawn_key=self.lineage))
 
     @cached_property
-    def _start(self) -> tuple[np.random.PCG64, dict]:
+    def _start(self) -> tuple[dict, dict[int, np.random.PCG64]]:
         # One derivation per stream object: the chunks and runs of a step
-        # restore this state instead of deriving the lineage again.
+        # restore this state instead of deriving the lineage again, each
+        # thread into a bit generator of its own (keyed by thread id).
         bits = self._bits()
-        return bits, bits.state
+        return bits.state, {threading.get_ident(): bits}
 
     def _bits_at(self, offset: int) -> np.random.PCG64:
-        """The stream's own bit generator, `offset` draws into the lineage's
-        stream; a stream object is not meant for concurrent use."""
-        bits, start = self._start
+        """This thread's bit generator for the stream, `offset` draws into
+        the lineage's stream."""
+        start, per_thread = self._start
+        bits = per_thread.get(threading.get_ident())
+        if bits is None:
+            bits = per_thread.setdefault(threading.get_ident(), self._bits())
         bits.state = start
         if offset:
             bits.advance(offset)
@@ -135,7 +146,8 @@ class RngStream:
 
     def generators(self, runs) -> Iterator[np.random.Generator]:
         """generator() for each of runs in turn, sharing one derivation of the
-        lineage; each generator is valid until the next one is taken."""
+        lineage; each generator is valid until the same thread takes the
+        next one from this stream."""
         for r in runs:
             yield np.random.Generator(self._bits_at(int(r) << 64))
 
@@ -167,41 +179,63 @@ class ExactOperatorHandle:
 
 @dataclass(frozen=True)
 class RandomOperatorFactory:
-    """Factory of i.i.d. random approximations of an exact operator.
+    """Factory of i.i.d. random approximations of an exact operator; built by
+    block_factory.
 
     realize(stream) draws one realization, the one that run stream.run reads
     from stream: a deterministic map of any (..., dimension) array of points
     to one of the same shape, every row moved with the same drawn randomness.
     sample_size is the number of per-step samples the realization averages.
 
-    step, when present, moves a block of runs at once: step(stream, runs, Z)
-    returns the block whose row i is realize(stream.for_run(runs[i]))(Z[i]),
-    bitwise.  Z is (m, d), one point per run (the engine's step), or
-    (m, P, d), a block of P points per run (the checkers' trials).
-    Factories without it are stepped one run at a time through realize.
+    A realization is draw followed by move.  draw(stream, runs) draws the
+    randomness of the given runs' realizations from stream, and
+    move(draws, Z) moves row i of the (m, P, d) block Z with the draws of
+    runs[i].  row_bytes bounds the temporaries of one run moving one point,
+    and point_bytes those of each further point.  draws_ahead says that
+    draw releases the GIL and returns an array with one row per run, so the
+    engine may draw coming chunks on worker threads (see iterate_ensemble).
     """
 
     sample_size: int
     realize: Callable[[RngStream], Callable[[np.ndarray], np.ndarray]]
     dimension: int
-    step: Callable[[RngStream, np.ndarray, np.ndarray], np.ndarray] | None = None
+    draw: Callable[[RngStream, np.ndarray], object]
+    move: Callable[[object, np.ndarray], np.ndarray]
+    row_bytes: int
+    point_bytes: int
+    draws_ahead: bool = False
+
+    def chunk(self, points: int = 1) -> int:
+        """Runs drawn and moved at once when each run moves `points` points:
+        as many as keep the temporaries under CHUNK_BYTES, at least one."""
+        return max(1, CHUNK_BYTES // (self.row_bytes + (points - 1) * self.point_bytes))
+
+    def step(self, stream: RngStream, runs: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The block whose row i is realize(stream.for_run(runs[i]))(Z[i]),
+        bitwise.  Z is (m, d), one point per run, or (m, P, d), a block of P
+        points per run (the checkers' trials)."""
+        block = z.reshape(len(z), -1, self.dimension)
+        chunk = self.chunk(block.shape[1])
+        if runs.size <= chunk:
+            return self.move(self.draw(stream, runs), block).reshape(z.shape)
+        out = np.empty(block.shape)
+        for lo in range(0, runs.size, chunk):
+            part = slice(lo, lo + chunk)
+            out[part] = self.move(self.draw(stream, runs[part]), block[part])
+        return out.reshape(z.shape)
 
 
-def block_factory(sample_size: int, dimension: int, draw, move,
-                  row_bytes: int, point_bytes: int) -> RandomOperatorFactory:
+def block_factory(sample_size: int, dimension: int, draw, move, row_bytes: int,
+                  point_bytes: int, draws_ahead: bool = False) -> RandomOperatorFactory:
     """Factory whose realizations are draw(stream, runs), the runs' draws from
     stream, followed by move(draws, Z), which moves row i of the (m, P, d)
     block Z with the draws of runs[i].  The engine's (m, d) step is P = 1 and
-    a realization is m = 1, so both run the same move.
-
-    row_bytes bounds the temporaries of one run moving one point, and
-    point_bytes those of each further point; a step draws and moves chunks
-    of at most CHUNK_BYTES // (row_bytes + (P - 1) * point_bytes) runs.
+    a realization is m = 1, so both run the same move.  The byte bounds and
+    draws_ahead are those of RandomOperatorFactory.
     """
-    budget = CHUNK_BYTES
 
     def realize(stream: RngStream):
-        drawn = draw(stream, [stream.run])
+        drawn = draw(stream, np.array([stream.run]))
 
         def apply(x):
             x = np.asarray(x, dtype=np.float64)
@@ -212,19 +246,18 @@ def block_factory(sample_size: int, dimension: int, draw, move,
 
         return apply
 
-    def step(stream: RngStream, runs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        block = z.reshape(len(z), -1, dimension)
-        chunk = max(1, budget // (row_bytes + (block.shape[1] - 1) * point_bytes))
-        if runs.size <= chunk:
-            return move(draw(stream, runs), block).reshape(z.shape)
-        out = np.empty(block.shape)
-        for lo in range(0, runs.size, chunk):
-            part = slice(lo, lo + chunk)
-            out[part] = move(draw(stream, runs[part]), block[part])
-        return out.reshape(z.shape)
-
     return RandomOperatorFactory(sample_size=sample_size, realize=realize,
-                                 dimension=dimension, step=step)
+                                 dimension=dimension, draw=draw, move=move,
+                                 row_bytes=row_bytes, point_bytes=point_bytes,
+                                 draws_ahead=draws_ahead)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _check_start(x0, dimension: int, num_steps: int) -> np.ndarray:
@@ -258,11 +291,36 @@ def iterate_exact(op: ExactOperatorHandle, y0, num_steps: int) -> np.ndarray:
     return out
 
 
-def _step_by_realize(factory: RandomOperatorFactory):
-    def step(stream, runs, z):
-        return [factory.realize(stream.for_run(r))(x) for r, x in zip(runs.tolist(), z)]
+def _drawn_chunks(draw, planned, workers: int):
+    """(k, alive, part, draw(stream, part)) for each planned
+    (k, stream, alive, part, last), in plan order.
 
-    return step
+    With workers, the next `workers` chunks are drawn on worker threads
+    while the caller works on the one yielded, so at most one drawn-ahead
+    chunk is held per worker; without, a chunk is drawn on the calling
+    thread when it is reached.  Closing the generator cancels the draws not
+    yet started and waits for the running ones.
+    """
+    if not workers:
+        for k, s, alive, part, last in planned:
+            yield k, alive, part, last, draw(s, part)
+        return
+    pool = ThreadPoolExecutor(workers, "itrop-draw")
+    pending = deque()
+
+    def take():
+        k, alive, part, last, job = pending.popleft()
+        return k, alive, part, last, job.result()
+
+    try:
+        for k, s, alive, part, last in planned:
+            pending.append((k, alive, part, last, pool.submit(draw, s, part)))
+            if len(pending) > workers:
+                yield take()
+        while pending:
+            yield take()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
@@ -275,24 +333,56 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     step and at k = 0: `runs` are the surviving runs (ascending), `z` their
     points.  A run whose point leaves the trusted range is dropped; the
     result maps each dropped run to the step where that happened.
+
+    A step draws and moves its runs in chunks (RandomOperatorFactory.chunk).
+    Draws do not depend on the orbit, so when the factory draws_ahead and
+    more than one CPU is usable, one worker thread per usable CPU draws the
+    chunks of coming steps while this thread moves the current one.  The
+    orbits are the same bytes for any number of CPUs.
     """
     z0 = _check_start(z0, factory.dimension, num_steps)
     runs = np.asarray(runs, dtype=np.int64)
     if runs.ndim != 1 or runs.size == 0 or runs[0] < 0 or np.any(np.diff(runs) <= 0):
         raise ConfigurationError("runs must be a nonempty ascending list of distinct run indices")
-    step = factory.step or _step_by_realize(factory)
+    size = factory.chunk()
+    workers = _usable_cpus() if factory.draws_ahead else 0
     z = np.tile(z0, (runs.size, 1))
     visit(0, runs, z)
     dropped: dict[int, int] = {}
-    for k in range(1, num_steps + 1):
-        z = np.asarray(step(stream.child(k - 1), runs, z), dtype=np.float64)
-        ok = _within_limit(z, runs.size, factory.dimension, k)
-        if not ok.all():
-            dropped.update((r, k) for r in runs[~ok].tolist())
-            runs, z = runs[ok], z[ok]
-            if not runs.size:
-                break
-        visit(k, runs, z)
+
+    def planned():
+        # a step's chunks split the runs alive when its first chunk is
+        # planned; drawing ahead, that is before the step ahead of it ends,
+        # so a chunk may hold runs that have dropped since
+        for k in range(1, num_steps + 1):
+            s, alive = stream.child(k - 1), runs
+            for lo in range(0, alive.size, size):
+                yield k, s, alive, alive[lo:lo + size], lo + size >= alive.size
+
+    pieces, filled = [], 0
+    with closing(_drawn_chunks(factory.draw, planned(),
+                               workers if workers > 1 else 0)) as chunks:
+        for k, alive, part, last, drawn in chunks:
+            if alive is not runs:
+                keep = np.isin(part, runs, assume_unique=True)
+                part, drawn = part[keep], drawn[keep]
+            if part.size:
+                block = z[filled:filled + part.size, None]
+                pieces.append(np.asarray(factory.move(drawn, block),
+                                         dtype=np.float64).reshape(part.size, -1))
+                filled += part.size
+            del drawn  # held no longer than its move
+            if not last:
+                continue
+            z = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            pieces, filled = [], 0
+            ok = _within_limit(z, runs.size, factory.dimension, k)
+            if not ok.all():
+                dropped.update((r, k) for r in runs[~ok].tolist())
+                runs, z = runs[ok], z[ok]
+                if not runs.size:
+                    break
+            visit(k, runs, z)
     return dropped
 
 

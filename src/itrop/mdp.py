@@ -18,6 +18,10 @@ _ROW_SUM_TOL = 1e-12
 # tables; larger ones draw counts from numpy's multinomial (see uses_alias).
 ALIAS_CROSSOVER = 35.0
 
+# Bound on the int64 counts one multinomial call returns before they are
+# divided into the kernel.
+MULTINOMIAL_BLOCK_BYTES = 1 << 17
+
 
 @dataclass(frozen=True)
 class MdpModel:
@@ -151,16 +155,12 @@ def uses_alias(num_states: int, sample_size: int) -> bool:
     return sample_size < ALIAS_CROSSOVER * math.sqrt(num_states)
 
 
-def _next_state_counts(model: MdpModel, n: int, stream: RngStream, runs) -> np.ndarray:
-    """(len(runs), S*A, S) counts of n sampled next states per (s, a), per run."""
+def _alias_counts(model: MdpModel, n: int, stream: RngStream, runs) -> np.ndarray:
+    """(len(runs), S*A, S) counts of n next states per (s, a) and run, drawn
+    from the alias tables."""
     s = model.num_states
     rows = s * model.num_actions
     tables = model._sampler
-    if not uses_alias(s, n):
-        counts = np.empty((len(runs), rows, s), dtype=np.int64)
-        for i, gen in enumerate(stream.generators(runs)):
-            counts[i] = gen.multinomial(n, tables.pvals)
-        return counts
     u = stream.uniforms(rows * n, runs)
     u *= tables.below_s  # the largest double under S, so no column reaches S
     col = u.astype(np.int64)
@@ -172,6 +172,24 @@ def _next_state_counts(model: MdpModel, n: int, stream: RngStream, runs) -> np.n
     col += jump
     col += np.arange(0, len(runs) * rows * s, rows * s)[:, None]
     return np.bincount(col.ravel(), minlength=len(runs) * rows * s).reshape(len(runs), rows, s)
+
+
+def _empirical_kernels(model: MdpModel, n: int, stream: RngStream, runs) -> np.ndarray:
+    """(len(runs), S*A, S) empirical kernels per run: the counts of n sampled
+    next states per (s, a), divided by n."""
+    s = model.num_states
+    if uses_alias(s, n):
+        return _alias_counts(model, n, stream, runs) / n
+    # blocks of consecutive rows continue one generator, so they draw the
+    # same counts as all rows at once but hold only a block of them
+    pvals = model._sampler.pvals
+    block = max(1, MULTINOMIAL_BLOCK_BYTES // (8 * s))
+    kernels = np.empty((len(runs),) + pvals.shape)
+    for i, gen in enumerate(stream.generators(runs)):
+        for lo in range(0, len(pvals), block):
+            np.divide(gen.multinomial(n, pvals[lo:lo + block]), n,
+                      out=kernels[i, lo:lo + block])
+    return kernels
 
 
 def _sweep(model: MdpModel, kind: str, kernels: np.ndarray, z: np.ndarray):
@@ -188,16 +206,17 @@ def _empirical_factory(model: MdpModel, sample_size: int, kind: str) -> RandomOp
     if sample_size < 1:
         raise ConfigurationError("sample_size must be >= 1")
     s, a = model.num_states, model.num_actions
+    alias = uses_alias(s, sample_size)
     row_bytes = 3 * 8 * s * a * s  # counts, kernel, and the sweep's product
-    if uses_alias(s, sample_size):
+    if alias:
         row_bytes += 6 * 8 * s * a * sample_size  # per-sample temporaries
     point_bytes = 3 * 8 * s * a  # each further point's product, its sum and image
+    # numpy's multinomial releases the GIL, so the engine may draw it ahead
     return block_factory(
         sample_size, s if kind == "value" else s * a,
-        draw=lambda stream, runs: _next_state_counts(model, sample_size, stream,
-                                                     runs) / sample_size,
+        draw=lambda stream, runs: _empirical_kernels(model, sample_size, stream, runs),
         move=lambda kernels, z: _sweep(model, kind, kernels, z),
-        row_bytes=row_bytes, point_bytes=point_bytes)
+        row_bytes=row_bytes, point_bytes=point_bytes, draws_ahead=not alias)
 
 
 def empirical_bellman_factory(model: MdpModel, sample_size: int) -> RandomOperatorFactory:

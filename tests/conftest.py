@@ -37,23 +37,27 @@ def poisson_problem():
     return itrop.RegressionProblem(dataset=ds, family="poisson", lam=1.0, beta=1.0 / upper)
 
 
+def block_fake(dim: int, move, draw=lambda stream, runs: runs,
+               sample_size: int = 1) -> itrop.RandomOperatorFactory:
+    """A test factory: a step draws draw(stream, runs) (by default the run
+    indices themselves) and moves the (m, P, d) block Z by move(draws, Z)."""
+    return itrop.block_factory(sample_size, dim, draw, move,
+                               row_bytes=8 * dim, point_bytes=8 * dim)
+
+
+def normal_draws(size):
+    """A draw of `size` standard normals per run, each from its own run's stream."""
+    return lambda stream, runs: np.array([g.normal(size=size)
+                                          for g in stream.generators(runs)])
+
+
 def make_halving_factory(dim: int, sample_size: int = 1) -> itrop.RandomOperatorFactory:
     """A noise-free random operator: every realization is x -> x / 2."""
-
-    def realize(stream):
-        return lambda x: np.asarray(x) / 2.0
-
-    return itrop.RandomOperatorFactory(sample_size=sample_size, realize=realize,
-                                       dimension=dim)
+    return block_fake(dim, lambda runs, z: z / 2.0, sample_size=sample_size)
 
 
 def make_shift_factory(dim: int, scale: float = 1.0,
                        sample_size: int = 1) -> itrop.RandomOperatorFactory:
     """An isometry-valued random operator: x -> x + (random shift)."""
-
-    def realize(stream):
-        shift = scale * stream.generator().normal(size=dim)
-        return lambda x: np.asarray(x) + shift
-
-    return itrop.RandomOperatorFactory(sample_size=sample_size, realize=realize,
-                                       dimension=dim)
+    return block_fake(dim, lambda shifts, z: z + scale * shifts[:, None],
+                      draw=normal_draws(dim), sample_size=sample_size)

@@ -213,11 +213,10 @@ def test_criterion_06_hoeffding_tail_dominance(mdp20):
     rows = []
     ok = True
     for n in (50, 100, 200):
-        hits = 0
-        for t in range(trials):
-            out = itrop.empirical_bellman_apply(mdp20, v, n, stream.child(n, t))
-            if _sup(out - exact) > 0.5:
-                hits += 1
+        # trial t is run t of the rung's stream
+        sweeps = itrop.empirical_bellman_factory(mdp20, n).step(
+            stream.child(n), np.arange(trials), np.broadcast_to(v, (trials, 20)))
+        hits = int(np.count_nonzero(_sup(sweeps - exact, axis=1) > 0.5))
         freq = hits / trials
         bound = itrop.hoeffding_bound(20, 5, eps=0.5, sample_size=n, radius=1.0)
         se = math.sqrt(freq * (1.0 - freq) / trials)
@@ -251,15 +250,15 @@ def test_criterion_08_sampled_sweep_sits_below_exact_mean(mdp20):
     rng = np.random.default_rng(808)
     stream = itrop.RngStream(809)
     trials = 10 ** 4
+    factory = itrop.empirical_bellman_factory(mdp20, 10)
     ok = True
     worst = -np.inf
     for rep in range(5):
         v = rng.uniform(-1.0, 3.0, 20)
         exact = itrop.bellman_apply(mdp20, v)
-        draws = np.empty((trials, 20))
-        for t in range(trials):
-            draws[t] = itrop.empirical_bellman_apply(mdp20, v, 10,
-                                                     stream.child(rep, t))
+        # trial t is run t of the rung's stream
+        draws = factory.step(stream.child(rep), np.arange(trials),
+                             np.broadcast_to(v, (trials, 20)))
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(trials)
         excess = np.max((mean - exact) / np.where(se > 0, se, np.inf))

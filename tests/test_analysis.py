@@ -7,26 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import itrop
-from conftest import make_halving_factory, make_shift_factory
+from conftest import block_fake, make_halving_factory, make_shift_factory, normal_draws
 from itrop.core import ConfigurationError
 
 point_lists = st.lists(st.floats(-10, 10), min_size=3, max_size=3)
 
 
 def constant_scale_factory(dim, scale):
-    return itrop.RandomOperatorFactory(
-        sample_size=1,
-        realize=lambda stream: (lambda x: scale * np.asarray(x)),
-        dimension=dim)
+    return block_fake(dim, lambda runs, z: scale * z)
 
 
 def random_scale_factory(dim, lo, hi, sample_size=1):
-    def realize(stream):
-        a = stream.generator().uniform(lo, hi)
-        return lambda x: a * np.asarray(x)
+    def draw(stream, runs):
+        return np.array([g.uniform(lo, hi) for g in stream.generators(runs)])
 
-    return itrop.RandomOperatorFactory(sample_size=sample_size, realize=realize,
-                                       dimension=dim)
+    return block_fake(dim, lambda a, z: a[:, None, None] * z, draw=draw,
+                      sample_size=sample_size)
 
 
 def unit_box(dim):
@@ -109,11 +105,11 @@ def test_distance_curve_hand_values_and_norm_override():
 def test_orbit_curves_rejects_bad_inputs_before_the_first_step():
     calls = []
 
-    def realize(stream):
+    def draw(stream, runs):
         calls.append(stream)
-        return lambda x: np.asarray(x)
+        return runs
 
-    factory = itrop.RandomOperatorFactory(sample_size=1, realize=realize, dimension=2)
+    factory = block_fake(2, lambda runs, z: z, draw=draw)
     exact = np.zeros((4, 2))
     stream = itrop.RngStream(0)
     with pytest.raises(ConfigurationError, match="target"):
@@ -292,13 +288,11 @@ def test_tail_convention_is_strict_in_both_estimators():
     frac, _ = itrop.deviation_probability([[0.0], [2.0], [2.5]], [0.0], eps=2.0)
     assert frac == pytest.approx(1.0 / 3.0, rel=1e-15)
     op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x), dimension=1)
-    at_eps = itrop.RandomOperatorFactory(
-        sample_size=1, realize=lambda s: (lambda x: np.asarray(x) + 2.0), dimension=1)
+    at_eps = block_fake(1, lambda runs, z: z + 2.0)
     report = itrop.check_sup_probability(op, [at_eps], [[0.0]], eps=2.0, trials=100,
                                          stream=itrop.RngStream(53))
     assert report.evidence[0]["max_probability"] == 0.0
-    beyond = itrop.RandomOperatorFactory(
-        sample_size=1, realize=lambda s: (lambda x: np.asarray(x) + 2.5), dimension=1)
+    beyond = block_fake(1, lambda runs, z: z + 2.5)
     report = itrop.check_sup_probability(op, [beyond], [[0.0]], eps=2.0, trials=100,
                                          stream=itrop.RngStream(53))
     assert report.evidence[0]["max_probability"] == 1.0
@@ -380,12 +374,8 @@ def test_sup_probability_diverging_ladder_is_violated():
     op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x), dimension=dim)
 
     def noisy(sample_size, magnitude):
-        def realize(stream):
-            shift = magnitude * stream.generator().normal(size=dim)
-            return lambda x: np.asarray(x) + shift
-
-        return itrop.RandomOperatorFactory(sample_size=sample_size,
-                                           realize=realize, dimension=dim)
+        return block_fake(dim, lambda shifts, z: z + magnitude * shifts[:, None],
+                          draw=normal_draws(dim), sample_size=sample_size)
 
     report = itrop.check_sup_probability(op, [noisy(1, 0.0), noisy(10, 5.0)],
                                          grid=[np.zeros(dim)], eps=0.5, trials=200,
@@ -414,8 +404,7 @@ def test_sup_probability_validation(mdp20):
 
 def test_monotone_identity_factory_consistent():
     dim = 3
-    factory = itrop.RandomOperatorFactory(
-        sample_size=1, realize=lambda s: (lambda x: np.asarray(x)), dimension=dim)
+    factory = block_fake(dim, lambda runs, z: z)
     pairs = [(np.zeros(dim), np.ones(dim))]
     report = itrop.check_monotone(factory, np.zeros(dim), pairs, trials=5,
                                   stream=itrop.RngStream(60).child(0))
@@ -677,28 +666,6 @@ def test_checker_trial_t_is_run_t_realized_alone(mdp20, logistic_problem, name):
             assert values[key][t] == np.max(ratios)
 
 
-@pytest.mark.parametrize("name", ["evi-alias", "sgd-with"])
-def test_checkers_step_realize_only_factories_by_realize(mdp20, logistic_problem, name):
-    # a factory without step goes through realize run by run, and reads the same draws
-    factory = checked_factory(name, mdp20, logistic_problem)
-    bare = itrop.RandomOperatorFactory(sample_size=factory.sample_size,
-                                       realize=factory.realize, dimension=factory.dimension)
-    assert bare.step is None
-    d, stream, box = factory.dimension, itrop.RngStream(98), unit_box(factory.dimension)
-    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=d)
-    pairs = [(np.zeros(d), np.ones(d)), (-np.ones(d), np.zeros(d))]
-
-    def reports(f):
-        return [r.to_dict() for r in (
-            itrop.check_sup_probability(op, [f], box.sample(np.random.default_rng(0), 3),
-                                        0.5, 100, stream.child(0)),
-            itrop.check_monotone(f, np.zeros(d), pairs, 100, stream.child(1)),
-            itrop.check_contraction_log(f, 4, 100, box, stream.child(2)),
-            itrop.check_composite_lipschitz(f, 2, 4, 100, box, stream.child(3)))]
-
-    assert reports(bare) == reports(factory)
-
-
 # ---------------------------------------------------------------- LLN audit
 
 def test_lln_audit_halving_orbit_closed_form():
@@ -715,8 +682,7 @@ def test_lln_audit_halving_orbit_closed_form():
 
 
 def test_lln_audit_constant_orbit_is_exact():
-    factory = itrop.RandomOperatorFactory(
-        sample_size=1, realize=lambda s: (lambda x: np.asarray(x)), dimension=2)
+    factory = block_fake(2, lambda runs, z: z)
     f = lambda z: z[:, 0] + z[:, 1]
     report = itrop.lln_audit(factory, [1.0, 2.0], f, horizon=40, runs=3,
                              stream=itrop.RngStream(91).child(0))

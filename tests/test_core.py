@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 import itrop
 from itrop.core import ConfigurationError, DivergenceError
 
-from conftest import make_halving_factory, make_shift_factory
+from conftest import block_fake, make_halving_factory, make_shift_factory
 
 
 def affine_op(a: float, dim: int) -> itrop.ExactOperatorHandle:
@@ -15,9 +18,7 @@ def affine_op(a: float, dim: int) -> itrop.ExactOperatorHandle:
 
 
 def identity_factory(dim: int) -> itrop.RandomOperatorFactory:
-    return itrop.RandomOperatorFactory(sample_size=1,
-                                       realize=lambda stream: (lambda x: np.asarray(x)),
-                                       dimension=dim)
+    return block_fake(dim, lambda runs, z: z)
 
 
 # ---------------------------------------------------------------- points / norms
@@ -81,6 +82,39 @@ def test_stream_runs_read_disjoint_parts_of_one_stream():
     assert s.for_run(3).child(1) == itrop.RngStream(42, (3, 1), run=3)
     with pytest.raises(ConfigurationError):
         itrop.RngStream(1, run=-1)
+
+
+def test_threads_reading_one_stream_get_the_serial_draws():
+    # more threads than cores, switching often, read disjoint runs of one
+    # stream object whose start state none of them has derived yet
+    stream, threads, reps = itrop.RngStream(44).child(5), 4, 200
+    serial = itrop.RngStream(44).child(5)
+    expected = {r: (serial.for_run(r).generator().random(6), serial.uniforms(3, [r])[0])
+                for r in range(2 * threads)}
+    mismatches, done = [], []
+
+    def read(runs):
+        for _ in range(reps):
+            for r in runs:
+                draws = [g.random(6) for g in stream.generators([r])][0]
+                if not (np.array_equal(draws, expected[r][0])
+                        and np.array_equal(stream.uniforms(3, [r])[0], expected[r][1])):
+                    mismatches.append(r)
+        done.append(runs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=read, args=([i, i + threads],))
+                   for i in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert len(done) == threads and mismatches == []
 
 
 def test_write_atomic_never_leaves_a_partial_file(tmp_path, monkeypatch):
@@ -202,23 +236,20 @@ def test_iterate_random_distinct_runs_differ(mdp20):
 
 
 def test_iterate_random_uses_per_step_substreams():
-    # step k realizes from lineage + (k - 1), read for the orbit's run
+    # step k draws from lineage + (k - 1), read for the orbit's run
     seen = []
 
-    def realize(stream):
-        seen.append((stream.lineage, stream.run))
-        return lambda x: np.asarray(x)
+    def draw(stream, runs):
+        seen.append((stream.lineage, runs.tolist()))
+        return runs
 
-    factory = itrop.RandomOperatorFactory(sample_size=1, realize=realize, dimension=1)
+    factory = block_fake(1, lambda runs, z: z, draw=draw)
     itrop.iterate_random(factory, [0.0], 4, itrop.RngStream(1).child(6).for_run(2))
-    assert seen == [((6, 0), 2), ((6, 1), 2), ((6, 2), 2), ((6, 3), 2)]
+    assert seen == [((6, 0), [2]), ((6, 1), [2]), ((6, 2), [2]), ((6, 3), [2])]
 
 
 def test_iterate_random_divergence_guard():
-    def realize(stream):
-        return lambda x: 10.0 * np.asarray(x)
-
-    factory = itrop.RandomOperatorFactory(sample_size=1, realize=realize, dimension=1)
+    factory = block_fake(1, lambda runs, z: 10.0 * z)
     with pytest.raises(DivergenceError):
         itrop.iterate_random(factory, [1.0], 100, itrop.RngStream(0).child(0))
 

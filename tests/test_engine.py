@@ -1,10 +1,15 @@
 """Contract of the ensemble engine: a run's orbit does not depend on the block
 it is moved in, and a diverging row is dropped without disturbing the rest."""
 
+import dataclasses
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import itrop
+from conftest import block_fake, normal_draws
 from itrop.core import ConfigurationError
 
 HORIZON = 12
@@ -112,19 +117,17 @@ def test_realization_moves_a_block_as_it_moves_each_row(mdp20, logistic_problem,
         realization(np.zeros((2, d + 1)))
 
 
-def test_realize_only_factories_share_the_engine():
+def test_engine_draws_a_step_once_for_its_runs():
     seen = []
 
-    def realize(stream):
-        seen.append((stream.lineage, stream.run))
-        shift = stream.generator().normal()
-        return lambda x: np.asarray(x) * 0.5 + shift
+    def draw(stream, runs):
+        seen.append((stream.lineage, runs.tolist()))
+        return normal_draws(1)(stream, runs)
 
-    factory = itrop.RandomOperatorFactory(sample_size=1, realize=realize, dimension=1)
+    factory = block_fake(1, lambda shifts, z: z * 0.5 + shifts[:, None], draw=draw)
     stream = itrop.RngStream(5).child(9)
     batch, _ = ensemble_orbits(factory, [1.0], 3, stream, horizon=2)
-    assert seen == [((9, 0), 0), ((9, 0), 1), ((9, 0), 2),
-                    ((9, 1), 0), ((9, 1), 1), ((9, 1), 2)]
+    assert seen == [((9, 0), [0, 1, 2]), ((9, 1), [0, 1, 2])]
     for r in range(3):
         alone = itrop.iterate_random(factory, [1.0], 2, stream.for_run(r))
         assert np.array_equal(alone, batch[r])
@@ -133,13 +136,12 @@ def test_realize_only_factories_share_the_engine():
 def blow_up_factory(run_to_step):
     """Halving map, except run r multiplies by 1e30 at step run_to_step[r]."""
 
-    def realize(stream):
+    def draw(stream, runs):
         step = stream.lineage[-1] + 1
-        if run_to_step.get(stream.run) == step:
-            return lambda x: np.asarray(x) * 1e30
-        return lambda x: np.asarray(x) / 2.0
+        return np.array([run_to_step.get(r) == step for r in runs.tolist()])
 
-    return itrop.RandomOperatorFactory(sample_size=1, realize=realize, dimension=2)
+    return block_fake(2, lambda blows_up, z: np.where(blows_up[:, None, None], z * 1e30,
+                                                      z / 2.0), draw=draw)
 
 
 def test_diverging_row_is_dropped_with_its_step_and_others_continue():
@@ -178,8 +180,7 @@ def test_diverging_block_factory_rows_match_solo_runs(poisson_problem):
 
 
 def test_engine_checks_shapes_and_runs():
-    bad = itrop.RandomOperatorFactory(sample_size=1, dimension=2,
-                                      realize=lambda s: (lambda x: np.zeros(3)))
+    bad = block_fake(2, lambda runs, z: np.zeros(z.shape[:-1] + (3,)))
     with pytest.raises(ConfigurationError, match="shape"):
         itrop.iterate_ensemble(bad, [0.0, 0.0], 2, itrop.RngStream(0), [0, 1],
                                lambda k, alive, z: None)
@@ -188,3 +189,103 @@ def test_engine_checks_shapes_and_runs():
         with pytest.raises(ConfigurationError, match="runs"):
             itrop.iterate_ensemble(halving, [0.0, 0.0], 2, itrop.RngStream(0), runs,
                                    lambda k, alive, z: None)
+
+
+# ---------------------------------------------------------------- draws ahead
+
+def on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(itrop.core, "_usable_cpus", lambda: cpus)
+
+
+def draw_threads(factory):
+    """factory whose draws record the name of the thread that ran them."""
+    names = []
+
+    def draw(stream, runs):
+        names.append(threading.current_thread().name)
+        return factory.draw(stream, runs)
+
+    return dataclasses.replace(factory, draw=draw), names
+
+
+@pytest.mark.parametrize("kind", ["value", "q"])
+@pytest.mark.parametrize("chunk_bytes", [1 << 20, 1])
+def test_multinomial_orbits_are_the_same_bytes_on_one_and_two_cpus(mdp20, monkeypatch, kind,
+                                                                   chunk_bytes):
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", chunk_bytes)
+    factory = itrop.mdp._empirical_factory(mdp20, 400, kind)
+    assert factory.draws_ahead
+    stream = itrop.RngStream(38).child(400)
+    z0 = np.linspace(0.0, 1.0, factory.dimension)
+    orbits = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        traced, names = draw_threads(factory)
+        orbits[cpus], dropped = ensemble_orbits(traced, z0, 5, stream)
+        assert dropped == {}
+        pooled = {name.startswith("itrop-draw") for name in names}
+        assert pooled == {cpus > 1}
+    assert orbits[1].tobytes() == orbits[2].tobytes()
+
+
+def test_alias_and_sgd_draws_stay_on_the_calling_thread(mdp20, logistic_problem, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    for name, factory in factories(mdp20, logistic_problem).items():
+        assert factory.draws_ahead == (name == "evi-multinomial")
+        if not factory.draws_ahead:
+            traced, names = draw_threads(factory)
+            ensemble_orbits(traced, np.zeros(factory.dimension), 3, itrop.RngStream(39))
+            assert set(names) == {threading.current_thread().name}
+
+
+def ahead_fake(blow_up, drawn, moved, fail_at=None):
+    """An opt-in draw-ahead fake, one run per chunk: run r's draw at step k is
+    (k, r, a normal from its stream); the move halves and adds the normal,
+    except that run r of blow_up[r] = k multiplies by 1e30 at step k."""
+
+    def draw(stream, runs):
+        k = stream.lineage[-1] + 1
+        if k == fail_at:
+            raise RuntimeError("draw failed")
+        time.sleep(0.001)
+        drawn.extend((k, r) for r in runs.tolist())
+        return np.column_stack([np.full(runs.size, k), runs, normal_draws(1)(stream, runs)])
+
+    def move(rows, z):
+        moved.extend((int(k), int(r)) for k, r in rows[:, :2])
+        scale = np.array([1e30 if blow_up.get(int(r)) == k else 0.5 for k, r in rows[:, :2]])
+        return z * scale[:, None, None] + rows[:, 2, None, None]
+
+    return itrop.block_factory(1, 1, draw, move, row_bytes=itrop.core.CHUNK_BYTES,
+                               point_bytes=8, draws_ahead=True)
+
+
+def test_a_dropped_run_s_drawn_ahead_rows_are_discarded(monkeypatch):
+    stream, runs = itrop.RngStream(40).child(0), 5
+    results = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        drawn, moved = [], []
+        results[cpus] = ensemble_orbits(ahead_fake({2: 3}, drawn, moved), [1.0], runs, stream)
+        assert results[cpus][1] == {2: 3}
+        assert max(k for k, r in moved if r == 2) == 3
+        # on one CPU nothing is drawn ahead; on two, run 2's step 4 was drawn
+        # before its step 3 dropped it, and never moved
+        assert ((4, 2) in drawn) == (cpus > 1)
+    (one, _), (two, _) = results[1], results[2]
+    assert np.array_equal(one, two, equal_nan=True)
+    assert np.all(np.isnan(two[2, 3:]))
+    for r in (0, 1, 3, 4):
+        alone = itrop.iterate_random(ahead_fake({}, [], []), [1.0], HORIZON, stream.for_run(r))
+        assert np.array_equal(alone, two[r])
+
+
+def test_a_failed_pooled_draw_propagates_and_leaves_no_worker_busy(monkeypatch):
+    on_cpus(monkeypatch, 2)
+    drawn = []
+    with pytest.raises(RuntimeError, match="draw failed"):
+        ensemble_orbits(ahead_fake({}, drawn, [], fail_at=4), [1.0], 3, itrop.RngStream(41))
+    assert not [t for t in threading.enumerate() if t.name.startswith("itrop-draw")]
+    settled = len(drawn)
+    time.sleep(0.05)
+    assert len(drawn) == settled and max(k for k, _ in drawn) < HORIZON

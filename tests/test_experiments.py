@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import itrop
+from conftest import block_fake
 from itrop.cli import main
 from itrop.core import ConfigurationError
 from itrop.experiments import ExperimentConfig, build_family, run_experiment
@@ -308,15 +309,13 @@ def patch_unstable_family(monkeypatch, runs_that_diverge):
     """Swap in a dimension-1 halving family whose designated runs blow up."""
     op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=1)
 
-    def realize(stream):
-        # the engine realizes run r of step stream (RUN, n, k-1) as stream.for_run(r)
-        if stream.run in runs_that_diverge:
-            return lambda x: np.asarray(x) * 1e13
-        return lambda x: np.asarray(x) / 2.0
+    def move(runs, z):
+        # the engine draws the runs of step stream (RUN, n, k-1); the fake's draws are the runs
+        blows_up = np.isin(runs, list(runs_that_diverge))[:, None, None]
+        return np.where(blows_up, z * 1e13, z / 2.0)
 
     def fake_build_family(config, need_target=True):
-        factory_for = lambda n: itrop.RandomOperatorFactory(
-            sample_size=n, realize=realize, dimension=1)
+        factory_for = lambda n: block_fake(1, move, sample_size=n)
         return itrop.experiments.FamilyBundle(
             op=op, factory_for=factory_for,
             target=np.zeros(1), x0=np.ones(1), norm="sup")
@@ -426,13 +425,13 @@ def test_run_and_a2_draw_from_disjoint_keys(tmp_path, monkeypatch):
     keys = []
     op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=1)
 
-    def realize(stream):
-        keys.append((stream.lineage, stream.run))
-        return lambda x: np.asarray(x) / 2.0
+    def draw(stream, runs):
+        keys.extend((stream.lineage, r) for r in runs.tolist())
+        return runs
 
     def fake_build_family(config, need_target=True):
-        factory_for = lambda n: itrop.RandomOperatorFactory(
-            sample_size=n, realize=realize, dimension=1)
+        factory_for = lambda n: block_fake(1, lambda runs, z: z / 2.0, draw=draw,
+                                           sample_size=n)
         return itrop.experiments.FamilyBundle(
             op=op, factory_for=factory_for, target=np.zeros(1),
             x0=np.ones(1), norm="sup")
@@ -695,3 +694,15 @@ def test_summarize_run_prints_a_check_s_verdicts_and_counts(tmp_path, monkeypatc
                  "A2-sup-prob n=2: 120", "A2-sup-prob n=8: 120", "A3-monotone n=2: 120",
                  "A5-contraction-log n=2: 120"):
         assert line in out
+
+
+def test_run_all_desk_prints_each_config_s_exit_code_and_wall_seconds(tmp_path, monkeypatch,
+                                                                      capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_desk.py"
+    desk = runpy.run_path(str(script))
+    (tmp_path / "evi.json").write_text(json.dumps(evi_config(tmp_path / "out", runs=2,
+                                                             horizon=3)))
+    desk["JOBS"][:] = [("run", "evi.json")]
+    monkeypatch.setattr("sys.argv", ["run_all_desk.py", "--configs", str(tmp_path)])
+    assert desk["main"]() == 0
+    assert re.search(r"^== exit 0  wall \d+\.\d\d s$", capsys.readouterr().out, re.MULTILINE)

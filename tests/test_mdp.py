@@ -166,8 +166,8 @@ def test_alias_sampler_frequencies_match_rows():
     model = skewed_kernel_model()
     n, runs = 50, 2400  # 120000 next states per (s, a) row
     assert itrop.uses_alias(model.num_states, n)
-    counts = itrop.mdp._next_state_counts(model, n, itrop.RngStream(3).child(4),
-                                          np.arange(runs)).sum(axis=0)
+    counts = itrop.mdp._alias_counts(model, n, itrop.RngStream(3).child(4),
+                                     np.arange(runs)).sum(axis=0)
     draws = n * runs
     p = model._sampler.pvals
     freq = counts / draws
