@@ -4,12 +4,11 @@ __version__ = "0.6.0"
 
 from .core import (ConfigurationError, DivergenceError, DIVERGENCE_LIMIT,
                    ExactOperatorHandle, NonConvergenceError, RandomOperatorFactory,
-                   RngStream, block_factory, fixed_point_residual, iterate_ensemble,
-                   iterate_exact, iterate_random, row_norm)
-from .mdp import (MdpModel, bellman_apply, bellman_operator, empirical_bellman_apply,
-                  empirical_bellman_factory, empirical_q_apply, empirical_q_factory,
-                  hoeffding_bound, load_model, q_apply, q_operator, random_mdp,
-                  save_model, solve_exact, uses_alias)
+                   RngStream, block_factory, iterate_ensemble, iterate_exact,
+                   iterate_random, row_norm)
+from .mdp import (MdpModel, bellman_apply, bellman_operator, empirical_bellman_factory,
+                  empirical_q_factory, hoeffding_bound, load_model, q_apply, q_operator,
+                  random_mdp, save_model, solve_exact, uses_alias)
 from .regression import (EigenBounds, RegressionDataset, RegressionProblem,
                          contraction_coefficient, eigen_bounds, exact_gd_operator,
                          gradient, load_csv_dataset, loss, save_csv_dataset,
@@ -17,9 +16,8 @@ from .regression import (EigenBounds, RegressionDataset, RegressionProblem,
                          synth_dataset)
 from .analysis import (AssumptionReport, Box, EnsembleSummary, LlnReport,
                        check_composite_lipschitz, check_contraction_log,
-                       check_monotone, check_sup_probability, deviation_probability,
-                       ensemble, lln_audit, occupation_measure, orbit_curves,
-                       weighted_sequence_metric)
+                       check_monotone, check_sup_probability, ensemble, lln_audit,
+                       orbit_curves, weighted_sequence_metric)
 from .experiments import (ExperimentConfig, FamilyBundle, RunResult, build_family,
                           run_assumption_suite, run_experiment)
 

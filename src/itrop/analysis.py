@@ -4,7 +4,7 @@ assumptions under which randomized fixed-point iteration is trustworthy."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from . import core
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
                    RandomOperatorFactory, RngStream, as_point,
-                   iterate_ensemble, row_norm, write_atomic)
+                   iterate_ensemble, read_text, row_norm, write_atomic)
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATED = "violated"
@@ -42,7 +42,7 @@ def _jsonable(obj):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box used for sampling test points and membership checks."""
+    """Axis-aligned box used for sampling test points."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -63,10 +63,6 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=np.float64)
-        return np.all((p >= self.lower) & (p <= self.upper), axis=-1)
-
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         if isinstance(shape, int):
             shape = (shape,)
@@ -74,13 +70,14 @@ class Box:
         return self.lower + u * (self.upper - self.lower)
 
     @classmethod
-    def around(cls, points, inflation: float = 0.2) -> "Box":
-        """Bounding box of the rows of `points`, inflated per coordinate."""
+    def around(cls, points) -> "Box":
+        """Bounding box of the rows of `points`, padded on each side by a fifth
+        of its range per coordinate."""
         p = np.asarray(points, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] == 0:
             raise ConfigurationError("need a nonempty (K, d) array of points")
         lo, hi = p.min(axis=0), p.max(axis=0)
-        pad = inflation * np.maximum(hi - lo, 1e-12)
+        pad = 0.2 * np.maximum(hi - lo, 1e-12)
         return cls(lower=lo - pad, upper=hi + pad)
 
 
@@ -88,7 +85,6 @@ class Box:
 class EnsembleSummary:
     """Per-step statistics of a scalar curve across independent runs."""
 
-    metric_name: str
     mean: np.ndarray
     variance: np.ndarray
     std_error: np.ndarray
@@ -111,9 +107,8 @@ class EnsembleSummary:
         write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
-    def from_csv(cls, path, metric_name: str = "distance") -> "EnsembleSummary":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln]
+    def from_csv(cls, path) -> "EnsembleSummary":
+        lines = [ln for ln in read_text(path).splitlines() if ln]
         if not lines or lines[0] != _CSV_HEADER:
             raise ConfigurationError(f"{path}: expected header {_CSV_HEADER!r}")
         cols = {name: [] for name in _CSV_HEADER.split(",")}
@@ -131,8 +126,7 @@ class EnsembleSummary:
         counts = set(cols["count"])
         if len(counts) != 1:
             raise ConfigurationError(f"{path}: inconsistent count column")
-        return cls(metric_name=metric_name,
-                   mean=np.asarray(cols["mean"]),
+        return cls(mean=np.asarray(cols["mean"]),
                    variance=np.asarray(cols["variance"]),
                    std_error=np.asarray(cols["std_error"]),
                    min=np.asarray(cols["min"]),
@@ -158,12 +152,7 @@ class AssumptionReport:
             raise ConfigurationError("a violated verdict needs recorded evidence")
 
     def to_dict(self) -> dict:
-        return _jsonable({
-            "assumption_id": self.assumption_id,
-            "parameters": self.parameters,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-        })
+        return _jsonable(asdict(self))
 
     def save(self, path) -> None:
         write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -206,7 +195,7 @@ def weighted_sequence_metric(a, b, norm: str = "l2") -> float:
     return float(weights @ per_step)
 
 
-def ensemble(curves, metric_name: str = "distance") -> EnsembleSummary:
+def ensemble(curves) -> EnsembleSummary:
     """Pointwise mean/variance/std-error/min/max of curves from independent runs."""
     arr = np.asarray(curves, dtype=np.float64)
     if arr.ndim != 2:
@@ -215,38 +204,12 @@ def ensemble(curves, metric_name: str = "distance") -> EnsembleSummary:
     if runs < 2:
         raise ConfigurationError("need at least 2 runs for ensemble statistics")
     variance = arr.var(axis=0, ddof=1)
-    return EnsembleSummary(metric_name=metric_name,
-                           mean=arr.mean(axis=0),
+    return EnsembleSummary(mean=arr.mean(axis=0),
                            variance=variance,
                            std_error=np.sqrt(variance / runs),
                            min=arr.min(axis=0),
                            max=arr.max(axis=0),
                            count=runs)
-
-
-def occupation_measure(trajectory, region: Box) -> np.ndarray:
-    """Running fraction of time spent in the region: entry k-1 is the fraction
-    of trajectory points 0..k-1 inside, for k = 1..len(trajectory)."""
-    traj = np.asarray(trajectory, dtype=np.float64)
-    if traj.ndim != 2 or traj.shape[0] == 0:
-        raise ConfigurationError("trajectory must be a nonempty (K+1, d) array")
-    inside = region.contains(traj).astype(np.float64)
-    return np.cumsum(inside) / np.arange(1, traj.shape[0] + 1)
-
-
-def deviation_probability(samples, target, eps: float, norm: str = "l2"):
-    """Fraction of sample points at distance > eps from target (the tail
-    convention of check_sup_probability), with its binomial standard error."""
-    pts = np.asarray(samples, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ConfigurationError("samples must be a nonempty (M, d) array")
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
-    dist = row_norm(pts - np.asarray(target, dtype=np.float64), norm)
-    m = pts.shape[0]
-    frac = float(np.mean(dist > eps))
-    se = float(np.sqrt(frac * (1.0 - frac) / m))
-    return frac, se
 
 
 def _by_trial(trials: int, block_bytes: int, stat) -> np.ndarray:
@@ -504,14 +467,7 @@ class LlnReport:
     max_gap_to_tail: float
 
     def to_dict(self) -> dict:
-        return _jsonable({
-            "time_averages": self.time_averages,
-            "time_average_ses": self.time_average_ses,
-            "tail_mean": self.tail_mean,
-            "tail_se": self.tail_se,
-            "spread": self.spread,
-            "max_gap_to_tail": self.max_gap_to_tail,
-        })
+        return _jsonable(asdict(self))
 
 
 def _batch_means_se(values: np.ndarray, num_batches: int = 20) -> np.ndarray:

@@ -73,6 +73,16 @@ def write_atomic(path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line endings untranslated; a file that cannot
+    be read or decoded raises ConfigurationError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic, splittable random stream.
@@ -213,7 +223,9 @@ class RandomOperatorFactory:
     def step(self, stream: RngStream, runs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The block whose row i is realize(stream.for_run(runs[i]))(Z[i]),
         bitwise.  Z is (m, d), one point per run, or (m, P, d), a block of P
-        points per run (the checkers' trials)."""
+        points per run (the checkers' trials).  runs must be ascending, as in
+        iterate_ensemble."""
+        runs = _check_runs(runs)
         block = z.reshape(len(z), -1, self.dimension)
         chunk = self.chunk(block.shape[1])
         if runs.size <= chunk:
@@ -250,6 +262,15 @@ def block_factory(sample_size: int, dimension: int, draw, move, row_bytes: int,
                                  dimension=dimension, draw=draw, move=move,
                                  row_bytes=row_bytes, point_bytes=point_bytes,
                                  draws_ahead=draws_ahead)
+
+
+def _check_runs(runs) -> np.ndarray:
+    """runs as an int64 array, which must list distinct run indices in ascending
+    order: the samplers read a block of runs as one span of their stream."""
+    runs = np.asarray(runs, dtype=np.int64)
+    if runs.ndim != 1 or runs.size == 0 or runs[0] < 0 or np.any(np.diff(runs) <= 0):
+        raise ConfigurationError("runs must be a nonempty ascending list of distinct run indices")
+    return runs
 
 
 def _usable_cpus() -> int:
@@ -341,9 +362,7 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     orbits are the same bytes for any number of CPUs.
     """
     z0 = _check_start(z0, factory.dimension, num_steps)
-    runs = np.asarray(runs, dtype=np.int64)
-    if runs.ndim != 1 or runs.size == 0 or runs[0] < 0 or np.any(np.diff(runs) <= 0):
-        raise ConfigurationError("runs must be a nonempty ascending list of distinct run indices")
+    runs = _check_runs(runs)
     size = factory.chunk()
     workers = _usable_cpus() if factory.draws_ahead else 0
     z = np.tile(z0, (runs.size, 1))
@@ -401,8 +420,3 @@ def iterate_random(factory: RandomOperatorFactory, z0, num_steps: int,
         raise DivergenceError(dropped[run.run])
     return np.array(rows)
 
-
-def fixed_point_residual(op: ExactOperatorHandle, x, norm: str = "l2") -> float:
-    """How far x is from being a fixed point of op."""
-    x = as_point(x)
-    return float(row_norm(op.apply(x) - x, norm))

@@ -17,11 +17,13 @@ from .analysis import (AssumptionReport, Box, VERDICT_INCONCLUSIVE, VERDICT_CONS
                        VERDICT_VIOLATED, check_contraction_log, check_monotone,
                        check_sup_probability, ensemble, lln_audit, orbit_curves)
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, iterate_exact, row_norm, write_atomic)
-from .mdp import (MdpModel, _value_iteration, bellman_operator, empirical_bellman_factory,
-                  empirical_q_factory, load_model, q_operator, random_mdp)
-from .regression import (EigenBounds, RegressionProblem, _newton_minimizer, eigen_bounds,
-                         exact_gd_operator, load_csv_dataset, sgd_factory, synth_dataset)
+                   RandomOperatorFactory, RngStream, iterate_exact, read_text, row_norm,
+                   write_atomic)
+from .mdp import (MdpModel, bellman_operator, empirical_bellman_factory, empirical_q_factory,
+                  load_model, q_operator, random_mdp, solve_exact)
+from .regression import (EigenBounds, RegressionProblem, eigen_bounds, exact_gd_operator,
+                         load_csv_dataset, sgd_factory, solve_reference_minimizer,
+                         synth_dataset)
 
 log = logging.getLogger("itrop")
 
@@ -291,10 +293,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+            data = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(data)
@@ -367,7 +366,7 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
             op, kind = q_operator(model), "q"
             factory_for = lambda n: empirical_q_factory(model, n)
         if need_target:
-            fixed, sweeps, moved = _value_iteration(model, kind, tol=1e-10)
+            fixed, sweeps, moved = solve_exact(model, kind, tol=1e-10)
             target = fixed.ravel()
             gamma = model.discount
             solve = {"method": "value-iteration", "iterations": sweeps, "residual": moved,
@@ -380,7 +379,7 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
     problem, bounds = config.regression.build(family)
     op = exact_gd_operator(problem, bounds)
     if need_target:
-        target, steps, gnorm = _newton_minimizer(problem, tol=1e-8)
+        target, steps, gnorm = solve_reference_minimizer(problem, tol=1e-8)
         solve = {"method": "damped-newton", "iterations": steps, "residual": gnorm,
                  "certified_bound": gnorm / problem.lam, "beta": problem.beta,
                  "claimed_modulus": op.claimed_modulus}
@@ -463,8 +462,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             raise DivergenceError(0, f"fewer than 2 runs survived at sample size {n}")
         dist_path = out_dir / f"distance_n{n}.csv"
         ta_path = out_dir / f"timeavg_n{n}.csv"
-        ensemble(dist[:, alive].T, "orbit_distance").to_csv(dist_path)
-        ensemble(gap[:, alive].T, "time_average_gap").to_csv(ta_path)
+        ensemble(dist[:, alive].T).to_csv(dist_path)
+        ensemble(gap[:, alive].T).to_csv(ta_path)
         files.extend([dist_path, ta_path])
 
     total_runs = config.runs * len(config.sample_sizes)
@@ -519,7 +518,7 @@ def run_assumption_suite(config: ExperimentConfig) -> RunResult:
     check = config.check
 
     exact_traj = iterate_exact(bundle.op, bundle.x0, config.horizon)
-    box = Box.around(exact_traj, inflation=0.2)
+    box = Box.around(exact_traj)
     grid = box.sample(stream.child(Purpose.GRID).generator(), check.grid_size)
 
     factories = [bundle.factory_for(n) for n in config.sample_sizes]

@@ -10,7 +10,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, block_factory, write_atomic)
+                   RandomOperatorFactory, RngStream, block_factory, read_text,
+                   write_atomic)
 
 _ROW_SUM_TOL = 1e-12
 
@@ -71,31 +72,21 @@ class MdpModel:
         return self.transition.shape[1]
 
 
-def _check_value(model: MdpModel, v) -> np.ndarray:
+def bellman_apply(model: MdpModel, v) -> np.ndarray:
+    """One exact value-iteration sweep: min_a [ c(s,a) + discount * E v(s') ]."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (model.num_states,):
         raise ConfigurationError(
             f"value function must have shape ({model.num_states},), got {v.shape}")
-    return v
-
-
-def _check_q(model: MdpModel, q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (model.num_states, model.num_actions):
-        raise ConfigurationError(
-            f"q table must have shape ({model.num_states}, {model.num_actions}), got {q.shape}")
-    return q
-
-
-def bellman_apply(model: MdpModel, v) -> np.ndarray:
-    """One exact value-iteration sweep: min_a [ c(s,a) + discount * E v(s') ]."""
-    v = _check_value(model, v)
     return (model.cost + model.discount * (model.transition @ v)).min(axis=1)
 
 
 def q_apply(model: MdpModel, q) -> np.ndarray:
     """One exact Q-iteration sweep: c(s,a) + discount * E min_a' q(s', a')."""
-    q = _check_q(model, q)
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (model.num_states, model.num_actions):
+        raise ConfigurationError(
+            f"q table must have shape ({model.num_states}, {model.num_actions}), got {q.shape}")
     w = q.min(axis=1)
     return model.cost + model.discount * (model.transition @ w)
 
@@ -234,19 +225,6 @@ def empirical_q_factory(model: MdpModel, sample_size: int) -> RandomOperatorFact
     return _empirical_factory(model, sample_size, "q")
 
 
-def empirical_bellman_apply(model: MdpModel, v, sample_size: int,
-                            stream: RngStream) -> np.ndarray:
-    """One sampled value sweep; calls with the same stream share their draws."""
-    return empirical_bellman_factory(model, sample_size).realize(stream)(_check_value(model, v))
-
-
-def empirical_q_apply(model: MdpModel, q, sample_size: int, stream: RngStream) -> np.ndarray:
-    """One sampled Q sweep on an (S, A) table; same-stream calls share draws."""
-    q = _check_q(model, q)
-    flat = empirical_q_factory(model, sample_size).realize(stream)(q.ravel())
-    return flat.reshape(model.num_states, model.num_actions)
-
-
 def bellman_operator(model: MdpModel) -> ExactOperatorHandle:
     """Exact value sweep as an operator handle (a discount-contraction in sup norm)."""
     return ExactOperatorHandle(apply=lambda v: bellman_apply(model, v),
@@ -264,9 +242,15 @@ def q_operator(model: MdpModel) -> ExactOperatorHandle:
     return ExactOperatorHandle(apply=apply, dimension=s * a, claimed_modulus=model.discount)
 
 
-def _value_iteration(model: MdpModel, kind: str, tol: float = 1e-10,
-                     max_iterations: int = 10 ** 6) -> tuple[np.ndarray, int, float]:
-    """(fixed point, sweeps, last sup-norm step ||Tx - x||) of solve_exact."""
+def solve_exact(model: MdpModel, kind: str = "value", tol: float = 1e-10,
+                max_iterations: int = 10 ** 6) -> tuple[np.ndarray, int, float]:
+    """(fixed point, sweeps, last sup-norm step ||Tx - x||) of the exact sweep,
+    by iteration from 0.
+
+    Stops once the sup-norm step ||Tx - x|| shrinks below
+    tol * (1 - discount) / discount; then ||Tx - x*|| <= discount / (1 - discount)
+    * ||Tx - x|| <= tol, and Tx is returned.
+    """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
     if kind == "value":
@@ -287,17 +271,6 @@ def _value_iteration(model: MdpModel, kind: str, tol: float = 1e-10,
     raise NonConvergenceError(
         f"reference solve did not converge: no fixed point to tolerance {tol} "
         f"within {max_iterations} sweeps")
-
-
-def solve_exact(model: MdpModel, kind: str = "value", tol: float = 1e-10,
-                max_iterations: int = 10 ** 6) -> np.ndarray:
-    """Fixed point of the exact sweep by iteration.
-
-    Stops once the sup-norm step ||Tx - x|| shrinks below
-    tol * (1 - discount) / discount; then ||Tx - x*|| <= discount / (1 - discount)
-    * ||Tx - x|| <= tol, and Tx is returned.
-    """
-    return _value_iteration(model, kind, tol, max_iterations)[0]
 
 
 def random_mdp(num_states: int, num_actions: int, seed: int, discount: float = 0.9) -> MdpModel:
@@ -364,9 +337,8 @@ def save_model(model: MdpModel, path) -> None:
 
 
 def load_model(path) -> MdpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
     return model_from_dict(data)

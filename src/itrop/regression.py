@@ -4,12 +4,14 @@ and the Newton reference solve."""
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, block_factory, write_atomic)
+                   RandomOperatorFactory, RngStream, block_factory, read_text,
+                   write_atomic)
 
 FAMILIES = ("logistic", "poisson")
 SAMPLING_MODES = ("with_replacement", "without_replacement")
@@ -256,9 +258,20 @@ def contraction_coefficient(bounds: EigenBounds, beta: float) -> float:
     return max(abs(1.0 - beta * bounds.upper), abs(1.0 - beta * bounds.lower))
 
 
-def _newton_minimizer(problem: RegressionProblem, tol: float = 1e-8,
-                      max_iterations: int = 50) -> tuple[np.ndarray, int, float]:
-    """(x, Newton steps taken, ||grad(x)||_2) of the solve_reference_minimizer solve."""
+def solve_reference_minimizer(problem: RegressionProblem, tol: float = 1e-8,
+                              max_iterations: int = 50) -> tuple[np.ndarray, int, float]:
+    """(x, Newton steps taken, ||grad(x)||_2) for the minimizer x* of the
+    ridge-regularised average loss, by damped Newton from 0.
+
+    Each step solves the d x d Newton system with the full-data Hessian
+    F^T diag(w) F / N + lam I, where w = sigmoid(t) sigmoid(-t) (logistic) or
+    exp(t) (Poisson) at t = F x, and backtracks (halving) until the loss
+    passes the Armijo test or the gradient norm falls (Boyd & Vandenberghe,
+    Convex Optimization, 9.5).  beta is not used.  The solve stops once ||grad(x)||_2 <= tol;
+    since the loss is lam-strongly convex, ||x - x*||_2 <= ||grad(x)||_2 / lam
+    <= tol / lam.  Raises NonConvergenceError if that takes more than
+    max_iterations Newton steps or a line search stalls.
+    """
     if problem.lam <= 0.0:
         raise ConfigurationError("solve_reference_minimizer needs lam > 0 "
                                  "(unique minimizer via strong convexity)")
@@ -298,22 +311,6 @@ def _newton_minimizer(problem: RegressionProblem, tol: float = 1e-8,
     return x, steps, gnorm
 
 
-def solve_reference_minimizer(problem: RegressionProblem, tol: float = 1e-8,
-                              max_iterations: int = 50) -> np.ndarray:
-    """Minimizer x* of the ridge-regularised average loss, by damped Newton.
-
-    Each step solves the d x d Newton system with the full-data Hessian
-    F^T diag(w) F / N + lam I, where w = sigmoid(t) sigmoid(-t) (logistic) or
-    exp(t) (Poisson) at t = F x, and backtracks (halving) until the loss
-    passes the Armijo test or the gradient norm falls (Boyd & Vandenberghe,
-    Convex Optimization, 9.5).  beta is not used.  The solve stops once ||grad(x)||_2 <= tol;
-    since the loss is lam-strongly convex, ||x - x*||_2 <= ||grad(x)||_2 / lam
-    <= tol / lam.  Raises NonConvergenceError if that takes more than
-    max_iterations Newton steps or a line search stalls.
-    """
-    return _newton_minimizer(problem, tol, max_iterations)[0]
-
-
 def synth_dataset(num_samples: int, dim: int, family: str, seed: int) -> RegressionDataset:
     """Seeded synthetic dataset: constant-1 column plus uniform(0,1) features,
     labels drawn from the family's model at a hidden parameter vector."""
@@ -346,26 +343,26 @@ def load_csv_dataset(path, family: str) -> RegressionDataset:
         raise ConfigurationError(f"unknown family {family!r}, expected one of {FAMILIES}")
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record:
-                continue
-            try:
-                values = [float(v) for v in record]
-            except ValueError:
+    lines = io.StringIO(read_text(path), newline="")  # csv wants endings untranslated
+    for lineno, record in enumerate(csv.reader(lines), start=1):
+        if not record:
+            continue
+        try:
+            values = [float(v) for v in record]
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}: line {lineno}: non-numeric field") from None
+        if width is None:
+            width = len(values)
+            if width < 2:
                 raise ConfigurationError(
-                    f"{path}: line {lineno}: non-numeric field") from None
-            if width is None:
-                width = len(values)
-                if width < 2:
-                    raise ConfigurationError(
-                        f"{path}: line {lineno}: need a label and at least one feature")
-            elif len(values) != width:
-                raise ConfigurationError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(values)}")
-            if not all(np.isfinite(values)):
-                raise ConfigurationError(f"{path}: line {lineno}: non-finite field")
-            rows.append(values)
+                    f"{path}: line {lineno}: need a label and at least one feature")
+        elif len(values) != width:
+            raise ConfigurationError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(values)}")
+        if not all(np.isfinite(values)):
+            raise ConfigurationError(f"{path}: line {lineno}: non-finite field")
+        rows.append(values)
     if not rows:
         raise ConfigurationError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)

@@ -31,27 +31,18 @@ def unit_box(dim):
 
 # ---------------------------------------------------------------- Box
 
-def test_box_contains_hand_values():
-    box = itrop.Box(lower=[0.0, 0.0], upper=[1.0, 2.0])
-    assert box.contains([0.5, 1.0])
-    assert box.contains([0.0, 2.0])  # boundary counts
-    assert not box.contains([1.5, 1.0])
-    flags = box.contains([[0.5, 1.0], [-0.1, 0.0]])
-    assert flags.tolist() == [True, False]
-
-
 def test_box_sample_respects_bounds_and_seed():
     box = itrop.Box(lower=[-1.0, 2.0], upper=[1.0, 3.0])
     pts = box.sample(np.random.default_rng(0), 500)
     assert pts.shape == (500, 2)
-    assert np.all(box.contains(pts))
+    assert np.all((pts >= box.lower) & (pts <= box.upper))
     again = box.sample(np.random.default_rng(0), 500)
     assert np.array_equal(pts, again)
 
 
 def test_box_around_pads_by_a_fifth_of_the_range():
     pts = np.array([[0.0, 10.0], [1.0, 10.0]])
-    box = itrop.Box.around(pts, inflation=0.2)
+    box = itrop.Box.around(pts)
     assert np.allclose(box.lower, [-0.2, 10.0 - 0.2 * 1e-12], atol=1e-12)
     assert np.allclose(box.upper, [1.2, 10.0 + 0.2 * 1e-12], atol=1e-12)
     assert box.upper[1] > box.lower[1]  # flat coordinates still get width
@@ -130,11 +121,11 @@ def test_orbit_curves_columns_are_the_runs_alone(family, mdp20, logistic_problem
     if family == "evi":
         op, norm = itrop.bellman_operator(mdp20), "sup"
         factory = itrop.empirical_bellman_factory(mdp20, 5)
-        target = itrop.solve_exact(mdp20, "value", tol=1e-10)
+        target, _, _ = itrop.solve_exact(mdp20, "value", tol=1e-10)
     else:
         op, norm = itrop.exact_gd_operator(logistic_problem), "l2"
         factory = itrop.sgd_factory(logistic_problem, 8)
-        target = itrop.solve_reference_minimizer(logistic_problem)
+        target, _, _ = itrop.solve_reference_minimizer(logistic_problem)
     horizon, runs = 30, 4
     exact = itrop.iterate_exact(op, np.zeros(op.dimension), horizon)
     stream = itrop.RngStream(17).child(5)
@@ -228,13 +219,13 @@ def test_ensemble_validation():
 
 def test_ensemble_csv_round_trip_is_lossless(tmp_path):
     curves = np.random.default_rng(5).random((7, 11)) * 1e-3
-    summary = itrop.ensemble(curves, metric_name="orbit_distance")
+    summary = itrop.ensemble(curves)
     path = tmp_path / "summary.csv"
     summary.to_csv(path)
     text = path.read_text()
     assert text.startswith("k,mean,variance,std_error,min,max,count\n")
     assert text.endswith("\n") and "\r" not in text
-    back = itrop.EnsembleSummary.from_csv(path, metric_name="orbit_distance")
+    back = itrop.EnsembleSummary.from_csv(path)
     for name in ("mean", "variance", "std_error", "min", "max"):
         assert np.array_equal(getattr(back, name), getattr(summary, name)), name
     assert back.count == summary.count
@@ -255,63 +246,6 @@ def test_ensemble_csv_parse_errors(tmp_path):
                     "0,1.0,0.0,0.0,1.0,1.0,2\n1,1.0,0.0,0.0,1.0,1.0,3\n")
     with pytest.raises(ConfigurationError, match="count"):
         itrop.EnsembleSummary.from_csv(path)
-
-
-# ---------------------------------------------------------------- occupation / deviation
-
-def test_occupation_measure_alternating_orbit():
-    box = itrop.Box(lower=[0.0], upper=[1.0])
-    traj = np.array([[0.5], [2.0], [0.5], [2.0], [0.5], [2.0]])
-    got = itrop.occupation_measure(traj, box)
-    inside = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
-    oracle = [sum(inside[:k]) / k for k in range(1, 7)]
-    assert np.allclose(got, oracle, rtol=0, atol=1e-15)
-    assert np.all((got >= 0.0) & (got <= 1.0))
-
-
-def test_occupation_measure_validation():
-    box = itrop.Box(lower=[0.0], upper=[1.0])
-    with pytest.raises(ConfigurationError):
-        itrop.occupation_measure(np.zeros((0, 1)), box)
-    with pytest.raises(ConfigurationError):
-        itrop.occupation_measure(np.zeros(4), box)
-
-
-def test_deviation_probability_hand_value():
-    frac, se = itrop.deviation_probability([[0.0], [3.0]], [0.0], eps=2.0)
-    assert frac == 0.5
-    assert se == pytest.approx(math.sqrt(0.25 / 2), rel=1e-12)
-
-
-def test_tail_convention_is_strict_in_both_estimators():
-    # a point exactly at eps is not a deviation, for either estimator
-    frac, _ = itrop.deviation_probability([[0.0], [2.0], [2.5]], [0.0], eps=2.0)
-    assert frac == pytest.approx(1.0 / 3.0, rel=1e-15)
-    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x), dimension=1)
-    at_eps = block_fake(1, lambda runs, z: z + 2.0)
-    report = itrop.check_sup_probability(op, [at_eps], [[0.0]], eps=2.0, trials=100,
-                                         stream=itrop.RngStream(53))
-    assert report.evidence[0]["max_probability"] == 0.0
-    beyond = block_fake(1, lambda runs, z: z + 2.5)
-    report = itrop.check_sup_probability(op, [beyond], [[0.0]], eps=2.0, trials=100,
-                                         stream=itrop.RngStream(53))
-    assert report.evidence[0]["max_probability"] == 1.0
-
-
-def test_deviation_probability_monotone_in_eps():
-    pts = np.random.default_rng(8).normal(size=(400, 3))
-    fracs = [itrop.deviation_probability(pts, np.zeros(3), eps=e)[0]
-             for e in (0.5, 1.0, 2.0, 4.0)]
-    assert all(b <= a for a, b in zip(fracs, fracs[1:]))
-
-
-def test_deviation_probability_validation():
-    with pytest.raises(ConfigurationError):
-        itrop.deviation_probability([[0.0]], [0.0], eps=0.0)
-    with pytest.raises(ConfigurationError):
-        itrop.deviation_probability(np.zeros((0, 1)), [0.0], eps=1.0)
-    with pytest.raises(ConfigurationError):
-        itrop.deviation_probability([[0.0]], [0.0], eps=1.0, norm="bad")
 
 
 # ---------------------------------------------------------------- reports
@@ -343,6 +277,19 @@ def test_assumption_report_save_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------- sup-probability check
+
+def test_tail_convention_is_strict_in_both_estimators():
+    # a point exactly at eps is not a deviation, one beyond it is
+    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x), dimension=1)
+    at_eps = block_fake(1, lambda runs, z: z + 2.0)
+    report = itrop.check_sup_probability(op, [at_eps], [[0.0]], eps=2.0, trials=100,
+                                         stream=itrop.RngStream(53))
+    assert report.evidence[0]["max_probability"] == 0.0
+    beyond = block_fake(1, lambda runs, z: z + 2.5)
+    report = itrop.check_sup_probability(op, [beyond], [[0.0]], eps=2.0, trials=100,
+                                         stream=itrop.RngStream(53))
+    assert report.evidence[0]["max_probability"] == 1.0
+
 
 def test_sup_probability_exact_factory_is_consistent():
     dim = 2

@@ -315,15 +315,6 @@ def test_time_average_rejects_empty():
                            itrop.RngStream(0), 2)
 
 
-# ---------------------------------------------------------------- residual
-
-def test_fixed_point_residual_zero_at_fixed_point():
-    op = itrop.ExactOperatorHandle(apply=lambda x: 0.5 * x + 1.0, dimension=2)
-    # fixed point of x -> x/2 + 1 is 2
-    assert itrop.fixed_point_residual(op, np.array([2.0, 2.0])) == 0.0
-    assert itrop.fixed_point_residual(op, np.array([0.0, 0.0])) == pytest.approx(np.sqrt(2))
-
-
 # ---------------------------------------------------------------- properties
 
 @settings(max_examples=30, deadline=None)

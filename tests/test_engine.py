@@ -100,6 +100,17 @@ def test_step_moves_a_block_of_points_per_run(mdp20, logistic_problem, monkeypat
                           factory.step(stream, runs, np.ascontiguousarray(shared)))
 
 
+@pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "sgd-with"])
+@pytest.mark.parametrize("runs", [[2, 1, 4], [1, 1, 2], [-1, 0, 1], []],
+                         ids=["unsorted", "duplicate", "negative", "empty"])
+def test_step_checks_its_runs_as_the_engine_does(mdp20, logistic_problem, name, runs):
+    # a sampler reads a block of runs as one ascending span of its stream
+    factory = factories(mdp20, logistic_problem)[name]
+    z = np.zeros((len(runs), factory.dimension))
+    with pytest.raises(ConfigurationError, match="runs"):
+        factory.step(itrop.RngStream(38), np.array(runs, dtype=np.int64), z)
+
+
 @pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "qvi-alias",
                                   "sgd-with", "sgd-without", "sgd-full"])
 @pytest.mark.parametrize("shape", [(7,), (4, 2)])

@@ -150,6 +150,9 @@ def test_config_from_json_errors(tmp_path):
     bad.write_text("{")
     with pytest.raises(ConfigurationError, match="invalid JSON"):
         ExperimentConfig.from_json(bad)
+    bad.write_bytes(bytes(range(128, 256)))  # not UTF-8
+    with pytest.raises(ConfigurationError, match="cannot read"):
+        ExperimentConfig.from_json(bad)
 
 
 DESK_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -174,7 +177,7 @@ def test_mdp_spec_path_round_trip(tmp_path):
 def test_build_family_shapes(tmp_path):
     evi = build_family(ExperimentConfig.from_dict(evi_config(tmp_path)))
     assert evi.norm == "sup" and evi.op.dimension == 6
-    assert itrop.fixed_point_residual(evi.op, evi.target, "sup") <= 1e-9
+    assert itrop.row_norm(evi.op.apply(evi.target) - evi.target, "sup") <= 1e-9
 
     qvi = build_family(ExperimentConfig.from_dict(
         evi_config(tmp_path, experiment="qvi")))
@@ -183,7 +186,7 @@ def test_build_family_shapes(tmp_path):
     sgd = build_family(ExperimentConfig.from_dict(sgd_config(tmp_path)))
     assert sgd.norm == "l2" and sgd.op.dimension == 4
     assert sgd.op.claimed_modulus is not None and sgd.op.claimed_modulus < 1.0
-    assert itrop.fixed_point_residual(sgd.op, sgd.target) <= 1e-7
+    assert itrop.row_norm(sgd.op.apply(sgd.target) - sgd.target, "l2") <= 1e-7
 
 
 def test_build_family_without_target_skips_solves(tmp_path):
@@ -549,12 +552,39 @@ def test_cli_divergence_exits_two(tmp_path, capsys):
 
 def test_cli_reference_solve_failure_exits_two(tmp_path, capsys, monkeypatch):
     # the 60 x 4 logistic problem needs 2 Newton steps; allow 1
-    newton = itrop.experiments._newton_minimizer
-    monkeypatch.setattr(itrop.experiments, "_newton_minimizer",
+    newton = itrop.experiments.solve_reference_minimizer
+    monkeypatch.setattr(itrop.experiments, "solve_reference_minimizer",
                         lambda problem, tol: newton(problem, tol, max_iterations=1))
     cfg = write_config(tmp_path, sgd_config(tmp_path / "d"))
     assert main(["run", cfg]) == 2
     assert "runtime failure: reference solve did not converge" in capsys.readouterr().err
+
+
+def test_cli_value_iteration_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # the 6-state model at discount 0.8 needs about a hundred sweeps; allow 1
+    solve = itrop.experiments.solve_exact
+    monkeypatch.setattr(itrop.experiments, "solve_exact",
+                        lambda model, kind, tol: solve(model, kind, tol, max_iterations=1))
+    cfg = write_config(tmp_path, evi_config(tmp_path / "d"))
+    assert main(["run", cfg]) == 2
+    assert "runtime failure: reference solve did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["evi", "sgd-logistic"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_cli_unreadable_data_file_is_a_config_error(tmp_path, capsys, family, kind):
+    source = tmp_path / "data"
+    if kind == "directory":
+        source.mkdir()
+    elif kind == "binary":
+        source.write_bytes(bytes(range(128, 256)))
+    if family == "evi":
+        data = evi_config(tmp_path / "o", mdp={"path": str(source)})
+    else:
+        data = sgd_config(tmp_path / "o", regression={"path": str(source)})
+    assert main(["run", write_config(tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {source}")
 
 
 def test_cli_check_evi_exits_zero(tmp_path, capsys):

@@ -63,13 +63,15 @@ def test_bellman_single_action_is_affine(ref_mdp2):
 def test_reference_fixed_point_matches_linear_solve(ref_mdp2):
     oracle = linear_system_fixed_point(ref_mdp2)
     assert np.allclose(oracle, [2.0, 4.0], rtol=0, atol=1e-14)
-    v = itrop.solve_exact(ref_mdp2, "value", tol=1e-10)
+    v, sweeps, moved = itrop.solve_exact(ref_mdp2, "value", tol=1e-10)
     assert np.max(np.abs(v - oracle)) <= 1e-10
+    # the last step met the stopping rule tol * (1 - discount) / discount = tol
+    assert sweeps >= 1 and 0.0 <= moved <= 1e-10
 
 
 def test_q_fixed_point_consistent_with_value(ref_mdp2):
-    q = itrop.solve_exact(ref_mdp2, "q", tol=1e-10)
-    v = itrop.solve_exact(ref_mdp2, "value", tol=1e-10)
+    q, _, _ = itrop.solve_exact(ref_mdp2, "q", tol=1e-10)
+    v, _, _ = itrop.solve_exact(ref_mdp2, "value", tol=1e-10)
     assert q.shape == (2, 1)
     assert np.max(np.abs(q.min(axis=1) - v)) <= 1e-9
     # q* is a fixed point of the exact Q sweep
@@ -79,7 +81,7 @@ def test_q_fixed_point_consistent_with_value(ref_mdp2):
 def test_solve_exact_tolerance_semantics(ref_mdp2):
     oracle = linear_system_fixed_point(ref_mdp2)
     for tol in (1e-4, 1e-8, 1e-12):
-        v = itrop.solve_exact(ref_mdp2, "value", tol=tol)
+        v, _, _ = itrop.solve_exact(ref_mdp2, "value", tol=tol)
         assert np.max(np.abs(v - oracle)) <= tol
 
 
@@ -111,9 +113,9 @@ def test_empirical_bellman_equals_exact_on_deterministic_kernel(n):
     model = deterministic_mdp()
     v = np.array([0.1, -2.0, 3.7])
     exact = itrop.bellman_apply(model, v)
+    factory = itrop.empirical_bellman_factory(model, n)
     for t in range(5):
-        out = itrop.empirical_bellman_apply(model, v, n, itrop.RngStream(8).child(t))
-        assert np.array_equal(out, exact)
+        assert np.array_equal(factory.realize(itrop.RngStream(8).child(t))(v), exact)
 
 
 @pytest.mark.parametrize("n", [1, 4, 100])
@@ -121,8 +123,8 @@ def test_empirical_q_equals_exact_on_deterministic_kernel(n):
     model = deterministic_mdp()
     q = np.array([[0.3, 1.0], [-0.5, 0.1], [2.0, 0.0]])
     exact = itrop.q_apply(model, q)
-    out = itrop.empirical_q_apply(model, q, n, itrop.RngStream(8).child(0))
-    assert np.array_equal(out, exact)
+    realization = itrop.empirical_q_factory(model, n).realize(itrop.RngStream(8).child(0))
+    assert np.array_equal(realization(q.ravel()), exact.ravel())
 
 
 @pytest.mark.parametrize("n", [3, 100])
@@ -179,8 +181,8 @@ def test_alias_sampler_frequencies_match_rows():
 def test_empirical_bellman_same_stream_shares_draws(mdp20):
     v = np.linspace(0.0, 2.0, 20)
     s = itrop.RngStream(3).child(1)
-    assert np.array_equal(itrop.empirical_bellman_apply(mdp20, v, 7, s),
-                          itrop.empirical_bellman_apply(mdp20, v, 7, s))
+    factory = itrop.empirical_bellman_factory(mdp20, 7)
+    assert np.array_equal(factory.realize(s)(v), factory.realize(s)(v))
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,30 +213,30 @@ def test_empirical_q_realizations_contract(mdp20, w1, w2, trial):
 
 
 def test_empirical_bellman_monotone_under_coupling(mdp20):
+    factory = itrop.empirical_bellman_factory(mdp20, 4)
     rng = np.random.default_rng(0)
     for t in range(200):
         lo = rng.uniform(0.0, 2.0, 20)
         hi = lo + rng.uniform(0.0, 1.0, 20) * (rng.random(20) < 0.5)
         s = itrop.RngStream(21).child(t)
-        f_lo = itrop.empirical_bellman_apply(mdp20, lo, 4, s)
-        f_hi = itrop.empirical_bellman_apply(mdp20, hi, 4, s)
-        assert np.all(f_lo <= f_hi)
+        f = factory.realize(s)
+        assert np.all(f(lo) <= f(hi))
 
 
 def test_empirical_bellman_zero_start_grows(mdp20):
     # costs are nonnegative, so one sampled sweep from 0 cannot go below 0
+    factory = itrop.empirical_bellman_factory(mdp20, 4)
     for t in range(100):
-        out = itrop.empirical_bellman_apply(mdp20, np.zeros(20), 4,
-                                            itrop.RngStream(22).child(t))
-        assert np.all(out >= 0.0)
+        assert np.all(factory.realize(itrop.RngStream(22).child(t))(np.zeros(20)) >= 0.0)
 
 
 def test_empirical_bellman_stays_in_absorbing_ball(mdp20):
     bound = np.max(mdp20.cost) / (1.0 - mdp20.discount)
+    factory = itrop.empirical_bellman_factory(mdp20, 3)
     rng = np.random.default_rng(1)
     for t in range(100):
         v = rng.uniform(-bound, bound, 20)
-        out = itrop.empirical_bellman_apply(mdp20, v, 3, itrop.RngStream(23).child(t))
+        out = factory.realize(itrop.RngStream(23).child(t))(v)
         assert np.max(np.abs(out)) <= bound * (1.0 + 1e-12)
 
 
@@ -243,9 +245,10 @@ def test_empirical_bellman_jensen_direction(mdp20):
     v = np.linspace(0.0, 3.0, 20)
     exact = itrop.bellman_apply(mdp20, v)
     trials = 3000
+    factory = itrop.empirical_bellman_factory(mdp20, 2)
     acc = np.zeros((trials, 20))
     for t in range(trials):
-        acc[t] = itrop.empirical_bellman_apply(mdp20, v, 2, itrop.RngStream(24).child(t))
+        acc[t] = factory.realize(itrop.RngStream(24).child(t))(v)
     mean = acc.mean(axis=0)
     se = acc.std(axis=0, ddof=1) / math.sqrt(trials)
     assert np.all(mean <= exact + 3.0 * se)
@@ -299,8 +302,9 @@ def tail_frequency(model, v, eps, n, trials, stream):
     """Fraction of sampled sweeps at sup-distance > eps from the exact sweep,
     with a binomial standard error floored at one hit."""
     exact = itrop.bellman_apply(model, v)
-    hits = sum(np.max(np.abs(itrop.empirical_bellman_apply(model, v, n, stream.child(t))
-                             - exact)) > eps for t in range(trials))
+    factory = itrop.empirical_bellman_factory(model, n)
+    hits = sum(np.max(np.abs(factory.realize(stream.child(t))(v) - exact)) > eps
+               for t in range(trials))
     freq = hits / trials
     return freq, math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
 

@@ -355,16 +355,17 @@ def test_contraction_coefficient_unit_boundary():
 # ---------------------------------------------------------------- reference solve
 
 def test_reference_minimizer_has_small_gradient(logistic_problem):
-    x = itrop.solve_reference_minimizer(logistic_problem, tol=1e-8)
-    assert float(np.linalg.norm(itrop.gradient(logistic_problem, x))) <= 1e-8
+    x, steps, gnorm = itrop.solve_reference_minimizer(logistic_problem, tol=1e-8)
+    assert gnorm == float(np.linalg.norm(itrop.gradient(logistic_problem, x))) <= 1e-8
+    assert 1 <= steps <= 50
     # fixed point of the exact GD step, up to beta * tol
     op = itrop.exact_gd_operator(logistic_problem)
     assert np.linalg.norm(op.apply(x) - x) <= logistic_problem.beta * 1e-8
 
 
 def test_reference_minimizer_tolerances_agree(logistic_problem):
-    loose = itrop.solve_reference_minimizer(logistic_problem, tol=1e-6)
-    tight = itrop.solve_reference_minimizer(logistic_problem, tol=1e-10)
+    loose, _, _ = itrop.solve_reference_minimizer(logistic_problem, tol=1e-6)
+    tight, _, _ = itrop.solve_reference_minimizer(logistic_problem, tol=1e-10)
     # strong convexity: ||x - x*|| <= ||grad(x)|| / lam
     gap = (1e-6 + 1e-10) / logistic_problem.lam
     assert np.linalg.norm(loose - tight) <= gap
@@ -384,7 +385,7 @@ def test_reference_minimizer_validation(logistic_problem, poisson_problem):
 def test_reference_minimizer_agrees_with_gradient_descent(request, fixture):
     problem = request.getfixturevalue(fixture)
     tol = 1e-8
-    x = itrop.solve_reference_minimizer(problem, tol=tol)
+    x, _, _ = itrop.solve_reference_minimizer(problem, tol=tol)
     # oracle: the exact GD step at beta = 1/upper, iterated to the same tolerance
     op = itrop.exact_gd_operator(problem)
     y = np.zeros(problem.dataset.dim)
@@ -406,7 +407,7 @@ def test_reference_solve_with_a_wrong_gradient_fails_the_certificate(
                         lambda problem, x, subset=None: true_gradient(problem, x, subset)
                         + offset)
     try:
-        x = itrop.solve_reference_minimizer(logistic_problem, tol=1e-8)
+        x, _, _ = itrop.solve_reference_minimizer(logistic_problem, tol=1e-8)
     except NonConvergenceError:
         return
     assert np.linalg.norm(true_gradient(logistic_problem, x)) > 1e-8
