@@ -4,12 +4,12 @@ assumptions under which randomized fixed-point iteration is trustworthy."""
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import core
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
                    RandomOperatorFactory, RngStream, as_point,
                    iterate_ensemble, read_text, row_norm, write_atomic)
@@ -212,37 +212,39 @@ def ensemble(curves) -> EnsembleSummary:
                            count=runs)
 
 
-def _by_trial(trials: int, block_bytes: int, stat) -> np.ndarray:
-    """stat(runs) for trials 0..trials-1, trial t being run t of the checker's
-    streams; rows stacked in trial order.
+def _per_trial(factory: RandomOperatorFactory, layers: list, trials: int, width: int,
+               start, stat) -> np.ndarray:
+    """stat(points, images) for trials 0..trials-1, rows stacked in trial order.
 
-    Trials are drawn in chunks of consecutive runs, at least one, and each
-    chunk is reduced by stat before the next is drawn.  A trial holds about
-    four blocks of its points (block_bytes each): the points, their images
-    and the differences its statistic takes, which a chunk keeps under
-    CHUNK_BYTES.
+    Trial t is run t: points = start(runs) is the (m, width, d) block of the
+    trials' points, and images is that block moved by each run's realization
+    from every stream of layers in turn.  Trials go in chunks of
+    factory.chunk(width) runs, drawn by factory.draws (every layer of a chunk
+    before the next chunk), and each chunk is reduced by stat as it comes out.
     """
-    chunk = max(1, core.CHUNK_BYTES // (4 * block_bytes))
-    return np.concatenate([stat(np.arange(lo, min(lo + chunk, trials)))
-                           for lo in range(0, trials, chunk)])
+    size = factory.chunk(width)
+    chunks = [np.arange(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    rows = []
+    with closing(factory.draws((layer, runs) for runs in chunks for layer in layers)) as drawn:
+        for runs in chunks:
+            points = images = start(runs)
+            for _ in layers:
+                images = factory.move(next(drawn), images)
+            rows.append(stat(points, images))
+    return np.concatenate(rows)
 
 
-def _images(factory: RandomOperatorFactory, stream: RngStream, runs: np.ndarray,
-            points: np.ndarray) -> np.ndarray:
-    """Row i of the (m, P, d) block points moved by run runs[i]'s realization;
-    a (P, d) block is moved by every run."""
-    block = np.broadcast_to(points, (runs.size,) + points.shape[-2:])
-    return np.asarray(factory.step(stream, runs, block), dtype=np.float64)
+def _shared(points: np.ndarray):
+    """start() for trials that all move the same (P, d) points."""
+    return lambda runs: np.broadcast_to(points, (runs.size,) + points.shape)
 
 
 def _exceedances(factory: RandomOperatorFactory, grid: np.ndarray, exact: np.ndarray,
                  eps: float, trials: int, stream: RngStream, norm: str) -> np.ndarray:
     """(trials, G) flags: trial t's image of grid point g lies farther than
     eps from exact[g], the grid being moved by run t of stream."""
-    def flags(runs):
-        return row_norm(_images(factory, stream, runs, grid) - exact, norm) > eps
-
-    return _by_trial(trials, grid.nbytes, flags)
+    return _per_trial(factory, [stream], trials, len(grid), _shared(grid),
+                      lambda _, images: row_norm(images - exact, norm) > eps)
 
 
 def _monotone_gaps(factory: RandomOperatorFactory, x0: np.ndarray, pairs: np.ndarray,
@@ -251,12 +253,11 @@ def _monotone_gaps(factory: RandomOperatorFactory, x0: np.ndarray, pairs: np.nda
     column 0 is max(x0 - f(x0)), column 1 + j is max(f(lo_j) - f(hi_j))."""
     points = np.concatenate([x0[None], pairs.reshape(-1, x0.size)])
 
-    def gaps(runs):
-        images = _images(factory, stream, runs, points)
+    def gaps(_, images):
         return np.concatenate([np.max(x0 - images[:, :1], axis=2),
                                np.max(images[:, 1::2] - images[:, 2::2], axis=2)], axis=1)
 
-    return _by_trial(trials, points.nbytes, gaps)
+    return _per_trial(factory, [stream], trials, len(points), _shared(points), gaps)
 
 
 def _draw_pairs(box: Box, rng: np.random.Generator, pair_count: int) -> np.ndarray:
@@ -279,21 +280,19 @@ def _lipschitz_samples(factory: RandomOperatorFactory, depth: int, pair_count: i
         raise ConfigurationError("pair_count must be >= 2")
     if trials < 2:
         raise ConfigurationError("trials must be >= 2")
-    layers = [stream.child(j) for j in range(depth)]
     pair_stream = stream.child(depth)
 
-    def max_ratios(runs):
-        pairs = np.stack([_draw_pairs(box, rng, pair_count)
-                          for rng in pair_stream.generators(runs)])
-        images = pairs.reshape(runs.size, 2 * pair_count, box.dim)
-        for layer in layers:
-            images = _images(factory, layer, runs, images)
-        images = images.reshape(pairs.shape)
-        ratios = (row_norm(images[:, :, 0] - images[:, :, 1], norm)
-                  / row_norm(pairs[:, :, 0] - pairs[:, :, 1], norm))
+    def pairs(runs):
+        return np.stack([_draw_pairs(box, rng, pair_count).reshape(-1, box.dim)
+                         for rng in pair_stream.generators(runs)])
+
+    def max_ratios(points, images):
+        ratios = (row_norm(images[:, 0::2] - images[:, 1::2], norm)
+                  / row_norm(points[:, 0::2] - points[:, 1::2], norm))
         return np.fmax.reduce(ratios, axis=1, initial=0.0)
 
-    return _by_trial(trials, 2 * 8 * pair_count * box.dim, max_ratios)
+    return _per_trial(factory, [stream.child(j) for j in range(depth)], trials,
+                      2 * pair_count, pairs, max_ratios)
 
 
 def check_sup_probability(op: ExactOperatorHandle,

@@ -19,8 +19,9 @@ DIVERGENCE_LIMIT = 1e12
 
 NORMS = ("l2", "sup")
 
-# A block realization draws and applies the runs of one step in chunks whose
-# temporaries stay under this many bytes, so memory does not grow with R.
+# The engine, step and the checkers draw and move runs in chunks whose
+# temporaries stay under this many bytes (RandomOperatorFactory.chunk), so
+# memory does not grow with the runs or trials.
 CHUNK_BYTES = 1 << 20
 
 
@@ -119,25 +120,22 @@ class RngStream:
         """The same lineage, read for another run."""
         return replace(self, run=int(run))
 
-    def _bits(self) -> np.random.PCG64:
-        return np.random.PCG64(np.random.SeedSequence(self.master_seed,
-                                                      spawn_key=self.lineage))
-
     @cached_property
-    def _start(self) -> tuple[dict, dict[int, np.random.PCG64]]:
+    def _start(self) -> tuple[np.random.SeedSequence, dict, dict[int, np.random.PCG64]]:
         # One derivation per stream object: the chunks and runs of a step
         # restore this state instead of deriving the lineage again, each
         # thread into a bit generator of its own (keyed by thread id).
-        bits = self._bits()
-        return bits.state, {threading.get_ident(): bits}
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=self.lineage)
+        bits = np.random.PCG64(seq)
+        return seq, bits.state, {threading.get_ident(): bits}
 
     def _bits_at(self, offset: int) -> np.random.PCG64:
         """This thread's bit generator for the stream, `offset` draws into
         the lineage's stream."""
-        start, per_thread = self._start
+        seq, start, per_thread = self._start
         bits = per_thread.get(threading.get_ident())
         if bits is None:
-            bits = per_thread.setdefault(threading.get_ident(), self._bits())
+            bits = per_thread.setdefault(threading.get_ident(), np.random.PCG64(seq))
         bits.state = start
         if offset:
             bits.advance(offset)
@@ -149,7 +147,8 @@ class RngStream:
         Run r reads the r-th region of 2^64 draws, so any number of draws
         per run stays disjoint from the other runs.
         """
-        bits = self._bits()
+        bits = np.random.PCG64(np.random.SeedSequence(self.master_seed,
+                                                      spawn_key=self.lineage))
         if self.run:
             bits.advance(self.run << 64)
         return np.random.Generator(bits)
@@ -189,79 +188,103 @@ class ExactOperatorHandle:
 
 @dataclass(frozen=True)
 class RandomOperatorFactory:
-    """Factory of i.i.d. random approximations of an exact operator; built by
-    block_factory.
-
-    realize(stream) draws one realization, the one that run stream.run reads
-    from stream: a deterministic map of any (..., dimension) array of points
-    to one of the same shape, every row moved with the same drawn randomness.
-    sample_size is the number of per-step samples the realization averages.
+    """Factory of i.i.d. random approximations of an exact operator.
 
     A realization is draw followed by move.  draw(stream, runs) draws the
     randomness of the given runs' realizations from stream, and
     move(draws, Z) moves row i of the (m, P, d) block Z with the draws of
     runs[i].  row_bytes bounds the temporaries of one run moving one point,
     and point_bytes those of each further point.  draws_ahead says that
-    draw releases the GIL and returns an array with one row per run, so the
-    engine may draw coming chunks on worker threads (see iterate_ensemble).
+    draw releases the GIL and returns an array with one row per run, so
+    draws() may draw coming chunks on worker threads.  sample_size is the
+    number of per-step samples a realization averages.
+
+    realize(stream) draws one realization, the one that run stream.run reads
+    from stream: a deterministic map of any (..., dimension) array of points
+    to one of the same shape, every row moved with the same drawn randomness.
+    When not given it is draw and move with m = 1, so a realization, the
+    engine's (m, d) step (P = 1) and the checkers' (m, P, d) trials all run
+    the same move.
     """
 
     sample_size: int
-    realize: Callable[[RngStream], Callable[[np.ndarray], np.ndarray]]
     dimension: int
     draw: Callable[[RngStream, np.ndarray], object]
     move: Callable[[object, np.ndarray], np.ndarray]
     row_bytes: int
     point_bytes: int
     draws_ahead: bool = False
+    realize: Callable[[RngStream], Callable[[np.ndarray], np.ndarray]] | None = None
+
+    def __post_init__(self):
+        # derived when not given, and derived anew when replace() copies it
+        if (self.realize is None
+                or getattr(self.realize, "__func__", None) is RandomOperatorFactory._realize):
+            object.__setattr__(self, "realize", self._realize)
+
+    def _realize(self, stream: RngStream):
+        drawn = self.draw(stream, np.array([stream.run]))
+
+        def apply(x):
+            x = np.asarray(x, dtype=np.float64)
+            if x.shape[-1:] != (self.dimension,):
+                raise ConfigurationError(f"points must have shape (..., {self.dimension}), "
+                                         f"got {x.shape}")
+            return self.move(drawn, x.reshape(1, -1, self.dimension)).reshape(x.shape)
+
+        return apply
 
     def chunk(self, points: int = 1) -> int:
         """Runs drawn and moved at once when each run moves `points` points:
         as many as keep the temporaries under CHUNK_BYTES, at least one."""
         return max(1, CHUNK_BYTES // (self.row_bytes + (points - 1) * self.point_bytes))
 
+    def draws(self, plan) -> Iterator:
+        """draw(stream, runs) for each (stream, runs) chunk of plan, in plan order.
+
+        Draws do not depend on the points they move, so when the factory
+        draws_ahead and more than one CPU is usable, one worker thread per
+        usable CPU draws the coming chunks while the caller moves the one
+        yielded; each worker holds at most one chunk drawn ahead.  Otherwise
+        a chunk is drawn on the calling thread when it is reached.  The plan
+        is read ahead as far as the draws are.  Closing the generator cancels
+        the draws not yet started and waits for the running ones.
+        """
+        workers = _usable_cpus() if self.draws_ahead else 0
+        if workers < 2:
+            for stream, runs in plan:
+                yield self.draw(stream, runs)
+            return
+        pool = ThreadPoolExecutor(workers, "itrop-draw")
+        pending = deque()
+        try:
+            for stream, runs in plan:
+                pending.append(pool.submit(self.draw, stream, runs))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     def step(self, stream: RngStream, runs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The block whose row i is realize(stream.for_run(runs[i]))(Z[i]),
         bitwise.  Z is (m, d), one point per run, or (m, P, d), a block of P
-        points per run (the checkers' trials).  runs must be ascending, as in
-        iterate_ensemble."""
+        points per run.  runs must be ascending, as in iterate_ensemble; the
+        runs are drawn and moved in chunks (see draws)."""
         runs = _check_runs(runs)
-        block = z.reshape(len(z), -1, self.dimension)
-        chunk = self.chunk(block.shape[1])
-        if runs.size <= chunk:
-            return self.move(self.draw(stream, runs), block).reshape(z.shape)
+        z = np.asarray(z, dtype=np.float64)
+        if z.ndim not in (2, 3) or len(z) != runs.size or z.shape[-1] != self.dimension:
+            raise ConfigurationError(f"points must have shape ({runs.size}, [P,] "
+                                     f"{self.dimension}), got {z.shape}")
+        block = z.reshape(runs.size, -1, self.dimension)
+        size = self.chunk(block.shape[1])
+        parts = [slice(lo, lo + size) for lo in range(0, runs.size, size)]
         out = np.empty(block.shape)
-        for lo in range(0, runs.size, chunk):
-            part = slice(lo, lo + chunk)
-            out[part] = self.move(self.draw(stream, runs[part]), block[part])
+        with closing(self.draws((stream, runs[part]) for part in parts)) as drawn:
+            for part, d in zip(parts, drawn):
+                out[part] = self.move(d, block[part])
         return out.reshape(z.shape)
-
-
-def block_factory(sample_size: int, dimension: int, draw, move, row_bytes: int,
-                  point_bytes: int, draws_ahead: bool = False) -> RandomOperatorFactory:
-    """Factory whose realizations are draw(stream, runs), the runs' draws from
-    stream, followed by move(draws, Z), which moves row i of the (m, P, d)
-    block Z with the draws of runs[i].  The engine's (m, d) step is P = 1 and
-    a realization is m = 1, so both run the same move.  The byte bounds and
-    draws_ahead are those of RandomOperatorFactory.
-    """
-
-    def realize(stream: RngStream):
-        drawn = draw(stream, np.array([stream.run]))
-
-        def apply(x):
-            x = np.asarray(x, dtype=np.float64)
-            if x.shape[-1:] != (dimension,):
-                raise ConfigurationError(f"points must have shape (..., {dimension}), "
-                                         f"got {x.shape}")
-            return move(drawn, x.reshape(1, -1, dimension)).reshape(x.shape)
-
-        return apply
-
-    return RandomOperatorFactory(sample_size=sample_size, realize=realize,
-                                 dimension=dimension, draw=draw, move=move,
-                                 row_bytes=row_bytes, point_bytes=point_bytes,
-                                 draws_ahead=draws_ahead)
 
 
 def _check_runs(runs) -> np.ndarray:
@@ -312,38 +335,6 @@ def iterate_exact(op: ExactOperatorHandle, y0, num_steps: int) -> np.ndarray:
     return out
 
 
-def _drawn_chunks(draw, planned, workers: int):
-    """(k, alive, part, draw(stream, part)) for each planned
-    (k, stream, alive, part, last), in plan order.
-
-    With workers, the next `workers` chunks are drawn on worker threads
-    while the caller works on the one yielded, so at most one drawn-ahead
-    chunk is held per worker; without, a chunk is drawn on the calling
-    thread when it is reached.  Closing the generator cancels the draws not
-    yet started and waits for the running ones.
-    """
-    if not workers:
-        for k, s, alive, part, last in planned:
-            yield k, alive, part, last, draw(s, part)
-        return
-    pool = ThreadPoolExecutor(workers, "itrop-draw")
-    pending = deque()
-
-    def take():
-        k, alive, part, last, job = pending.popleft()
-        return k, alive, part, last, job.result()
-
-    try:
-        for k, s, alive, part, last in planned:
-            pending.append((k, alive, part, last, pool.submit(draw, s, part)))
-            if len(pending) > workers:
-                yield take()
-        while pending:
-            yield take()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
                      stream: RngStream, runs, visit) -> dict[int, int]:
     """Move the given runs of the randomized orbit from z0 as one (m, d) block.
@@ -355,33 +346,34 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     points.  A run whose point leaves the trusted range is dropped; the
     result maps each dropped run to the step where that happened.
 
-    A step draws and moves its runs in chunks (RandomOperatorFactory.chunk).
-    Draws do not depend on the orbit, so when the factory draws_ahead and
-    more than one CPU is usable, one worker thread per usable CPU draws the
-    chunks of coming steps while this thread moves the current one.  The
-    orbits are the same bytes for any number of CPUs.
+    A step draws and moves its runs in chunks (RandomOperatorFactory.chunk),
+    drawn by factory.draws, so multinomial chunks of coming steps are drawn
+    ahead while this thread moves the current one.  The orbits are the same
+    bytes for any number of CPUs.
     """
     z0 = _check_start(z0, factory.dimension, num_steps)
     runs = _check_runs(runs)
     size = factory.chunk()
-    workers = _usable_cpus() if factory.draws_ahead else 0
     z = np.tile(z0, (runs.size, 1))
     visit(0, runs, z)
     dropped: dict[int, int] = {}
+    planned = deque()  # (k, alive, part, last) of each chunk drawn and not yet moved
 
-    def planned():
+    def plan():
         # a step's chunks split the runs alive when its first chunk is
         # planned; drawing ahead, that is before the step ahead of it ends,
         # so a chunk may hold runs that have dropped since
         for k in range(1, num_steps + 1):
             s, alive = stream.child(k - 1), runs
             for lo in range(0, alive.size, size):
-                yield k, s, alive, alive[lo:lo + size], lo + size >= alive.size
+                part = alive[lo:lo + size]
+                planned.append((k, alive, part, lo + size >= alive.size))
+                yield s, part
 
     pieces, filled = [], 0
-    with closing(_drawn_chunks(factory.draw, planned(),
-                               workers if workers > 1 else 0)) as chunks:
-        for k, alive, part, last, drawn in chunks:
+    with closing(factory.draws(plan())) as chunks:
+        for drawn in chunks:
+            k, alive, part, last = planned.popleft()
             if alive is not runs:
                 keep = np.isin(part, runs, assume_unique=True)
                 part, drawn = part[keep], drawn[keep]

@@ -122,13 +122,15 @@ class MdpSpec:
 
 @dataclass(frozen=True)
 class RegressionSpec:
-    """Where the dataset comes from plus loss and step-size parameters."""
+    """Where the dataset comes from plus loss family ("logistic" or
+    "poisson") and step-size parameters."""
 
+    family: str
+    lam: float                         # "lambda", by default 5 (logistic) or 1 (poisson)
     path: str | None = None
     num_samples: int = 1000
     dim: int = 20
     seed: int = 0
-    lam: float | None = None           # default depends on the family
     beta: float | str = "auto"         # "auto" resolves to 1 / upper curvature bound
     sampling: str = "with_replacement"
     region_radius: float = 1.0
@@ -137,7 +139,7 @@ class RegressionSpec:
     _PARAM_KEYS = {"lambda", "beta", "sampling", "region_radius"}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RegressionSpec":
+    def from_dict(cls, data: dict, family: str) -> "RegressionSpec":
         _require(isinstance(data, dict), "'regression' must be an object")
         if "path" in data:
             _check_keys(data, {"path"} | cls._PARAM_KEYS, "regression")
@@ -148,10 +150,8 @@ class RegressionSpec:
             source = {"num_samples": _int_field(data, "num_samples", default=1000, minimum=1),
                       "dim": _int_field(data, "dim", default=20, minimum=2),
                       "seed": _int_field(data, "seed", default=0, minimum=0)}
-        lam = None
-        if "lambda" in data:
-            lam = _float_field(data, "lambda")
-            _require(lam >= 0, "'regression.lambda' must be >= 0")
+        lam = _float_field(data, "lambda", default=5.0 if family == "logistic" else 1.0)
+        _require(lam >= 0, "'regression.lambda' must be >= 0")
         beta = data.get("beta", "auto")
         if beta != "auto":
             _require(isinstance(beta, (int, float)) and not isinstance(beta, bool)
@@ -162,24 +162,18 @@ class RegressionSpec:
                  f"'regression.sampling' invalid: {sampling!r}")
         radius = _float_field(data, "region_radius", default=1.0)
         _require(radius > 0, "'regression.region_radius' must be positive")
-        return cls(lam=lam, beta=beta, sampling=sampling,
+        return cls(family=family, lam=lam, beta=beta, sampling=sampling,
                    region_radius=radius, **source)
 
-    def resolved_lam(self, family: str) -> float:
-        if self.lam is not None:
-            return self.lam
-        return 5.0 if family == "logistic" else 1.0
-
-    def build(self, family: str) -> tuple[RegressionProblem, EigenBounds | None]:
+    def build(self) -> tuple[RegressionProblem, EigenBounds | None]:
         """The problem and its curvature bounds; lam == 0 gives none (no
         contraction certificate), which beta "auto" cannot resolve."""
         if self.path is not None:
-            dataset = load_csv_dataset(self.path, family)
+            dataset = load_csv_dataset(self.path, self.family)
         else:
-            dataset = synth_dataset(self.num_samples, self.dim, family, self.seed)
+            dataset = synth_dataset(self.num_samples, self.dim, self.family, self.seed)
         auto = self.beta == "auto"
-        problem = RegressionProblem(dataset=dataset, family=family,
-                                    lam=self.resolved_lam(family),
+        problem = RegressionProblem(dataset=dataset, family=self.family, lam=self.lam,
                                     beta=1.0 if auto else self.beta)
         if problem.lam == 0.0 and not auto:
             return problem, None
@@ -188,10 +182,10 @@ class RegressionSpec:
             problem = replace(problem, beta=1.0 / bounds.upper)
         return problem, bounds
 
-    def to_dict(self, family: str) -> dict:
+    def to_dict(self) -> dict:
         source = ({"path": self.path} if self.path is not None
                   else {"num_samples": self.num_samples, "dim": self.dim, "seed": self.seed})
-        return {**source, "lambda": self.resolved_lam(family), "beta": self.beta,
+        return {**source, "lambda": self.lam, "beta": self.beta,
                 "sampling": self.sampling, "region_radius": self.region_radius}
 
 
@@ -270,7 +264,8 @@ class ExperimentConfig:
             mdp_spec = MdpSpec.from_dict(data.get("mdp", {}))
         else:
             _require("mdp" not in data, "'mdp' is not valid for regression families")
-            reg_spec = RegressionSpec.from_dict(data.get("regression", {}))
+            reg_spec = RegressionSpec.from_dict(data.get("regression", {}),
+                                                family.split("-")[-1])
 
         output_dir = data.get("output_dir", "out")
         _require(isinstance(output_dir, str) and output_dir, "'output_dir' must be a string")
@@ -328,7 +323,7 @@ class ExperimentConfig:
         if self.mdp is not None:
             out["mdp"] = self.mdp.to_dict()
         if self.regression is not None:
-            out["regression"] = self.regression.to_dict(self.family_name().split("-")[-1])
+            out["regression"] = self.regression.to_dict()
         return out
 
 
@@ -375,8 +370,7 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
         return FamilyBundle(op=op, factory_for=factory_for, target=target,
                             x0=np.zeros(op.dimension), norm="sup", solve=solve)
 
-    family = name.split("-")[-1]
-    problem, bounds = config.regression.build(family)
+    problem, bounds = config.regression.build()
     op = exact_gd_operator(problem, bounds)
     if need_target:
         target, steps, gnorm = solve_reference_minimizer(problem, tol=1e-8)

@@ -10,8 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, block_factory, read_text,
-                   write_atomic)
+                   RandomOperatorFactory, RngStream, read_text, write_atomic)
 
 _ROW_SUM_TOL = 1e-12
 
@@ -202,8 +201,8 @@ def _empirical_factory(model: MdpModel, sample_size: int, kind: str) -> RandomOp
     if alias:
         row_bytes += 6 * 8 * s * a * sample_size  # per-sample temporaries
     point_bytes = 3 * 8 * s * a  # each further point's product, its sum and image
-    # numpy's multinomial releases the GIL, so the engine may draw it ahead
-    return block_factory(
+    # numpy's multinomial releases the GIL, so its chunks may be drawn ahead
+    return RandomOperatorFactory(
         sample_size, s if kind == "value" else s * a,
         draw=lambda stream, runs: _empirical_kernels(model, sample_size, stream, runs),
         move=lambda kernels, z: _sweep(model, kind, kernels, z),

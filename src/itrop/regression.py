@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, block_factory, read_text,
-                   write_atomic)
+                   RandomOperatorFactory, RngStream, read_text, write_atomic)
 
 FAMILIES = ("logistic", "poisson")
 SAMPLING_MODES = ("with_replacement", "without_replacement")
@@ -224,9 +223,9 @@ def sgd_factory(problem: RegressionProblem, batch_size: int,
     # per run: the gathered rows, t, residual and batch temporaries, the draws;
     # per further point: its t, link and residual, and its gradient temporaries
     d = problem.dataset.dim
-    return block_factory(batch_size, d, draw, move,
-                         row_bytes=8 * (batch_size * (d + 4) + width),
-                         point_bytes=8 * (3 * batch_size + 4 * d))
+    return RandomOperatorFactory(batch_size, d, draw, move,
+                                 row_bytes=8 * (batch_size * (d + 4) + width),
+                                 point_bytes=8 * (3 * batch_size + 4 * d))
 
 
 def eigen_bounds(problem: RegressionProblem, region_radius: float = 1.0) -> EigenBounds:

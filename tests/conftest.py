@@ -1,3 +1,6 @@
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
@@ -41,8 +44,8 @@ def block_fake(dim: int, move, draw=lambda stream, runs: runs,
                sample_size: int = 1) -> itrop.RandomOperatorFactory:
     """A test factory: a step draws draw(stream, runs) (by default the run
     indices themselves) and moves the (m, P, d) block Z by move(draws, Z)."""
-    return itrop.block_factory(sample_size, dim, draw, move,
-                               row_bytes=8 * dim, point_bytes=8 * dim)
+    return itrop.RandomOperatorFactory(sample_size, dim, draw, move,
+                                       row_bytes=8 * dim, point_bytes=8 * dim)
 
 
 def normal_draws(size):
@@ -61,3 +64,19 @@ def make_shift_factory(dim: int, scale: float = 1.0,
     """An isometry-valued random operator: x -> x + (random shift)."""
     return block_fake(dim, lambda shifts, z: z + scale * shifts[:, None],
                       draw=normal_draws(dim), sample_size=sample_size)
+
+
+def on_cpus(monkeypatch, cpus):
+    """Make `cpus` CPUs look usable to the draw-ahead choice."""
+    monkeypatch.setattr(itrop.core, "_usable_cpus", lambda: cpus)
+
+
+def draw_threads(factory):
+    """factory whose draws record the name of the thread that ran them."""
+    names = []
+
+    def draw(stream, runs):
+        names.append(threading.current_thread().name)
+        return factory.draw(stream, runs)
+
+    return dataclasses.replace(factory, draw=draw), names

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import itrop
-from conftest import block_fake, make_halving_factory, make_shift_factory, normal_draws
+from conftest import (block_fake, draw_threads, make_halving_factory, make_shift_factory,
+                      normal_draws, on_cpus)
 from itrop.core import ConfigurationError
 
 point_lists = st.lists(st.floats(-10, 10), min_size=3, max_size=3)
@@ -611,6 +613,53 @@ def test_checker_trial_t_is_run_t_realized_alone(mdp20, logistic_problem, name):
             ratios = (itrop.row_norm(after[:, 0] - after[:, 1], norm)
                       / itrop.row_norm(before[:, 0] - before[:, 1], norm))
             assert values[key][t] == np.max(ratios)
+
+
+def check_reports(mdp20, traced, sizes=(5, 400), trials=100):
+    """The four checkers on mdp20 at the given sample sizes, each factory's
+    draws recorded by thread; (reports as JSON, thread names per size)."""
+    names = {}
+    factories = []
+    for n in sizes:
+        factory, names[n] = traced(itrop.empirical_bellman_factory(mdp20, n))
+        factories.append(factory)
+    op, stream, box = itrop.bellman_operator(mdp20), itrop.RngStream(98), unit_box(20)
+    grid = box.sample(np.random.default_rng(99), 3)
+    pairs = np.sort(box.sample(np.random.default_rng(100), (4, 2)), axis=1)
+    reports = [itrop.check_sup_probability(op, factories, grid, 0.25, trials, stream.child(0),
+                                           "sup")]
+    for i, factory in enumerate(factories):
+        reports += [
+            itrop.check_monotone(factory, np.zeros(20), pairs, trials, stream.child(1, i)),
+            itrop.check_contraction_log(factory, 4, trials, box, stream.child(2, i), "sup"),
+            itrop.check_composite_lipschitz(factory, 2, 4, trials, box, stream.child(3, i)),
+        ]
+    return json.dumps([r.to_dict() for r in reports], sort_keys=True), names
+
+
+@pytest.mark.parametrize("chunk_bytes", [1 << 20, 1])
+def test_checker_reports_are_the_same_bytes_on_one_and_two_cpus(mdp20, monkeypatch,
+                                                                 chunk_bytes):
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", chunk_bytes)
+    reports = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        reports[cpus], names = check_reports(mdp20, draw_threads)
+        # the multinomial rung draws ahead on two CPUs, the alias rung never
+        assert {name.startswith("itrop-draw") for name in names[400]} == {cpus > 1}
+        assert set(names[5]) == {threading.current_thread().name}
+    assert reports[1] == reports[2]
+    assert not [t for t in threading.enumerate() if t.name.startswith("itrop-draw")]
+
+
+def test_sgd_checks_draw_on_the_calling_thread(logistic_problem, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    for sampling in ("with_replacement", "without_replacement"):
+        factory, names = draw_threads(itrop.sgd_factory(logistic_problem, 8, sampling))
+        box = unit_box(factory.dimension)
+        itrop.check_contraction_log(factory, 4, 100, box, itrop.RngStream(101))
+        itrop.check_composite_lipschitz(factory, 2, 4, 100, box, itrop.RngStream(102))
+        assert names and set(names) == {threading.current_thread().name}
 
 
 # ---------------------------------------------------------------- LLN audit

@@ -1,5 +1,7 @@
-"""The README's Library example imports only exported names, and runs."""
+"""The README's Library example imports only exported names, and runs; no
+itrop module reaches into another's private names."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 import itrop
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(itrop.__file__).resolve().parent
 
 
 def readme_imports() -> list[str]:
@@ -37,3 +40,50 @@ def test_readme_library_example_runs():
     alone = itrop.row_norm(scope["traj"] - scope["exact_traj"], "sup")
     assert np.array_equal(scope["distance"][:, 3], alone)
     assert scope["report"].time_averages.shape == (runs,)
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_uses(source: str) -> list[str]:
+    """The `_`-prefixed names of itrop modules that an itrop module's source
+    imports, or reads as module._name."""
+    tree = ast.parse(source)
+    modules = set()  # local names bound to itrop modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("itrop")):
+            package = node.module in (None, "itrop")  # from . import core
+            for alias in node.names:
+                if package:
+                    modules.add(alias.asname or alias.name)
+                if private(alias.name):
+                    found.append(alias.name if package
+                                 else f"{node.module.split('.')[-1]}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("itrop."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert foreign_private_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_the_private_name_check_sees_each_form_of_reach():
+    reaching = {"from .core import _usable_cpus": ["core._usable_cpus"],
+                "from itrop.core import RngStream, _check_runs": ["core._check_runs"],
+                "from . import core\ncore._drawn_chunks(1)": ["core._drawn_chunks"],
+                "import itrop.core as c\nc.CHUNK_BYTES, c._check_start": ["c._check_start"],
+                "from . import _private": ["_private"]}
+    for source, found in reaching.items():
+        assert foreign_private_uses(source) == found, source
+    for source in ("from . import __version__", "from .core import CHUNK_BYTES",
+                   "model._sampler", "self._start", "from numpy import _globals"):
+        assert foreign_private_uses(source) == [], source

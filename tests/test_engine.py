@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import itrop
-from conftest import block_fake, normal_draws
+from conftest import block_fake, draw_threads, normal_draws, on_cpus
 from itrop.core import ConfigurationError
 
 HORIZON = 12
@@ -111,6 +111,19 @@ def test_step_checks_its_runs_as_the_engine_does(mdp20, logistic_problem, name, 
         factory.step(itrop.RngStream(38), np.array(runs, dtype=np.int64), z)
 
 
+@pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "sgd-with"])
+def test_step_rejects_blocks_whose_points_are_not_of_its_dimension(mdp20, logistic_problem,
+                                                                  name):
+    # a reshape would read a (4, 2d) block as two points per run and a
+    # (4, 2, d/2) block as one: only the last axis may hold a point, and a
+    # block needs one row per run
+    factory = factories(mdp20, logistic_problem)[name]
+    d, runs = factory.dimension, np.arange(4)
+    for shape in [(4, 2 * d), (4, 2, d // 2), (4, d // 2, 2), (2, 2, d), (4, 1, 1, d), (4,)]:
+        with pytest.raises(ConfigurationError, match="shape"):
+            factory.step(itrop.RngStream(38), runs, np.zeros(shape))
+
+
 @pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "qvi-alias",
                                   "sgd-with", "sgd-without", "sgd-full"])
 @pytest.mark.parametrize("shape", [(7,), (4, 2)])
@@ -204,21 +217,6 @@ def test_engine_checks_shapes_and_runs():
 
 # ---------------------------------------------------------------- draws ahead
 
-def on_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(itrop.core, "_usable_cpus", lambda: cpus)
-
-
-def draw_threads(factory):
-    """factory whose draws record the name of the thread that ran them."""
-    names = []
-
-    def draw(stream, runs):
-        names.append(threading.current_thread().name)
-        return factory.draw(stream, runs)
-
-    return dataclasses.replace(factory, draw=draw), names
-
-
 @pytest.mark.parametrize("kind", ["value", "q"])
 @pytest.mark.parametrize("chunk_bytes", [1 << 20, 1])
 def test_multinomial_orbits_are_the_same_bytes_on_one_and_two_cpus(mdp20, monkeypatch, kind,
@@ -237,6 +235,39 @@ def test_multinomial_orbits_are_the_same_bytes_on_one_and_two_cpus(mdp20, monkey
         pooled = {name.startswith("itrop-draw") for name in names}
         assert pooled == {cpus > 1}
     assert orbits[1].tobytes() == orbits[2].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["value", "q"])
+def test_multinomial_step_is_the_same_bytes_on_one_and_two_cpus(mdp20, monkeypatch, kind):
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", 1)  # one run per chunk
+    factory = itrop.mdp._empirical_factory(mdp20, 400, kind)
+    stream = itrop.RngStream(42).child(400)
+    runs = np.array([0, 1, 3, 4, 8])
+    z = np.random.default_rng(43).normal(size=(runs.size, 3, factory.dimension))
+    blocks = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        traced, names = draw_threads(factory)
+        blocks[cpus] = traced.step(stream, runs, z)
+        assert len(names) == runs.size
+        assert {name.startswith("itrop-draw") for name in names} == {cpus > 1}
+    assert blocks[1].tobytes() == blocks[2].tobytes()
+    for i, r in enumerate(runs):
+        assert np.array_equal(blocks[2][i], factory.realize(stream.for_run(r))(z[i]))
+    assert not [t for t in threading.enumerate() if t.name.startswith("itrop-draw")]
+
+
+def test_replacing_draw_or_move_rederives_realize(mdp20):
+    factory = itrop.empirical_bellman_factory(mdp20, 5)
+    traced, names = draw_threads(factory)
+    x = np.linspace(0.0, 1.0, 20)
+    stream = itrop.RngStream(44).for_run(3)
+    assert np.array_equal(traced.realize(stream)(x), factory.realize(stream)(x))
+    assert len(names) == 1  # the realization drew through the replaced draw
+    halved = dataclasses.replace(factory, move=lambda drawn, z: z / 2.0)
+    assert np.array_equal(halved.realize(stream)(x), x / 2.0)
+    timed = dataclasses.replace(factory, realize=lambda s: (lambda y: y))
+    assert timed.realize(stream)(x) is x  # a given realize is kept
 
 
 def test_alias_and_sgd_draws_stay_on_the_calling_thread(mdp20, logistic_problem, monkeypatch):
@@ -267,8 +298,8 @@ def ahead_fake(blow_up, drawn, moved, fail_at=None):
         scale = np.array([1e30 if blow_up.get(int(r)) == k else 0.5 for k, r in rows[:, :2]])
         return z * scale[:, None, None] + rows[:, 2, None, None]
 
-    return itrop.block_factory(1, 1, draw, move, row_bytes=itrop.core.CHUNK_BYTES,
-                               point_bytes=8, draws_ahead=True)
+    return itrop.RandomOperatorFactory(1, 1, draw, move, row_bytes=itrop.core.CHUNK_BYTES,
+                                       point_bytes=8, draws_ahead=True)
 
 
 def test_a_dropped_run_s_drawn_ahead_rows_are_discarded(monkeypatch):

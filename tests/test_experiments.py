@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import itrop
-from conftest import block_fake
+from conftest import block_fake, on_cpus
 from itrop.cli import main
 from itrop.core import ConfigurationError
 from itrop.experiments import ExperimentConfig, build_family, run_experiment
@@ -202,7 +202,7 @@ def test_build_family_without_target_skips_solves(tmp_path):
 
 def test_auto_beta_matches_curvature_bound(tmp_path):
     cfg = ExperimentConfig.from_dict(sgd_config(tmp_path))
-    problem, bounds = cfg.regression.build("logistic")
+    problem, bounds = cfg.regression.build()
     assert bounds == itrop.eigen_bounds(problem)
     assert problem.beta == 1.0 / bounds.upper
     assert problem.lam == 5.0  # family default when omitted
@@ -210,15 +210,28 @@ def test_auto_beta_matches_curvature_bound(tmp_path):
         bounds, problem.beta)
 
 
+def test_regression_spec_holds_its_family_and_resolved_lambda(tmp_path):
+    for experiment, lam in (("sgd-logistic", 5.0), ("sgd-poisson", 1.0)):
+        spec = ExperimentConfig.from_dict({**sgd_config(tmp_path),
+                                           "experiment": experiment}).regression
+        assert (spec.family, spec.lam) == (experiment.split("-")[1], lam)
+        assert spec.to_dict()["lambda"] == lam
+        assert spec.build()[0].family == spec.family
+    lln = ExperimentConfig.from_dict({"experiment": "lln", "family": "sgd-poisson",
+                                      "master_seed": 1, "sample_sizes": [2],
+                                      "regression": {"lambda": 0.5}})
+    assert (lln.regression.family, lln.regression.lam) == ("poisson", 0.5)
+
+
 def test_unregularized_problem_has_no_curvature_bounds(tmp_path):
     source = {"num_samples": 60, "dim": 4, "seed": 1, "lambda": 0}
     explicit = ExperimentConfig.from_dict(sgd_config(tmp_path,
                                                      regression={**source, "beta": 0.05}))
-    problem, bounds = explicit.regression.build("logistic")
+    problem, bounds = explicit.regression.build()
     assert bounds is None and problem.beta == 0.05 and problem.lam == 0.0
     auto = ExperimentConfig.from_dict(sgd_config(tmp_path, regression=source))
     with pytest.raises(ConfigurationError, match="lam > 0"):
-        auto.regression.build("logistic")
+        auto.regression.build()
 
 
 # ---------------------------------------------------------------- orchestration
@@ -662,7 +675,8 @@ def audit_config(out_dir, model_path, trials):
 def test_assumption_suite_derives_one_stream_per_checker(tmp_path, monkeypatch, trials):
     # the grid, the A3 pairs, A2 per sample size, A3, and A5's realization and
     # pairs: trial t reads run t of its checker's stream, so the count does not
-    # grow with trials (the model comes from a file and draws no stream)
+    # grow with trials (the model comes from a file and draws no stream), nor
+    # with the threads that draw the n=256 rung ahead
     model_path = tmp_path / "model.json"
     itrop.save_model(itrop.random_mdp(20, 5, seed=4), model_path)
     built = []
@@ -673,10 +687,13 @@ def test_assumption_suite_derives_one_stream_per_checker(tmp_path, monkeypatch, 
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-    result = run_experiment(ExperimentConfig.from_dict(
-        audit_config(tmp_path / "chk", model_path, trials)))
-    assert "violated" not in result.verdicts.values()
-    assert len(built) <= len(AUDIT_LADDER) + 5
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        built.clear()
+        result = run_experiment(ExperimentConfig.from_dict(
+            audit_config(tmp_path / f"chk{cpus}", model_path, trials)))
+        assert "violated" not in result.verdicts.values()
+        assert len(built) <= len(AUDIT_LADDER) + 5
 
 
 def test_check_meta_counts_the_realizations_each_checker_drew(tmp_path):

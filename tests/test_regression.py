@@ -421,7 +421,7 @@ def test_meta_certifies_the_reference_solve(tmp_path, experiment):
         "regression": {"num_samples": 60, "dim": 4, "seed": 1}})
     run_experiment(config)
     solve = json.loads((tmp_path / "meta.json").read_text())["reference_solve"]
-    problem, bounds = config.regression.build(experiment.split("-")[1])
+    problem, bounds = config.regression.build()
     target = build_family(config).target
     gnorm = float(np.linalg.norm(itrop.gradient(problem, target)))
     assert solve["method"] == "damped-newton"
