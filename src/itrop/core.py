@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from collections import deque
@@ -82,6 +83,20 @@ def read_text(path) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path):
+    """The document in a UTF-8 JSON file, parsed strictly (NaN and Infinity are
+    rejected); a file that cannot be read or parsed raises ConfigurationError naming it."""
+    text = read_text(path)
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError; nesting too deep
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import IntEnum
 from pathlib import Path
 from typing import Callable
@@ -13,17 +14,17 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import (AssumptionReport, Box, VERDICT_INCONCLUSIVE, VERDICT_CONSISTENT,
+from .analysis import (Box, VERDICT_INCONCLUSIVE, VERDICT_CONSISTENT,
                        VERDICT_VIOLATED, check_contraction_log, check_monotone,
                        check_sup_probability, ensemble, lln_audit, orbit_curves)
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, iterate_exact, read_text, row_norm,
+                   RandomOperatorFactory, RngStream, iterate_exact, read_json, row_norm,
                    write_atomic)
 from .mdp import (MdpModel, bellman_operator, empirical_bellman_factory, empirical_q_factory,
                   load_model, q_operator, random_mdp, solve_exact)
-from .regression import (EigenBounds, RegressionProblem, eigen_bounds, exact_gd_operator,
-                         load_csv_dataset, sgd_factory, solve_reference_minimizer,
-                         synth_dataset)
+from .regression import (SAMPLING_MODES, EigenBounds, RegressionProblem, eigen_bounds,
+                         exact_gd_operator, load_csv_dataset, sgd_factory,
+                         solve_reference_minimizer, synth_dataset)
 
 log = logging.getLogger("itrop")
 
@@ -60,110 +61,104 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
-def _int_field(data: dict, key: str, default=None, minimum: int | None = None):
-    value = data.get(key, default)
-    _require(value is not None, f"missing required key {key!r}")
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"key {key!r} must be an integer, got {value!r}")
-    if minimum is not None:
-        _require(value >= minimum, f"key {key!r} must be >= {minimum}, got {value}")
-    return value
+def _key(kind, default=MISSING, **entry):
+    """A config field and its table entry: kind (int, float, str, or None when
+    code sets it), default, JSON `key` if not the field name, lower bound
+    (`minimum`, or `positive`), `choices` (a str field's only values, a float
+    field's strings), and `synthetic` (not read or written beside a `path`)."""
+    return field(default=default, metadata={"kind": kind, **entry})
 
 
-def _float_field(data: dict, key: str, default=None):
-    value = data.get(key, default)
-    _require(value is not None, f"missing required key {key!r}")
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"key {key!r} must be a number, got {value!r}")
+def _checked(entry: dict, key: str, value, prefix: str):
+    """A JSON value checked against its field's kind and bound."""
+    kind, low, choices = entry["kind"], entry.get("minimum"), entry.get("choices", ())
+    name = f"'{prefix}{key}'"
+    if kind is str:
+        _require(not choices or value in choices, f"{name} invalid: {value!r}")
+        _require(isinstance(value, str) and value, f"{name} must be a string")
+        return value
+    if isinstance(value, str) and value in choices:
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        _require(number and isinstance(value, int), f"key {key!r} must be an integer, got {value!r}")
+        _require(low is None or value >= low, f"key {key!r} must be >= {low}, got {value}")
+        return value
+    bounded = number and (low is None or value >= low) and not (entry.get("positive")
+                                                                 and value <= 0)
+    if choices:
+        _require(bounded, f"{name} must be {choices[0]!r} or a positive number")
+    _require(number, f"key {key!r} must be a number, got {value!r}")
+    _require(math.isfinite(value), f"key {key!r} must be a finite number, got {value!r}")
+    _require(bounded, f"{name} must be {'positive' if entry.get('positive') else f'>= {low}'}")
     return float(value)
 
 
-def _check_keys(data: dict, allowed: set, where: str) -> None:
-    unknown = set(data) - allowed
+def _parse(cls, data, where: str, **given):
+    """The `cls` section read from the JSON object `data` by its field table:
+    unknown keys are rejected and absent ones defaulted.  `given` holds the
+    values that code sets, and defaults it computes (lambda per loss family)."""
+    _require(isinstance(data, dict), f"'{where}' must be an object")
+    table = {f.metadata.get("key", f.name): f for f in fields(cls)
+             if f.metadata and not (f.metadata.get("synthetic") and "path" in data)}
+    unknown = set(data) - set(table)
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+    prefix = "" if where == "config" else f"{where}."
+    values = dict(given)
+    for key, f in table.items():
+        if key in data and f.metadata["kind"] is not None:
+            values[f.name] = _checked(f.metadata, key, data[key], prefix)
+        _require(f.name in values or f.default is not MISSING, f"missing required key {key!r}")
+    return cls(**values)
+
+
+class _Section:
+    """A config section whose fields carry their table entries (`_key`)."""
+
+    def to_dict(self) -> dict:
+        """The section as JSON: its keyed fields that are not None (nor synthetic beside a path)."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata and value is not None and not (f.metadata.get("synthetic")
+                                                         and self.path is not None):
+                out[f.metadata.get("key", f.name)] = (
+                    value.to_dict() if isinstance(value, _Section)
+                    else list(value) if isinstance(value, tuple) else value)
+        return out
 
 
 @dataclass(frozen=True)
-class MdpSpec:
+class MdpSpec(_Section):
     """Where the MDP comes from: a JSON file, or a seeded random instance."""
 
-    path: str | None = None
-    num_states: int = 20
-    num_actions: int = 5
-    discount: float = 0.9
-    seed: int = 0
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MdpSpec":
-        _require(isinstance(data, dict), "'mdp' must be an object")
-        if "path" in data:
-            _check_keys(data, {"path"}, "mdp")
-            _require(isinstance(data["path"], str), "'mdp.path' must be a string")
-            return cls(path=data["path"])
-        _check_keys(data, {"num_states", "num_actions", "discount", "seed"}, "mdp")
-        spec = cls(num_states=_int_field(data, "num_states", default=20, minimum=1),
-                   num_actions=_int_field(data, "num_actions", default=5, minimum=1),
-                   discount=_float_field(data, "discount", default=0.9),
-                   seed=_int_field(data, "seed", default=0, minimum=0))
-        _require(0.0 < spec.discount < 1.0, "'mdp.discount' must lie in (0, 1)")
-        return spec
+    path: str | None = _key(str, None)
+    num_states: int = _key(int, 20, minimum=1, synthetic=True)
+    num_actions: int = _key(int, 5, minimum=1, synthetic=True)
+    discount: float = _key(float, 0.9, synthetic=True)   # in (0, 1), checked by from_dict
+    seed: int = _key(int, 0, minimum=0, synthetic=True)
 
     def build(self) -> MdpModel:
         if self.path is not None:
             return load_model(self.path)
         return random_mdp(self.num_states, self.num_actions, self.seed, self.discount)
 
-    def to_dict(self) -> dict:
-        if self.path is not None:
-            return {"path": self.path}
-        return {"num_states": self.num_states, "num_actions": self.num_actions,
-                "discount": self.discount, "seed": self.seed}
-
 
 @dataclass(frozen=True)
-class RegressionSpec:
+class RegressionSpec(_Section):
     """Where the dataset comes from plus loss family ("logistic" or
     "poisson") and step-size parameters."""
 
     family: str
-    lam: float                         # "lambda", by default 5 (logistic) or 1 (poisson)
-    path: str | None = None
-    num_samples: int = 1000
-    dim: int = 20
-    seed: int = 0
-    beta: float | str = "auto"         # "auto" resolves to 1 / upper curvature bound
-    sampling: str = "with_replacement"
-    region_radius: float = 1.0
-
-    _SOURCE_KEYS = {"num_samples", "dim", "seed"}
-    _PARAM_KEYS = {"lambda", "beta", "sampling", "region_radius"}
-
-    @classmethod
-    def from_dict(cls, data: dict, family: str) -> "RegressionSpec":
-        _require(isinstance(data, dict), "'regression' must be an object")
-        if "path" in data:
-            _check_keys(data, {"path"} | cls._PARAM_KEYS, "regression")
-            _require(isinstance(data["path"], str), "'regression.path' must be a string")
-            source = {"path": data["path"]}
-        else:
-            _check_keys(data, cls._SOURCE_KEYS | cls._PARAM_KEYS, "regression")
-            source = {"num_samples": _int_field(data, "num_samples", default=1000, minimum=1),
-                      "dim": _int_field(data, "dim", default=20, minimum=2),
-                      "seed": _int_field(data, "seed", default=0, minimum=0)}
-        lam = _float_field(data, "lambda", default=5.0 if family == "logistic" else 1.0)
-        _require(lam >= 0, "'regression.lambda' must be >= 0")
-        beta = data.get("beta", "auto")
-        if beta != "auto":
-            _require(isinstance(beta, (int, float)) and not isinstance(beta, bool)
-                     and beta > 0, "'regression.beta' must be 'auto' or a positive number")
-            beta = float(beta)
-        sampling = data.get("sampling", "with_replacement")
-        _require(sampling in ("with_replacement", "without_replacement"),
-                 f"'regression.sampling' invalid: {sampling!r}")
-        radius = _float_field(data, "region_radius", default=1.0)
-        _require(radius > 0, "'regression.region_radius' must be positive")
-        return cls(family=family, lam=lam, beta=beta, sampling=sampling,
-                   region_radius=radius, **source)
+    lam: float = _key(float, key="lambda", minimum=0)  # default per loss family: from_dict
+    path: str | None = _key(str, None)
+    num_samples: int = _key(int, 1000, minimum=1, synthetic=True)
+    dim: int = _key(int, 20, minimum=2, synthetic=True)
+    seed: int = _key(int, 0, minimum=0, synthetic=True)
+    # "auto" resolves to 1 / upper curvature bound
+    beta: float | str = _key(float, "auto", positive=True, choices=("auto",))
+    sampling: str = _key(str, "with_replacement", choices=SAMPLING_MODES)
+    region_radius: float = _key(float, 1.0, positive=True)
 
     def build(self) -> tuple[RegressionProblem, EigenBounds | None]:
         """The problem and its curvature bounds; lam == 0 gives none (no
@@ -182,61 +177,37 @@ class RegressionSpec:
             problem = replace(problem, beta=1.0 / bounds.upper)
         return problem, bounds
 
-    def to_dict(self) -> dict:
-        source = ({"path": self.path} if self.path is not None
-                  else {"num_samples": self.num_samples, "dim": self.dim, "seed": self.seed})
-        return {**source, "lambda": self.lam, "beta": self.beta,
-                "sampling": self.sampling, "region_radius": self.region_radius}
-
 
 @dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(_Section):
     """Knobs for the assumption checkers."""
 
-    trials: int = 200
-    eps: float = 0.25
-    pair_count: int = 16
-    grid_size: int = 5
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckSpec":
-        _require(isinstance(data, dict), "'check' must be an object")
-        _check_keys(data, {"trials", "eps", "pair_count", "grid_size"}, "check")
-        spec = cls(trials=_int_field(data, "trials", default=200, minimum=100),
-                   eps=_float_field(data, "eps", default=0.25),
-                   pair_count=_int_field(data, "pair_count", default=16, minimum=2),
-                   grid_size=_int_field(data, "grid_size", default=5, minimum=1))
-        _require(spec.eps > 0, "'check.eps' must be positive")
-        return spec
-
-    def to_dict(self) -> dict:
-        return {"trials": self.trials, "eps": self.eps,
-                "pair_count": self.pair_count, "grid_size": self.grid_size}
-
-
-_TOP_KEYS = {"experiment", "master_seed", "runs", "horizon", "sample_sizes",
-             "output_dir", "family", "mdp", "regression", "check"}
+    trials: int = _key(int, 200, minimum=100)
+    eps: float = _key(float, 0.25, positive=True)
+    pair_count: int = _key(int, 16, minimum=2)
+    grid_size: int = _key(int, 5, minimum=1)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Section):
     """Validated experiment description (parsed from strict JSON)."""
 
-    experiment: str
-    master_seed: int
-    sample_sizes: tuple[int, ...]
-    runs: int = 200
-    horizon: int = 1000
-    output_dir: str = "out"
-    family: str | None = None
-    mdp: MdpSpec | None = None
-    regression: RegressionSpec | None = None
-    check: CheckSpec = field(default_factory=CheckSpec)
+    experiment: str = _key(None)
+    master_seed: int = _key(int, minimum=0)
+    sample_sizes: tuple[int, ...] = _key(None)
+    # R = 1 or K = 1 is a valid description; operations that need more
+    # (ensemble variance, the lln audit) raise their own errors.
+    runs: int = _key(int, 200, minimum=1)
+    horizon: int = _key(int, 1000, minimum=1)
+    output_dir: str = _key(str, "out")
+    family: str | None = _key(None, None)
+    mdp: MdpSpec | None = _key(None, None)
+    regression: RegressionSpec | None = _key(None, None)
+    check: CheckSpec = _key(None, CheckSpec())
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         _require(isinstance(data, dict), "config must be a JSON object")
-        _check_keys(data, _TOP_KEYS, "config")
         experiment = data.get("experiment")
         _require(experiment in EXPERIMENTS,
                  f"'experiment' must be one of {EXPERIMENTS}, got {experiment!r}")
@@ -252,49 +223,33 @@ class ExperimentConfig:
         family = data.get("family")
         if experiment in FAMILY_EXPERIMENTS:
             _require(family is None, "'family' is only valid for assumptions/lln configs")
-            family = experiment
         else:
             _require(family in FAMILY_EXPERIMENTS,
                      f"'family' must name one of {FAMILY_EXPERIMENTS}, got {family!r}")
 
-        mdp_spec = None
-        reg_spec = None
-        if family in ("evi", "qvi"):
+        mdp_spec = reg_spec = None
+        name = family or experiment
+        if name in ("evi", "qvi"):
             _require("regression" not in data, "'regression' is not valid for MDP families")
-            mdp_spec = MdpSpec.from_dict(data.get("mdp", {}))
+            mdp_spec = _parse(MdpSpec, data.get("mdp", {}), "mdp")
+            _require(0.0 < mdp_spec.discount < 1.0, "'mdp.discount' must lie in (0, 1)")
         else:
             _require("mdp" not in data, "'mdp' is not valid for regression families")
-            reg_spec = RegressionSpec.from_dict(data.get("regression", {}),
-                                                family.split("-")[-1])
+            loss = name.split("-")[-1]
+            reg_spec = _parse(RegressionSpec, data.get("regression", {}), "regression",
+                              family=loss, lam=5.0 if loss == "logistic" else 1.0)
 
-        output_dir = data.get("output_dir", "out")
-        _require(isinstance(output_dir, str) and output_dir, "'output_dir' must be a string")
-
-        return cls(
-            experiment=experiment,
-            master_seed=_int_field(data, "master_seed", minimum=0),
-            sample_sizes=tuple(sizes),
-            # R = 1 or K = 1 is a valid description; operations that need more
-            # (ensemble variance, the lln audit) raise their own errors.
-            runs=_int_field(data, "runs", default=200, minimum=1),
-            horizon=_int_field(data, "horizon", default=1000, minimum=1),
-            output_dir=output_dir,
-            family=None if experiment in FAMILY_EXPERIMENTS else family,
-            mdp=mdp_spec,
-            regression=reg_spec,
-            check=CheckSpec.from_dict(data.get("check", {})),
-        )
+        return _parse(cls, data, "config", experiment=experiment, sample_sizes=tuple(sizes),
+                      family=family, mdp=mdp_spec, regression=reg_spec,
+                      check=_parse(CheckSpec, data.get("check", {}), "check"))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            data = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path))
 
     def with_overrides(self, seed: int | None = None,
                        output_dir: str | None = None) -> "ExperimentConfig":
+        """The config with the CLI's overrides, checked as the config's own keys."""
         changes = {}
         if seed is not None:
             _require(seed >= 0, "--seed must be nonnegative")
@@ -303,28 +258,10 @@ class ExperimentConfig:
             changes["output_dir"] = output_dir
         if not changes:
             return self
-        return replace(self, **changes)
+        return self.from_dict({**self.to_dict(), **changes})
 
     def family_name(self) -> str:
-        return self.experiment if self.experiment in FAMILY_EXPERIMENTS else self.family
-
-    def to_dict(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "master_seed": self.master_seed,
-            "runs": self.runs,
-            "horizon": self.horizon,
-            "sample_sizes": list(self.sample_sizes),
-            "output_dir": self.output_dir,
-            "check": self.check.to_dict(),
-        }
-        if self.family is not None:
-            out["family"] = self.family
-        if self.mdp is not None:
-            out["mdp"] = self.mdp.to_dict()
-        if self.regression is not None:
-            out["regression"] = self.regression.to_dict()
-        return out
+        return self.family or self.experiment
 
 
 @dataclass(frozen=True)
@@ -397,7 +334,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_meta(config: ExperimentConfig, out_dir: Path, divergent: list,
-                wall_time: float, extra: dict | None = None) -> Path:
+                wall_time: float, extra: dict) -> Path:
     meta = {
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
@@ -405,9 +342,8 @@ def _write_meta(config: ExperimentConfig, out_dir: Path, divergent: list,
         "divergent_run_count": len(divergent),
         "divergent_runs": divergent,
         "wall_time_seconds": wall_time,
+        **extra,
     }
-    if extra:
-        meta.update(extra)
     path = out_dir / "meta.json"
     _write_json(path, meta)
     return path
@@ -528,14 +464,11 @@ def run_assumption_suite(config: ExperimentConfig) -> RunResult:
     # An empirical "consistent" is only a lower-bound statement; without an
     # analytic contraction certificate it cannot be upgraded past inconclusive.
     cert = bundle.op.claimed_modulus
-    params = dict(report_a5.parameters)
-    params["analytic_modulus"] = cert
     verdict = report_a5.verdict
     if verdict == VERDICT_CONSISTENT and (cert is None or cert >= 1.0):
         verdict = VERDICT_INCONCLUSIVE
-    report_a5 = AssumptionReport(assumption_id=report_a5.assumption_id,
-                                 parameters=params, verdict=verdict,
-                                 evidence=report_a5.evidence)
+    report_a5 = replace(report_a5, verdict=verdict,
+                        parameters={**report_a5.parameters, "analytic_modulus": cert})
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

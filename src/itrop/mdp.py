@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, read_text, write_atomic)
+                   RandomOperatorFactory, RngStream, read_json, write_atomic)
 
 _ROW_SUM_TOL = 1e-12
 
@@ -32,8 +33,11 @@ class MdpModel:
     discount: float
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=np.float64)
-        c = np.asarray(self.cost, dtype=np.float64)
+        try:
+            t = np.asarray(self.transition, dtype=np.float64)
+            c = np.asarray(self.cost, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged, or not numbers
+            raise ConfigurationError(f"transition and cost must be numeric arrays: {exc}") from exc
         if t.ndim != 3 or t.shape[0] != t.shape[2]:
             raise ConfigurationError(f"transition must have shape (S, A, S), got {t.shape}")
         s, a, _ = t.shape
@@ -46,12 +50,12 @@ class MdpModel:
         if np.any(t < 0):
             raise ConfigurationError("transition kernel has negative entries")
         sums = t.sum(axis=2)
-        bad = np.argwhere(np.abs(sums - 1.0) > _ROW_SUM_TOL)
+        bad = np.argwhere(~(np.abs(sums - 1.0) <= _ROW_SUM_TOL))  # NaN rows included
         if bad.size:
             si, ai = bad[0]
             raise ConfigurationError(
                 f"transition row (s={si}, a={ai}) sums to {sums[si, ai]!r}, not 1")
-        if not (0.0 < float(self.discount) < 1.0):
+        if not isinstance(self.discount, numbers.Real) or not 0.0 < self.discount < 1.0:
             raise ConfigurationError(f"discount must lie in (0, 1), got {self.discount!r}")
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "cost", c)
@@ -322,9 +326,7 @@ def model_from_dict(data: dict) -> MdpModel:
     missing = _MODEL_KEYS - set(data)
     if missing:
         raise ConfigurationError(f"missing model keys: {sorted(missing)}")
-    model = MdpModel(transition=np.asarray(data["transition"], dtype=np.float64),
-                     cost=np.asarray(data["cost"], dtype=np.float64),
-                     discount=float(data["discount"]))
+    model = MdpModel(transition=data["transition"], cost=data["cost"], discount=data["discount"])
     if model.num_states != data["num_states"] or model.num_actions != data["num_actions"]:
         raise ConfigurationError("declared num_states/num_actions do not match array shapes")
     return model
@@ -336,8 +338,4 @@ def save_model(model: MdpModel, path) -> None:
 
 
 def load_model(path) -> MdpModel:
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    return model_from_dict(data)
+    return model_from_dict(read_json(path))

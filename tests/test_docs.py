@@ -1,13 +1,17 @@
-"""The README's Library example imports only exported names, and runs; no
-itrop module reaches into another's private names."""
+"""The README's Library example imports only exported names, and runs; its
+config schema names exactly the config's keys; no itrop module reaches into
+another's private names."""
 
 import ast
+import dataclasses
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 
 import itrop
+from itrop.experiments import CheckSpec, ExperimentConfig, MdpSpec, RegressionSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = Path(itrop.__file__).resolve().parent
@@ -40,6 +44,31 @@ def test_readme_library_example_runs():
     alone = itrop.row_norm(scope["traj"] - scope["exact_traj"], "sup")
     assert np.array_equal(scope["distance"][:, 3], alone)
     assert scope["report"].time_averages.shape == (runs,)
+
+
+def readme_schema() -> dict:
+    section = README.read_text(encoding="utf-8").split("\n### Config schema\n", 1)[1]
+    block = re.search(r"^```json\n(.*?)^```$", section, re.MULTILINE | re.DOTALL).group(1)
+    return json.loads(re.sub(r"//.*", "", block))
+
+
+def table_keys(section) -> set[str]:
+    """The JSON keys that a config section's field table accepts."""
+    return {f.metadata.get("key", f.name) for f in dataclasses.fields(section) if f.metadata}
+
+
+def test_readme_schema_names_exactly_the_config_keys_and_the_nested_defaults():
+    schema = readme_schema()
+    assert set(schema) == table_keys(ExperimentConfig)
+    minimal = {"master_seed": 0, "sample_sizes": [1]}
+    evi = ExperimentConfig.from_dict({**minimal, "experiment": "evi"})
+    sgd = ExperimentConfig.from_dict({**minimal, "experiment": "sgd-logistic"})
+    for key, section, defaults in (("mdp", MdpSpec, evi.mdp),
+                                   ("regression", RegressionSpec, sgd.regression),
+                                   ("check", CheckSpec, evi.check)):
+        assert set(schema[key]) == table_keys(section), key
+        shown = {k: v for k, v in schema[key].items() if k != "path"}  # path has no default
+        assert shown == defaults.to_dict(), key
 
 
 def private(name: str) -> bool:

@@ -1,7 +1,9 @@
 import json
 import logging
+import math
 import re
 import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +155,51 @@ def test_config_from_json_errors(tmp_path):
     bad.write_bytes(bytes(range(128, 256)))  # not UTF-8
     with pytest.raises(ConfigurationError, match="cannot read"):
         ExperimentConfig.from_json(bad)
+
+
+def test_config_nested_too_deep_is_invalid_json(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigurationError, match=re.escape(f"{deep}: invalid JSON")):
+        ExperimentConfig.from_json(deep)
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("section,key", [("regression", "beta"), ("regression", "lambda"),
+                                         ("regression", "region_radius"), ("check", "eps"),
+                                         ("mdp", "discount")])
+def test_config_rejects_non_finite_numbers(tmp_path, section, key, value):
+    data = evi_config(tmp_path) if section != "regression" else sgd_config(tmp_path)
+    data[section] = {**data.get(section, {}), key: value}
+    with pytest.raises(ConfigurationError, match=key):
+        ExperimentConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_cli_rejects_a_non_finite_config_number(tmp_path, capsys, text):
+    data = sgd_config(tmp_path / "o", regression={"num_samples": 30, "dim": 3,
+                                                  "region_radius": "X"})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data).replace('"X"', text))
+    assert main(["run", str(path)]) == 1
+    # the strict reader names the file; 1e999 overflows to inf, and the table names the key
+    expected = ("key 'region_radius' must be a finite number, got inf" if text == "1e999"
+                else f"{path}: invalid JSON ({text} is not a JSON number")
+    assert capsys.readouterr().err.startswith(f"config error: {expected}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_output_dir_override_is_checked_like_the_config(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_dict(sgd_config(tmp_path))
+    assert cfg.with_overrides(seed=9, output_dir="x") == replace(cfg, master_seed=9,
+                                                                 output_dir="x")
+    with pytest.raises(ConfigurationError, match="'output_dir' must be a string"):
+        cfg.with_overrides(output_dir="")
+    path = write_config(tmp_path, evi_config(tmp_path / "o", runs=2, horizon=3))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", path, "--output-dir", ""]) == 1
+    assert list(cwd.iterdir()) == []
 
 
 DESK_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -753,3 +800,15 @@ def test_run_all_desk_prints_each_config_s_exit_code_and_wall_seconds(tmp_path, 
     monkeypatch.setattr("sys.argv", ["run_all_desk.py", "--configs", str(tmp_path)])
     assert desk["main"]() == 0
     assert re.search(r"^== exit 0  wall \d+\.\d\d s$", capsys.readouterr().out, re.MULTILINE)
+
+
+def test_full_scale_configs_parse_with_the_run_count_asked_for(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "full_scale_configs.py"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["full_scale_configs.py", "--out", "tmp", "--runs", "3"])
+    runpy.run_path(str(script), run_name="__main__")
+    emitted = capsys.readouterr().out.split()
+    assert sorted(emitted) == sorted(str(p) for p in Path("tmp").glob("*.json"))
+    assert len(emitted) == 4
+    for path in emitted:
+        assert ExperimentConfig.from_json(path).runs == 3

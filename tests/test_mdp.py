@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import itrop
+from itrop.cli import main
 from itrop.core import ConfigurationError, NonConvergenceError
 
 value_lists = st.lists(st.floats(-5, 5), min_size=20, max_size=20)
@@ -39,6 +41,12 @@ def test_model_rejects_bad_discount():
     for bad in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ConfigurationError):
             itrop.MdpModel(transition=t, cost=np.zeros((2, 1)), discount=bad)
+
+
+def test_model_rejects_nan_transition():
+    t = np.array([[[1.0, 0.0]], [[np.nan, 1.0]]])  # the NaN row's sum is NaN, not 1
+    with pytest.raises(ConfigurationError, match=r"s=1"):
+        itrop.MdpModel(transition=t, cost=np.zeros((2, 1)), discount=0.5)
 
 
 def test_model_rejects_nonfinite_cost():
@@ -375,4 +383,31 @@ def test_load_model_rejects_invalid_json(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{not json")
     with pytest.raises(ConfigurationError, match="invalid JSON"):
+        itrop.load_model(path)
+
+
+@pytest.mark.parametrize("key,value,fragment", [
+    ("discount", [0.9], "discount"), ("discount", "0.9", "discount"),
+    ("discount", True, "discount"),
+    ("transition", [[[1.0, 0.0]], [[1.0]]], "transition"),  # ragged
+    ("transition", "identity", "transition"),
+    ("cost", [[1.0], ["two"]], "cost")])
+def test_cli_run_on_a_malformed_model_exits_one(tmp_path, capsys, ref_mdp2, key, value,
+                                                fragment):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**itrop.mdp.model_to_dict(ref_mdp2), key: value}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "evi", "master_seed": 0, "sample_sizes": [1],
+                                  "runs": 2, "horizon": 3, "output_dir": str(tmp_path / "o"),
+                                  "mdp": {"path": str(model)}}))
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and fragment in err
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_load_model_reads_strict_json(tmp_path, ref_mdp2, constant):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(itrop.mdp.model_to_dict(ref_mdp2)).replace("0.5", constant))
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: invalid JSON")):
         itrop.load_model(path)
