@@ -503,7 +503,7 @@ def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], np.n
 
     dropped = iterate_ensemble(factory, x0, horizon, stream, range(runs), record)
     if dropped:
-        raise DivergenceError(dropped[min(dropped)])
+        raise DivergenceError(min(dropped.values()))
     time_avgs = values[:, :horizon].mean(axis=1)
     ses = _batch_means_se(values[:, :horizon])
     tails = values[:, horizon]

@@ -64,15 +64,19 @@ def row_norm(diff, norm: str = "l2") -> np.ndarray:
 
 def write_atomic(path, text: str) -> None:
     """Write text to path through a temporary file in the same directory, so a
-    crash never leaves a partial file under the final name."""
+    crash never leaves a partial file under the final name; a path that
+    cannot be written raises ConfigurationError naming it."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
 def read_text(path) -> str:
@@ -210,9 +214,9 @@ class RandomOperatorFactory:
     move(draws, Z) moves row i of the (m, P, d) block Z with the draws of
     runs[i].  row_bytes bounds the temporaries of one run moving one point,
     and point_bytes those of each further point.  draws_ahead says that
-    draw releases the GIL and returns an array with one row per run, so
-    draws() may draw coming chunks on worker threads.  sample_size is the
-    number of per-step samples a realization averages.
+    draw releases the GIL, so draws() may draw coming chunks on worker
+    threads.  sample_size is the number of per-step samples a realization
+    averages.
 
     realize(stream) draws one realization, the one that run stream.run reads
     from stream: a deterministic map of any (..., dimension) array of points
@@ -361,10 +365,12 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     points.  A run whose point leaves the trusted range is dropped; the
     result maps each dropped run to the step where that happened.
 
-    A step draws and moves its runs in chunks (RandomOperatorFactory.chunk),
-    drawn by factory.draws, so multinomial chunks of coming steps are drawn
-    ahead while this thread moves the current one.  The orbits are the same
-    bytes for any number of CPUs.
+    The runs are planned in epochs.  An epoch splits the runs alive at its
+    start into chunks (RandomOperatorFactory.chunk) once, and factory.draws
+    draws every coming step's chunks, multinomial ones ahead while this
+    thread moves the current one.  A drop ends the epoch: the draws made
+    ahead are discarded, and the next epoch plans the survivors from the next
+    step.  The orbits are the same bytes for any number of CPUs.
     """
     z0 = _check_start(z0, factory.dimension, num_steps)
     runs = _check_runs(runs)
@@ -372,43 +378,26 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     z = np.tile(z0, (runs.size, 1))
     visit(0, runs, z)
     dropped: dict[int, int] = {}
-    planned = deque()  # (k, alive, part, last) of each chunk drawn and not yet moved
-
-    def plan():
-        # a step's chunks split the runs alive when its first chunk is
-        # planned; drawing ahead, that is before the step ahead of it ends,
-        # so a chunk may hold runs that have dropped since
-        for k in range(1, num_steps + 1):
-            s, alive = stream.child(k - 1), runs
-            for lo in range(0, alive.size, size):
-                part = alive[lo:lo + size]
-                planned.append((k, alive, part, lo + size >= alive.size))
-                yield s, part
-
-    pieces, filled = [], 0
-    with closing(factory.draws(plan())) as chunks:
-        for drawn in chunks:
-            k, alive, part, last = planned.popleft()
-            if alive is not runs:
-                keep = np.isin(part, runs, assume_unique=True)
-                part, drawn = part[keep], drawn[keep]
-            if part.size:
-                block = z[filled:filled + part.size, None]
-                pieces.append(np.asarray(factory.move(drawn, block),
-                                         dtype=np.float64).reshape(part.size, -1))
-                filled += part.size
-            del drawn  # held no longer than its move
-            if not last:
-                continue
-            z = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-            pieces, filled = [], 0
-            ok = _within_limit(z, runs.size, factory.dimension, k)
-            if not ok.all():
-                dropped.update((r, k) for r in runs[~ok].tolist())
+    done = 0
+    while done < num_steps and runs.size:  # an epoch: steps done + 1.. of the runs alive
+        starts = range(0, runs.size, size)
+        parts = [runs[lo:lo + size] for lo in starts]
+        plan = ((s, part) for s in map(stream.child, range(done, num_steps)) for part in parts)
+        with closing(factory.draws(plan)) as drawn:
+            for done in range(done + 1, num_steps + 1):
+                moved = [np.asarray(factory.move(next(drawn), z[lo:lo + size, None]),
+                                    dtype=np.float64).reshape(part.size, -1)
+                         for lo, part in zip(starts, parts)]
+                z = moved[0] if len(moved) == 1 else np.concatenate(moved)
+                ok = _within_limit(z, runs.size, factory.dimension, done)
+                if ok.all():
+                    visit(done, runs, z)
+                    continue
+                dropped.update((r, done) for r in runs[~ok].tolist())
                 runs, z = runs[ok], z[ok]
-                if not runs.size:
-                    break
-            visit(k, runs, z)
+                if runs.size:
+                    visit(done, runs, z)
+                break
     return dropped
 
 

@@ -83,6 +83,7 @@ def _checked(entry: dict, key: str, value, prefix: str):
     if kind is int:
         _require(number and isinstance(value, int), f"key {key!r} must be an integer, got {value!r}")
         _require(low is None or value >= low, f"key {key!r} must be >= {low}, got {value}")
+        _require(value < 2 ** 63, f"key {key!r} must be <= 2**63 - 1, got {value}")
         return value
     bounded = number and (low is None or value >= low) and not (entry.get("positive")
                                                                  and value <= 0)
@@ -215,8 +216,8 @@ class ExperimentConfig(_Section):
         sizes = data.get("sample_sizes")
         _require(isinstance(sizes, list) and sizes, "'sample_sizes' must be a nonempty list")
         for v in sizes:
-            _require(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-                     f"'sample_sizes' entries must be integers >= 1, got {v!r}")
+            _require(isinstance(v, int) and not isinstance(v, bool) and 1 <= v < 2 ** 63,
+                     f"'sample_sizes' entries must be integers in [1, 2**63 - 1], got {v!r}")
         _require(all(b > a for a, b in zip(sizes, sizes[1:])),
                  "'sample_sizes' must be strictly increasing")
 
@@ -329,6 +330,16 @@ class RunResult:
     verdicts: dict = field(default_factory=dict)
 
 
+def _output_dir(config: ExperimentConfig) -> Path:
+    """The config's output directory, made if missing."""
+    out_dir = Path(config.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def _write_json(path: Path, doc: dict) -> None:
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -368,8 +379,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     stream = RngStream(config.master_seed).child(Purpose.RUN)
     exact_traj = iterate_exact(bundle.op, bundle.x0, config.horizon)
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     files = []
     divergent = []
     drawn = []
@@ -411,8 +421,7 @@ def _run_lln(config: ExperimentConfig) -> RunResult:
     started = time.perf_counter()
     bundle = build_family(config, need_target=False)
     stream = RngStream(config.master_seed).child(Purpose.LLN)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     files = []
     for n in config.sample_sizes:
         report = lln_audit(bundle.factory_for(n), bundle.x0, lambda z: row_norm(z, bundle.norm),
@@ -470,8 +479,7 @@ def run_assumption_suite(config: ExperimentConfig) -> RunResult:
     report_a5 = replace(report_a5, verdict=verdict,
                         parameters={**report_a5.parameters, "analytic_modulus": cert})
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     files = []
     verdicts = {}
     for report in (report_a2, report_a3, report_a5):

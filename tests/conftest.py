@@ -48,6 +48,17 @@ def block_fake(dim: int, move, draw=lambda stream, runs: runs,
                                        row_bytes=8 * dim, point_bytes=8 * dim)
 
 
+def blow_up_factory(run_to_step):
+    """Halving map of R^2, except run r multiplies by 1e30 at step run_to_step[r]."""
+
+    def draw(stream, runs):
+        step = stream.lineage[-1] + 1
+        return np.array([run_to_step.get(r) == step for r in runs.tolist()])
+
+    return block_fake(2, lambda blows_up, z: np.where(blows_up[:, None, None], z * 1e30,
+                                                      z / 2.0), draw=draw)
+
+
 def normal_draws(size):
     """A draw of `size` standard normals per run, each from its own run's stream."""
     return lambda stream, runs: np.array([g.normal(size=size)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import itrop
-from conftest import (block_fake, draw_threads, make_halving_factory, make_shift_factory,
-                      normal_draws, on_cpus)
+from conftest import (block_fake, blow_up_factory, draw_threads, make_halving_factory,
+                      make_shift_factory, normal_draws, on_cpus)
 from itrop.core import ConfigurationError
 
 point_lists = st.lists(st.floats(-10, 10), min_size=3, max_size=3)
@@ -695,6 +695,14 @@ def test_lln_audit_validation():
         itrop.lln_audit(factory, [1.0], f, horizon=1, runs=2, stream=itrop.RngStream(0))
     with pytest.raises(ConfigurationError, match="runs"):
         itrop.lln_audit(factory, [1.0], f, horizon=4, runs=1, stream=itrop.RngStream(0))
+
+
+def test_lln_audit_reports_the_first_divergence_step():
+    # run 4 diverges first, at step 3, although run 1 is the lower-numbered one
+    with pytest.raises(itrop.DivergenceError) as err:
+        itrop.lln_audit(blow_up_factory({1: 9, 4: 3}), [1.0, 1.0], lambda z: z[:, 0],
+                        horizon=12, runs=6, stream=itrop.RngStream(95).child(0))
+    assert err.value.step == 3
 
 
 def test_summaries_apply_f_once_to_a_block():

@@ -126,7 +126,7 @@ def test_write_atomic_never_leaves_a_partial_file(tmp_path, monkeypatch):
         raise OSError("disk gone")
 
     monkeypatch.setattr(itrop.core.os, "replace", crash)
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigurationError, match=f"cannot write {path}: disk gone"):
         itrop.core.write_atomic(path, "new\n")
     assert path.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]

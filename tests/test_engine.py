@@ -2,6 +2,7 @@
 it is moved in, and a diverging row is dropped without disturbing the rest."""
 
 import dataclasses
+import itertools
 import threading
 import time
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import itrop
-from conftest import block_fake, draw_threads, normal_draws, on_cpus
+from conftest import block_fake, blow_up_factory, draw_threads, normal_draws, on_cpus
 from itrop.core import ConfigurationError
 
 HORIZON = 12
@@ -157,35 +158,33 @@ def test_engine_draws_a_step_once_for_its_runs():
         assert np.array_equal(alone, batch[r])
 
 
-def blow_up_factory(run_to_step):
-    """Halving map, except run r multiplies by 1e30 at step run_to_step[r]."""
-
-    def draw(stream, runs):
-        step = stream.lineage[-1] + 1
-        return np.array([run_to_step.get(r) == step for r in runs.tolist()])
-
-    return block_fake(2, lambda blows_up, z: np.where(blows_up[:, None, None], z * 1e30,
-                                                      z / 2.0), draw=draw)
-
-
-def test_diverging_row_is_dropped_with_its_step_and_others_continue():
-    factory = blow_up_factory({1: 3, 4: 7})
+def test_diverging_row_is_dropped_with_its_step_and_others_continue(monkeypatch):
     stream = itrop.RngStream(6).child(0)
-    visits = []
+    # runs that drop at two steps, at one step, and at the last step, moved in
+    # one chunk and in one chunk per run
+    for blow_up, chunk_bytes in itertools.product([{1: 3, 4: 7}, {1: 3, 4: 3}, {1: 3, 2: 10}],
+                                                  [1 << 20, 1]):
+        monkeypatch.setattr(itrop.core, "CHUNK_BYTES", chunk_bytes)
+        factory = blow_up_factory(blow_up)
+        visits = []
 
-    def keep(k, alive, z):
-        visits.append((k, alive.tolist()))
+        def keep(k, alive, z):
+            visits.append((k, alive.tolist()))
 
-    dropped = itrop.iterate_ensemble(factory, [1.0, 1.0], 10, stream, range(6), keep)
-    assert dropped == {1: 3, 4: 7}
-    assert visits[2] == (2, [0, 1, 2, 3, 4, 5])
-    assert visits[3] == (3, [0, 2, 3, 4, 5])
-    assert visits[10] == (10, [0, 2, 3, 5])
-    batch, _ = ensemble_orbits(factory, [1.0, 1.0], 6, stream, horizon=10)
-    assert np.array_equal(batch[0, -1], np.full(2, 0.5 ** 10))
-    with pytest.raises(itrop.DivergenceError) as err:
-        itrop.iterate_random(factory, [1.0, 1.0], 10, stream.for_run(4))
-    assert err.value.step == 7
+        dropped = itrop.iterate_ensemble(factory, [1.0, 1.0], 10, stream, range(6), keep)
+        assert dropped == blow_up
+        # step k is visited with the runs that have not dropped by then
+        assert visits == [(k, [r for r in range(6) if blow_up.get(r, 11) > k])
+                          for k in range(11)]
+        batch, _ = ensemble_orbits(factory, [1.0, 1.0], 6, stream, horizon=10)
+        for r in range(6):
+            if r not in blow_up:
+                assert np.array_equal(batch[r, -1], np.full(2, 0.5 ** 10))
+                continue
+            assert np.all(np.isnan(batch[r, blow_up[r]:]))
+            with pytest.raises(itrop.DivergenceError) as err:
+                itrop.iterate_random(factory, [1.0, 1.0], 10, stream.for_run(r))
+            assert err.value.step == blow_up[r]
 
 
 def test_diverging_block_factory_rows_match_solo_runs(poisson_problem):
@@ -280,53 +279,87 @@ def test_alias_and_sgd_draws_stay_on_the_calling_thread(mdp20, logistic_problem,
             assert set(names) == {threading.current_thread().name}
 
 
-def ahead_fake(blow_up, drawn, moved, fail_at=None):
-    """An opt-in draw-ahead fake, one run per chunk: run r's draw at step k is
-    (k, r, a normal from its stream); the move halves and adds the normal,
-    except that run r of blow_up[r] = k multiplies by 1e30 at step k."""
+def ahead_fake(fail_at=None):
+    """An opt-in draw-ahead fake, one run per chunk: a step halves the point and
+    adds a normal from the run's stream; the draws of step fail_at fail."""
+
+    def draw(stream, runs):
+        if stream.lineage[-1] + 1 == fail_at:
+            raise RuntimeError("draw failed")
+        return normal_draws(1)(stream, runs)
+
+    return itrop.RandomOperatorFactory(1, 1, draw, lambda shifts, z: z * 0.5 + shifts[:, None],
+                                       row_bytes=itrop.core.CHUNK_BYTES, point_bytes=8,
+                                       draws_ahead=True)
+
+
+def traced(factory, blow_up, drawn, moved, last_run=None):
+    """factory whose draws record each (step, run) they drew in drawn, whose
+    moves record each (step, run) they moved in moved, and whose run r
+    multiplies its image by 1e30 at step blow_up[r].  Moving last_run at a
+    drop step k first waits until a draw of step k + 1 has begun, as one does
+    when worker threads draw ahead."""
+    begun = [threading.Event() for _ in range(HORIZON + 2)]
 
     def draw(stream, runs):
         k = stream.lineage[-1] + 1
-        if k == fail_at:
-            raise RuntimeError("draw failed")
-        time.sleep(0.001)
+        begun[k].set()
+        inner = factory.draw(stream, runs)
         drawn.extend((k, r) for r in runs.tolist())
-        return np.column_stack([np.full(runs.size, k), runs, normal_draws(1)(stream, runs)])
+        return k, runs, inner
 
-    def move(rows, z):
-        moved.extend((int(k), int(r)) for k, r in rows[:, :2])
-        scale = np.array([1e30 if blow_up.get(int(r)) == k else 0.5 for k, r in rows[:, :2]])
-        return z * scale[:, None, None] + rows[:, 2, None, None]
+    def move(draws, z):
+        k, runs, inner = draws
+        if runs[-1] == last_run and k in blow_up.values():
+            assert begun[k + 1].wait(10)
+        moved.extend((k, r) for r in runs.tolist())
+        out = factory.move(inner, z)
+        blows_up = np.array([blow_up.get(r) == k for r in runs.tolist()])
+        return np.where(blows_up[:, None, None], out * 1e30, out)
 
-    return itrop.RandomOperatorFactory(1, 1, draw, move, row_bytes=itrop.core.CHUNK_BYTES,
-                                       point_bytes=8, draws_ahead=True)
+    return dataclasses.replace(factory, draw=draw, move=move)
 
 
-def test_a_dropped_run_s_drawn_ahead_rows_are_discarded(monkeypatch):
+def test_a_dropped_run_s_drawn_ahead_rows_are_discarded(mdp20, monkeypatch):
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", 1)  # one run per chunk
     stream, runs = itrop.RngStream(40).child(0), 5
-    results = {}
-    for cpus in (1, 2):
-        on_cpus(monkeypatch, cpus)
-        drawn, moved = [], []
-        results[cpus] = ensemble_orbits(ahead_fake({2: 3}, drawn, moved), [1.0], runs, stream)
-        assert results[cpus][1] == {2: 3}
-        assert max(k for k, r in moved if r == 2) == 3
-        # on one CPU nothing is drawn ahead; on two, run 2's step 4 was drawn
-        # before its step 3 dropped it, and never moved
-        assert ((4, 2) in drawn) == (cpus > 1)
-    (one, _), (two, _) = results[1], results[2]
-    assert np.array_equal(one, two, equal_nan=True)
-    assert np.all(np.isnan(two[2, 3:]))
-    for r in (0, 1, 3, 4):
-        alone = itrop.iterate_random(ahead_fake({}, [], []), [1.0], HORIZON, stream.for_run(r))
-        assert np.array_equal(alone, two[r])
+    # a fake and a real multinomial factory, with one and with two drops
+    for factory, blow_up in itertools.product(
+            [ahead_fake(), itrop.empirical_bellman_factory(mdp20, 400)], [{2: 3}, {2: 3, 4: 5}]):
+        assert factory.draws_ahead
+        z0 = np.linspace(0.5, 1.0, factory.dimension)
+        survivors = [r for r in range(runs) if r not in blow_up]
+        orbits = {}
+        for cpus in (1, 2):
+            on_cpus(monkeypatch, cpus)
+            drawn, moved = [], []
+            seen = traced(factory, blow_up, drawn, moved, runs - 1 if cpus > 1 else None)
+            orbits[cpus], dropped = ensemble_orbits(seen, z0, runs, stream)
+            assert dropped == blow_up
+            # every step of a run up to its drop is moved once, and none after it
+            assert sorted(moved) == sorted((k, r) for r in range(runs)
+                                           for k in range(1, blow_up.get(r, HORIZON) + 1))
+            # one chunk per worker is drawn ahead at most: not far enough into
+            # the step after a drop to reach run 2 or 4
+            assert not [(k, r) for k, r in drawn if k > blow_up.get(r, HORIZON)]
+            # on two CPUs the survivors' next step was drawn ahead before the
+            # drop, discarded with the dropped run's draws, and drawn again
+            for k in blow_up.values():
+                assert drawn.count((k + 1, survivors[0])) == (2 if cpus > 1 else 1)
+        assert orbits[1].tobytes() == orbits[2].tobytes()
+        for r, k in blow_up.items():
+            assert np.all(np.isnan(orbits[2][r, k:]))
+        for r in survivors:
+            alone = itrop.iterate_random(factory, z0, HORIZON, stream.for_run(r))
+            assert np.array_equal(alone, orbits[2][r])
 
 
 def test_a_failed_pooled_draw_propagates_and_leaves_no_worker_busy(monkeypatch):
     on_cpus(monkeypatch, 2)
     drawn = []
     with pytest.raises(RuntimeError, match="draw failed"):
-        ensemble_orbits(ahead_fake({}, drawn, [], fail_at=4), [1.0], 3, itrop.RngStream(41))
+        ensemble_orbits(traced(ahead_fake(fail_at=4), {}, drawn, []), [1.0], 3,
+                        itrop.RngStream(41))
     assert not [t for t in threading.enumerate() if t.name.startswith("itrop-draw")]
     settled = len(drawn)
     time.sleep(0.05)

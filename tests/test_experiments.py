@@ -84,6 +84,8 @@ def test_config_minimal_evi_defaults(tmp_path):
     ({"mdp": {"path": "m.json", "num_states": 3}}, "num_states"),
     ({"check": {"trials": 99}}, "trials"),
     ({"check": {"surprise": 1}}, "surprise"),
+    ({"horizon": 10 ** 20}, "horizon"),
+    ({"sample_sizes": [10 ** 20]}, "sample_sizes"),
 ])
 def test_config_rejections_name_the_problem(tmp_path, patch, fragment):
     data = evi_config(tmp_path)
@@ -610,6 +612,16 @@ def test_cli_divergence_exits_two(tmp_path, capsys):
     assert "reference solve" not in err
 
 
+def test_cli_lln_divergence_exits_two(tmp_path, capsys):
+    # a step size far past 2/L blows the randomized orbits up
+    data = {"experiment": "lln", "family": "sgd-poisson", "master_seed": 3,
+            "runs": 3, "horizon": 60, "sample_sizes": [4], "output_dir": str(tmp_path / "lln"),
+            "regression": {"num_samples": 200, "dim": 8, "seed": 9, "beta": 50}}
+    assert main(["run", write_config(tmp_path, data)]) == 2
+    assert "runtime failure: orbit diverged at step" in capsys.readouterr().err
+    assert not (tmp_path / "lln" / "lln_n4.json").exists()
+
+
 def test_cli_reference_solve_failure_exits_two(tmp_path, capsys, monkeypatch):
     # the 60 x 4 logistic problem needs 2 Newton steps; allow 1
     newton = itrop.experiments.solve_reference_minimizer
@@ -645,6 +657,22 @@ def test_cli_unreadable_data_file_is_a_config_error(tmp_path, capsys, family, ki
     assert main(["run", write_config(tmp_path, data)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot read {source}")
+
+
+@pytest.mark.parametrize("kind", ["empty", "missing-directory", "under-a-file",
+                                  "output-dir-is-a-file"])
+def test_cli_unwritable_output_path_is_a_config_error(tmp_path, capsys, kind):
+    (tmp_path / "file").write_text("")
+    target = {"empty": "", "missing-directory": str(tmp_path / "absent" / "m.json"),
+              "under-a-file": str(tmp_path / "file" / "m.json"),
+              "output-dir-is-a-file": str(tmp_path / "file")}[kind]
+    if kind == "output-dir-is-a-file":
+        args = ["run", write_config(tmp_path, evi_config(target))]
+    else:
+        args = ["gen", "mdp", "--num-states", "4", "--num-actions", "2", "--seed", "3",
+                "--out", target]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {Path(target)}")
 
 
 def test_cli_check_evi_exits_zero(tmp_path, capsys):
