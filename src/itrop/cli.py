@@ -58,17 +58,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(message)s")
     try:
-        if args.command == "run":
-            result = run_experiment(_load_config(args))
-            for path in result.output_files:
-                print(path)
+        if args.command in ("run", "check"):
+            run = run_experiment if args.command == "run" else run_assumption_suite
+            result = run(_load_config(args))
+            if args.command == "run":
+                print(*result.output_files, sep="\n")
             if result.divergent_run_count:
                 print(f"divergent runs: {result.divergent_run_count}", file=sys.stderr)
-            for aid, verdict in result.verdicts.items():
-                print(f"{aid}: {verdict}")
-            return result.exit_code
-        if args.command == "check":
-            result = run_assumption_suite(_load_config(args))
             for aid, verdict in result.verdicts.items():
                 print(f"{aid}: {verdict}")
             return result.exit_code
@@ -86,8 +82,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, NonConvergenceError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except (DivergenceError, NonConvergenceError, MemoryError) as exc:
+        print(f"runtime failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DIVERGENCE
     raise AssertionError("unreachable")
 

@@ -286,38 +286,38 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
     point is unavailable, e.g. unregularized regression.  The solve's
     certificate bounds the target's distance to the true fixed point: in sup
     norm by discount / (1 - discount) times the last value-iteration step, in
-    l2 by the final gradient norm over lam (strong convexity).
+    l2 by the final gradient norm over lam (strong convexity).  Before the
+    solve, a config whose (horizon + 1, max(runs, dimension)) float arrays
+    could not be indexed is a ConfigurationError.
     """
     name = config.family_name()
+    mdp = name in ("evi", "qvi")
     target = solve = None
-    if name in ("evi", "qvi"):
+    if mdp:
         model = config.mdp.build()
-        if name == "evi":
-            op, kind = bellman_operator(model), "value"
-            factory_for = lambda n: empirical_bellman_factory(model, n)
-        else:
-            op, kind = q_operator(model), "q"
-            factory_for = lambda n: empirical_q_factory(model, n)
-        if need_target:
-            fixed, sweeps, moved = solve_exact(model, kind, tol=1e-10)
-            target = fixed.ravel()
-            gamma = model.discount
-            solve = {"method": "value-iteration", "iterations": sweeps, "residual": moved,
-                     "certified_bound": gamma / (1.0 - gamma) * moved,
-                     "claimed_modulus": op.claimed_modulus}
-        return FamilyBundle(op=op, factory_for=factory_for, target=target,
-                            x0=np.zeros(op.dimension), norm="sup", solve=solve)
-
-    problem, bounds = config.regression.build()
-    op = exact_gd_operator(problem, bounds)
-    if need_target:
+        op = bellman_operator(model) if name == "evi" else q_operator(model)
+        factory_for = lambda n: (empirical_bellman_factory if name == "evi"
+                                 else empirical_q_factory)(model, n)
+    else:
+        problem, bounds = config.regression.build()
+        op = exact_gd_operator(problem, bounds)
+        factory_for = lambda n: sgd_factory(problem, n, config.regression.sampling)
+    _require((config.horizon + 1) * max(config.runs, op.dimension) * 8 <= np.iinfo(np.intp).max,
+             f"'horizon' {config.horizon} and 'runs' {config.runs} need arrays too large "
+             f"to index for dimension {op.dimension}")
+    if need_target and mdp:
+        fixed, sweeps, moved = solve_exact(model, "value" if name == "evi" else "q", tol=1e-10)
+        target, gamma = fixed.ravel(), model.discount
+        solve = {"method": "value-iteration", "iterations": sweeps, "residual": moved,
+                 "certified_bound": gamma / (1.0 - gamma) * moved,
+                 "claimed_modulus": op.claimed_modulus}
+    elif need_target:
         target, steps, gnorm = solve_reference_minimizer(problem, tol=1e-8)
         solve = {"method": "damped-newton", "iterations": steps, "residual": gnorm,
                  "certified_bound": gnorm / problem.lam, "beta": problem.beta,
                  "claimed_modulus": op.claimed_modulus}
-    factory_for = lambda n: sgd_factory(problem, n, config.regression.sampling)
     return FamilyBundle(op=op, factory_for=factory_for, target=target,
-                        x0=np.zeros(op.dimension), norm="l2", solve=solve)
+                        x0=np.zeros(op.dimension), norm="sup" if mdp else "l2", solve=solve)
 
 
 @dataclass
@@ -330,60 +330,61 @@ class RunResult:
     verdicts: dict = field(default_factory=dict)
 
 
-def _output_dir(config: ExperimentConfig) -> Path:
-    """The config's output directory, made if missing."""
+def _write_json(path: Path, doc: dict) -> None:
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _run(config: ExperimentConfig, body: Callable[[ExperimentConfig, Path], tuple]) -> RunResult:
+    """The one driver of every experiment kind: make the output directory
+    before any work, call body(config, out_dir) -> (files, divergent runs,
+    extra meta keys), write meta.json, and pick the exit code: 3 on a violated
+    verdict, 2 when more runs diverged than DIVERGENCE_BUDGET allows, else 0."""
+    started = time.perf_counter()
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {out_dir}: {exc}") from exc
-    return out_dir
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_meta(config: ExperimentConfig, out_dir: Path, divergent: list,
-                wall_time: float, extra: dict) -> Path:
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "code_version": __version__,
-        "config": config.to_dict(),
-        "divergent_run_count": len(divergent),
-        "divergent_runs": divergent,
-        "wall_time_seconds": wall_time,
-        **extra,
-    }
-    path = out_dir / "meta.json"
-    _write_json(path, meta)
-    return path
+    files, divergent, extra = body(config, out_dir)
+    files.append(out_dir / "meta.json")
+    _write_json(files[-1], {"schema_version": SCHEMA_VERSION, "code_version": __version__,
+                            "config": config.to_dict(), "divergent_run_count": len(divergent),
+                            "divergent_runs": divergent,
+                            "wall_time_seconds": time.perf_counter() - started, **extra})
+    verdicts = extra.get("verdicts", {})
+    if VERDICT_VIOLATED in verdicts.values():
+        code = EXIT_ASSUMPTION
+    elif len(divergent) > DIVERGENCE_BUDGET * config.runs * len(config.sample_sizes):
+        code = EXIT_DIVERGENCE
+    else:
+        code = EXIT_OK
+    return RunResult(exit_code=code, output_files=files, divergent_run_count=len(divergent),
+                     verdicts=verdicts)
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Run a trajectory (or lln) experiment and emit its files.
+    """Run a trajectory, lln or assumptions experiment and emit its files.
 
-    Trajectory experiments write, per sample size n: distance_n<n>.csv
-    (distance between exact and randomized orbits) and timeavg_n<n>.csv
-    (distance of the running orbit average to the fixed point), plus meta.json,
-    which records the realizations drawn per sample size and the reference
-    solve's certificate (FamilyBundle.solve).
+    Every kind goes through one driver, which makes the output directory
+    before any work (an unwritable one is a ConfigurationError), writes
+    meta.json and sets the exit code.  Trajectory experiments write, per
+    sample size n: distance_n<n>.csv (distance between exact and randomized
+    orbits) and timeavg_n<n>.csv (distance of the running orbit average to the
+    fixed point), plus meta.json, which records the realizations drawn per
+    sample size and the reference solve's certificate (FamilyBundle.solve).
+    An lln experiment writes lln_n<n>.json audits; assumptions configs run
+    run_assumption_suite.
     """
     if config.experiment == "assumptions":
         return run_assumption_suite(config)
-    if config.experiment == "lln":
-        return _run_lln(config)
+    return _run(config, _lln if config.experiment == "lln" else _orbits)
 
-    started = time.perf_counter()
+
+def _orbits(config: ExperimentConfig, out_dir: Path):
     bundle = build_family(config)
     stream = RngStream(config.master_seed).child(Purpose.RUN)
     exact_traj = iterate_exact(bundle.op, bundle.x0, config.horizon)
-
-    out_dir = _output_dir(config)
-    files = []
-    divergent = []
-    drawn = []
-
+    files, divergent, drawn = [], [], []
     for n in config.sample_sizes:
         begun = time.perf_counter()
         dist, gap, dropped = orbit_curves(bundle.factory_for(n), exact_traj, bundle.target,
@@ -400,42 +401,26 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         alive = np.setdiff1d(np.arange(config.runs), list(dropped))
         if alive.size < 2 and alive.size < config.runs:
             raise DivergenceError(0, f"fewer than 2 runs survived at sample size {n}")
-        dist_path = out_dir / f"distance_n{n}.csv"
-        ta_path = out_dir / f"timeavg_n{n}.csv"
-        ensemble(dist[:, alive].T).to_csv(dist_path)
-        ensemble(gap[:, alive].T).to_csv(ta_path)
-        files.extend([dist_path, ta_path])
-
-    total_runs = config.runs * len(config.sample_sizes)
-    files.append(_write_meta(config, out_dir, divergent, time.perf_counter() - started,
-                             extra={"realizations_drawn": drawn,
-                                    "reference_solve": bundle.solve}))
-    code = EXIT_DIVERGENCE if len(divergent) > DIVERGENCE_BUDGET * total_runs else EXIT_OK
-    return RunResult(exit_code=code, output_files=files,
-                     divergent_run_count=len(divergent))
+        files += [out_dir / f"distance_n{n}.csv", out_dir / f"timeavg_n{n}.csv"]
+        ensemble(dist[:, alive].T).to_csv(files[-2])
+        ensemble(gap[:, alive].T).to_csv(files[-1])
+    return files, divergent, {"realizations_drawn": drawn, "reference_solve": bundle.solve}
 
 
-def _run_lln(config: ExperimentConfig) -> RunResult:
-    """Long-run audit: time averages of the orbit's norm versus the ensemble tail;
-    meta.json records the realizations drawn per sample size."""
-    started = time.perf_counter()
+def _lln(config: ExperimentConfig, out_dir: Path):
+    """Long-run audit: time averages of the orbit's norm versus the ensemble tail."""
     bundle = build_family(config, need_target=False)
     stream = RngStream(config.master_seed).child(Purpose.LLN)
-    out_dir = _output_dir(config)
     files = []
     for n in config.sample_sizes:
         report = lln_audit(bundle.factory_for(n), bundle.x0, lambda z: row_norm(z, bundle.norm),
                            config.horizon, config.runs, stream.child(n))
-        path = out_dir / f"lln_n{n}.json"
-        _write_json(path, report.to_dict())
-        files.append(path)
+        files.append(out_dir / f"lln_n{n}.json")
+        _write_json(files[-1], report.to_dict())
         log.info("lln n=%d done", n)
     # lln_audit raises on any dropped run, so every run drew every step
-    drawn = [{"sample_size": n, "count": config.runs * config.horizon}
-             for n in config.sample_sizes]
-    files.append(_write_meta(config, out_dir, [], time.perf_counter() - started,
-                             extra={"realizations_drawn": drawn}))
-    return RunResult(exit_code=EXIT_OK, output_files=files)
+    return files, [], {"realizations_drawn": [{"sample_size": n, "count": config.runs
+                                               * config.horizon} for n in config.sample_sizes]}
 
 
 def _ordered_pairs(box: Box, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -448,10 +433,15 @@ def _ordered_pairs(box: Box, rng: np.random.Generator, count: int) -> np.ndarray
 
 
 def run_assumption_suite(config: ExperimentConfig) -> RunResult:
-    """Run the stability checks for the configured family and emit one JSON
-    report per assumption; exit code flags any violated verdict.  meta.json
-    records the verdicts and the realizations each checker drew per sample size."""
-    started = time.perf_counter()
+    """Run the stability checks for the configured family (of any experiment
+    kind) through the same driver as run_experiment: the output directory is
+    made first, then one JSON report is written per assumption, and the exit
+    code flags any violated verdict.  meta.json records the verdicts and the
+    realizations each checker drew per sample size."""
+    return _run(config, _checks)
+
+
+def _checks(config: ExperimentConfig, out_dir: Path):
     bundle = build_family(config, need_target=False)
     stream = RngStream(config.master_seed)
     check = config.check
@@ -479,20 +469,14 @@ def run_assumption_suite(config: ExperimentConfig) -> RunResult:
     report_a5 = replace(report_a5, verdict=verdict,
                         parameters={**report_a5.parameters, "analytic_modulus": cert})
 
-    out_dir = _output_dir(config)
-    files = []
-    verdicts = {}
-    for report in (report_a2, report_a3, report_a5):
-        path = out_dir / f"assumption_{report.assumption_id}.json"
+    reports = (report_a2, report_a3, report_a5)
+    files = [out_dir / f"assumption_{report.assumption_id}.json" for report in reports]
+    for report, path in zip(reports, files):
         report.save(path)
-        files.append(path)
-        verdicts[report.assumption_id] = report.verdict
     # one realization per trial: A2 at every sample size, A3 and A5 at the first
     drawn = ([{"assumption_id": report_a2.assumption_id, "sample_size": n,
                "count": check.trials} for n in config.sample_sizes]
              + [{"assumption_id": report.assumption_id, "sample_size": config.sample_sizes[0],
                  "count": check.trials} for report in (report_a3, report_a5)])
-    files.append(_write_meta(config, out_dir, [], time.perf_counter() - started,
-                             extra={"verdicts": verdicts, "realizations_drawn": drawn}))
-    code = EXIT_ASSUMPTION if VERDICT_VIOLATED in verdicts.values() else EXIT_OK
-    return RunResult(exit_code=code, output_files=files, verdicts=verdicts)
+    return files, [], {"verdicts": {report.assumption_id: report.verdict for report in reports},
+                       "realizations_drawn": drawn}

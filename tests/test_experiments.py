@@ -13,7 +13,8 @@ import itrop
 from conftest import block_fake, on_cpus
 from itrop.cli import main
 from itrop.core import ConfigurationError
-from itrop.experiments import ExperimentConfig, build_family, run_experiment
+from itrop.experiments import (ExperimentConfig, build_family, run_assumption_suite,
+                               run_experiment)
 
 
 def evi_config(out_dir, **overrides):
@@ -659,20 +660,83 @@ def test_cli_unreadable_data_file_is_a_config_error(tmp_path, capsys, family, ki
     assert err.startswith(f"config error: cannot read {source}")
 
 
+LLN_EVI = {"experiment": "lln", "family": "evi", "master_seed": 3, "runs": 3, "horizon": 40,
+           "sample_sizes": [4],
+           "mdp": {"num_states": 5, "num_actions": 2, "seed": 1, "discount": 0.7}}
+CHECK_EVI = {"experiment": "assumptions", "family": "evi", "master_seed": 11, "runs": 2,
+             "horizon": 40, "sample_sizes": [2, 8],
+             "mdp": {"num_states": 5, "num_actions": 2, "seed": 1, "discount": 0.7},
+             "check": {"trials": 120, "pair_count": 8, "grid_size": 3}}
+
+
 @pytest.mark.parametrize("kind", ["empty", "missing-directory", "under-a-file",
-                                  "output-dir-is-a-file"])
-def test_cli_unwritable_output_path_is_a_config_error(tmp_path, capsys, kind):
+                                  "output-dir-is-a-file", "lln-output-dir-is-a-file",
+                                  "check-output-dir-is-a-file"])
+def test_cli_unwritable_output_path_is_a_config_error(tmp_path, capsys, monkeypatch, kind):
+    # every experiment kind makes its output directory before any work
+    monkeypatch.setattr(itrop.experiments, "build_family",
+                        lambda *args, **kwargs: pytest.fail("work began before the "
+                                                            "output directory was made"))
     (tmp_path / "file").write_text("")
     target = {"empty": "", "missing-directory": str(tmp_path / "absent" / "m.json"),
-              "under-a-file": str(tmp_path / "file" / "m.json"),
-              "output-dir-is-a-file": str(tmp_path / "file")}[kind]
+              "under-a-file": str(tmp_path / "file" / "m.json")}.get(kind, str(tmp_path / "file"))
     if kind == "output-dir-is-a-file":
         args = ["run", write_config(tmp_path, evi_config(target))]
+    elif kind == "lln-output-dir-is-a-file":
+        args = ["run", write_config(tmp_path, {**LLN_EVI, "output_dir": target})]
+    elif kind == "check-output-dir-is-a-file":
+        args = ["check", write_config(tmp_path, {**CHECK_EVI, "output_dir": target})]
     else:
         args = ["gen", "mdp", "--num-states", "4", "--num-actions", "2", "--seed", "3",
                 "--out", target]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith(f"config error: cannot write {Path(target)}")
+
+
+@pytest.mark.parametrize("sizes", [{"horizon": 2 ** 62}, {"runs": 2 ** 62, "horizon": 1}],
+                         ids=["horizon", "runs"])
+def test_cli_arrays_too_large_to_index_are_a_config_error(tmp_path, capsys, sizes):
+    data = evi_config(tmp_path / "o", **{"runs": 2, "mdp": {"num_states": 3, "num_actions": 2},
+                                         **sizes})
+    assert main(["run", write_config(tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'horizon'") and "'runs'" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("message,shown", [("Unable to allocate 24.0 TiB",
+                                            "Unable to allocate 24.0 TiB"),
+                                           ("", "out of memory")], ids=["numpy", "bare"])
+def test_cli_out_of_memory_is_a_runtime_failure(tmp_path, capsys, monkeypatch, message, shown):
+    # the allocation is faked: whether a real one fails depends on the host's overcommit
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(itrop.experiments, "iterate_exact", exhausted)
+    data = evi_config(tmp_path / "o", runs=2, horizon=2 ** 40,
+                      mdp={"num_states": 3, "num_actions": 2})
+    assert main(["run", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"runtime failure: {shown}\n"
+
+
+def test_check_of_a_trajectory_config_matches_the_assumptions_route(tmp_path, capsys):
+    # `itrop check` on an evi config and `itrop run` on the same family's
+    # assumptions config run one suite
+    trajectory = {k: v for k, v in CHECK_EVI.items() if k != "family"}
+    routes = {"check": write_config(tmp_path, {**trajectory, "experiment": "evi",
+                                               "output_dir": str(tmp_path / "check")}, "c.json"),
+              "run": write_config(tmp_path, {**CHECK_EVI, "output_dir": str(tmp_path / "run")},
+                                  "r.json")}
+    for command, cfg in routes.items():
+        assert main([command, cfg]) == 0
+    reports = sorted(p.name for p in (tmp_path / "run").glob("assumption_*.json"))
+    assert len(reports) == 3
+    assert sorted(p.name for p in (tmp_path / "check").glob("assumption_*.json")) == reports
+    for name in reports:
+        assert (tmp_path / "check" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    verdicts = [json.loads((tmp_path / route / "meta.json").read_text())["verdicts"]
+                for route in routes]
+    assert verdicts[0] == verdicts[1] and set(verdicts[0].values()) == {"consistent"}
 
 
 def test_cli_check_evi_exits_zero(tmp_path, capsys):
@@ -800,22 +864,30 @@ def test_lln_meta_counts_runs_times_horizon(tmp_path):
 
 
 def test_summarize_run_prints_a_check_s_verdicts_and_counts(tmp_path, monkeypatch, capsys):
-    data = {"experiment": "assumptions", "family": "evi", "master_seed": 11,
-            "horizon": 40, "sample_sizes": [2, 8], "output_dir": str(tmp_path / "chk"),
-            "mdp": {"num_states": 5, "num_actions": 2, "seed": 1, "discount": 0.7},
-            "check": {"trials": 120, "pair_count": 8, "grid_size": 3}}
-    run_experiment(ExperimentConfig.from_dict(data))
+    # a check by either route (an assumptions config, or `check` on an evi
+    # config), then an lln audit
     script = Path(__file__).resolve().parent.parent / "scripts" / "summarize_run.py"
-    monkeypatch.setattr("sys.argv", ["summarize_run.py", str(tmp_path / "chk")])
-    runpy.run_path(str(script), run_name="__main__")
-    out = capsys.readouterr().out
-    assert "runs=" not in out  # a check draws no orbits
-    assert "trials=120" in out
-    for line in ("A2-sup-prob: consistent", "A3-monotone: consistent",
-                 "A5-contraction-log: consistent",
-                 "A2-sup-prob n=2: 120", "A2-sup-prob n=8: 120", "A3-monotone n=2: 120",
-                 "A5-contraction-log n=2: 120"):
-        assert line in out
+    trajectory = {k: v for k, v in CHECK_EVI.items() if k != "family"}
+    for name, data in (("chk", CHECK_EVI), ("chk-evi", {**trajectory, "experiment": "evi"}),
+                       ("lln", LLN_EVI)):
+        config = ExperimentConfig.from_dict({**data, "output_dir": str(tmp_path / name)})
+        (run_experiment if name == "lln" else run_assumption_suite)(config)
+        monkeypatch.setattr("sys.argv", ["summarize_run.py", str(tmp_path / name)])
+        runpy.run_path(str(script), run_name="__main__")
+        out = capsys.readouterr().out
+        if name == "lln":
+            audit = json.loads((tmp_path / "lln" / "lln_n4.json").read_text())
+            assert (f"lln n=4: tail mean {audit['tail_mean']:.4g}+/-{audit['tail_se']:.1g}  "
+                    f"spread {audit['spread']:.4g}  max gap to tail "
+                    f"{audit['max_gap_to_tail']:.4g}") in out
+            continue
+        assert "runs=" not in out  # a check draws no orbits
+        assert "check family=evi trials=120" in out
+        for line in ("A2-sup-prob: consistent", "A3-monotone: consistent",
+                     "A5-contraction-log: consistent",
+                     "A2-sup-prob n=2: 120", "A2-sup-prob n=8: 120", "A3-monotone n=2: 120",
+                     "A5-contraction-log n=2: 120"):
+            assert line in out, (name, line)
 
 
 def test_run_all_desk_prints_each_config_s_exit_code_and_wall_seconds(tmp_path, monkeypatch,
