@@ -1,49 +1,16 @@
 """Emit the full-scale experiment configs (hours of compute, not for CI).
 
-The desk configs in configs/ are shrunken copies; these use the full run
-counts and horizons.  Pipe the results through scripts/summarize_run.py.
+Each full config is a desk config from configs/ with the full run count and
+horizon (1000 each) and its own output directory.  Pipe the results through
+scripts/summarize_run.py.
 """
 
 import argparse
 import json
 from pathlib import Path
 
-FULL = {
-    "evi_full.json": {
-        "experiment": "evi",
-        "master_seed": 7,
-        "runs": 1000,
-        "horizon": 1000,
-        "sample_sizes": [1, 25, 400],
-        "mdp": {"num_states": 20, "num_actions": 5, "discount": 0.9, "seed": 7},
-    },
-    "qvi_full.json": {
-        "experiment": "qvi",
-        "master_seed": 7,
-        "runs": 1000,
-        "horizon": 1000,
-        "sample_sizes": [1, 25, 400],
-        "mdp": {"num_states": 20, "num_actions": 5, "discount": 0.9, "seed": 7},
-    },
-    "sgd_logistic_full.json": {
-        "experiment": "sgd-logistic",
-        "master_seed": 11,
-        "runs": 1000,
-        "horizon": 1000,
-        "sample_sizes": [8, 16, 32],
-        "regression": {"num_samples": 1000, "dim": 20, "seed": 11,
-                       "lambda": 5.0, "beta": "auto"},
-    },
-    "sgd_poisson_full.json": {
-        "experiment": "sgd-poisson",
-        "master_seed": 13,
-        "runs": 1000,
-        "horizon": 1000,
-        "sample_sizes": [64, 256, 1024],
-        "regression": {"num_samples": 2000, "dim": 20, "seed": 13,
-                       "lambda": 1.0, "beta": "auto", "region_radius": 1.0},
-    },
-}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DESK = ("evi", "qvi", "sgd_logistic", "sgd_poisson")
 
 
 def main():
@@ -54,12 +21,11 @@ def main():
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, data in FULL.items():
-        doc = dict(data)
-        if args.runs:
-            doc["runs"] = args.runs
-        doc["output_dir"] = f"out/{name.removesuffix('.json')}"
-        path = out_dir / name
+    for name in DESK:
+        with open(CONFIG_DIR / f"{name}_desk.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc.update(runs=args.runs or 1000, horizon=1000, output_dir=f"out/{name}_full")
+        path = out_dir / f"{name}_full.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

@@ -4,8 +4,7 @@ __version__ = "0.6.0"
 
 from .core import (ConfigurationError, DivergenceError, DIVERGENCE_LIMIT,
                    ExactOperatorHandle, NonConvergenceError, RandomOperatorFactory,
-                   RngStream, iterate_ensemble, iterate_exact, iterate_random,
-                   row_norm)
+                   RngStream, iterate_ensemble, iterate_exact, row_norm)
 from .mdp import (MdpModel, bellman_apply, bellman_operator, empirical_bellman_factory,
                   empirical_q_factory, hoeffding_bound, load_model, q_apply, q_operator,
                   random_mdp, save_model, solve_exact, uses_alias)

@@ -212,6 +212,16 @@ def ensemble(curves) -> EnsembleSummary:
                            count=runs)
 
 
+def _mean_se(values: np.ndarray) -> np.ndarray:
+    """Standard error of the mean of independent values, along the last axis."""
+    return np.std(values, axis=-1, ddof=1) / np.sqrt(values.shape[-1])
+
+
+def _proportion_se(p: float, trials: int) -> float:
+    """Binomial standard error of a proportion p estimated from trials."""
+    return float(np.sqrt(p * (1.0 - p) / trials))
+
+
 def _per_trial(factory: RandomOperatorFactory, layers: list, trials: int, width: int,
                start, stat) -> np.ndarray:
     """stat(points, images) for trials 0..trials-1, rows stacked in trial order.
@@ -327,7 +337,7 @@ def check_sup_probability(op: ExactOperatorHandle,
         rows.append({
             "sample_size": factory.sample_size,
             "max_probability": p,
-            "std_error": float(np.sqrt(p * (1.0 - p) / trials)),
+            "std_error": _proportion_se(p, trials),
             "grid_index": j_max,
         })
 
@@ -381,13 +391,6 @@ def check_monotone(factory: RandomOperatorFactory, x0, pairs, trials: int,
                   for t, c in zip(trial[:100], column[:100])])
 
 
-def _log_alpha_stats(alphas: np.ndarray):
-    logs = np.log(np.maximum(alphas, 1e-300))
-    mean_log = float(np.mean(logs))
-    se_log = float(np.std(logs, ddof=1) / np.sqrt(logs.size))
-    return mean_log, se_log
-
-
 def check_contraction_log(factory: RandomOperatorFactory, pair_count: int,
                           trials: int, box: Box, stream: RngStream,
                           norm: str = "l2") -> AssumptionReport:
@@ -398,9 +401,9 @@ def check_contraction_log(factory: RandomOperatorFactory, pair_count: int,
     pairs can only raise it), so `consistent` is evidence, not proof.
     """
     alphas = _lipschitz_samples(factory, 1, pair_count, trials, box, stream, norm)
-    mean = float(np.mean(alphas))
-    se = float(np.std(alphas, ddof=1) / np.sqrt(trials))
-    mean_log, se_log = _log_alpha_stats(alphas)
+    logs = np.log(np.maximum(alphas, 1e-300))
+    mean, se = float(np.mean(alphas)), float(_mean_se(alphas))
+    mean_log, se_log = float(np.mean(logs)), float(_mean_se(logs))
     if mean_log + 3.0 * se_log < 0.0:
         verdict = VERDICT_CONSISTENT
     elif mean_log - 3.0 * se_log > 0.0:
@@ -429,13 +432,10 @@ def check_composite_lipschitz(factory: RandomOperatorFactory, depth: int,
     if depth < 1:
         raise ConfigurationError("depth must be >= 1")
     alphas = _lipschitz_samples(factory, depth, pair_count, trials, box, stream, norm)
-    mean = float(np.mean(alphas))
-    se = float(np.std(alphas, ddof=1) / np.sqrt(trials))
-    rows = [{"eps": float(e),
-             "prob_above": float(np.mean(alphas > 1.0 - e)),
-             "std_error": float(np.sqrt(np.mean(alphas > 1.0 - e)
-                                        * (1.0 - np.mean(alphas > 1.0 - e)) / trials))}
-            for e in eps_ladder]
+    mean, se = float(np.mean(alphas)), float(_mean_se(alphas))
+    above = [float(np.mean(alphas > 1.0 - e)) for e in eps_ladder]
+    rows = [{"eps": float(e), "prob_above": p, "std_error": _proportion_se(p, trials)}
+            for e, p in zip(eps_ladder, above)]
 
     if float(np.max(alphas)) <= 1.0 + 1e-12:
         verdict = VERDICT_CONSISTENT
@@ -474,8 +474,7 @@ def _batch_means_se(values: np.ndarray, num_batches: int = 20) -> np.ndarray:
     runs, length = values.shape
     b = min(num_batches, length)
     width = length // b
-    means = values[:, :b * width].reshape(runs, b, width).mean(axis=2)
-    return np.std(means, axis=1, ddof=1) / np.sqrt(b)
+    return _mean_se(values[:, :b * width].reshape(runs, b, width).mean(axis=2))
 
 
 def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], np.ndarray],
@@ -508,7 +507,7 @@ def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], np.n
     ses = _batch_means_se(values[:, :horizon])
     tails = values[:, horizon]
     tail_mean = float(np.mean(tails))
-    tail_se = float(np.std(tails, ddof=1) / np.sqrt(runs))
+    tail_se = float(_mean_se(tails))
     spread = float(np.max(time_avgs) - np.min(time_avgs))
     return LlnReport(time_averages=time_avgs,
                      time_average_ses=ses,

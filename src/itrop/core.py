@@ -399,20 +399,3 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
                     visit(done, runs, z)
                 break
     return dropped
-
-
-def iterate_random(factory: RandomOperatorFactory, z0, num_steps: int,
-                   run: RngStream) -> np.ndarray:
-    """Randomized orbit of the single run run.run, as a (num_steps+1, d) array.
-
-    Step k applies the realization from run.child(k - 1); this is the
-    ensemble engine with one run, so the orbit equals that run's row in any
-    batch.
-    """
-    rows = []
-    dropped = iterate_ensemble(factory, z0, num_steps, run, [run.run],
-                               lambda k, runs, z: rows.append(z[0].copy()))
-    if dropped:
-        raise DivergenceError(dropped[run.run])
-    return np.array(rows)
-

@@ -295,9 +295,10 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
     target = solve = None
     if mdp:
         model = config.mdp.build()
-        op = bellman_operator(model) if name == "evi" else q_operator(model)
-        factory_for = lambda n: (empirical_bellman_factory if name == "evi"
-                                 else empirical_q_factory)(model, n)
+        make_op, make_factory = ((bellman_operator, empirical_bellman_factory) if name == "evi"
+                                 else (q_operator, empirical_q_factory))
+        op = make_op(model)
+        factory_for = lambda n: make_factory(model, n)
     else:
         problem, bounds = config.regression.build()
         op = exact_gd_operator(problem, bounds)
@@ -306,11 +307,10 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
              f"'horizon' {config.horizon} and 'runs' {config.runs} need arrays too large "
              f"to index for dimension {op.dimension}")
     if need_target and mdp:
-        fixed, sweeps, moved = solve_exact(model, "value" if name == "evi" else "q", tol=1e-10)
-        target, gamma = fixed.ravel(), model.discount
+        target, sweeps, moved = solve_exact(op, tol=1e-10)
+        gamma = op.claimed_modulus
         solve = {"method": "value-iteration", "iterations": sweeps, "residual": moved,
-                 "certified_bound": gamma / (1.0 - gamma) * moved,
-                 "claimed_modulus": op.claimed_modulus}
+                 "certified_bound": gamma / (1.0 - gamma) * moved, "claimed_modulus": gamma}
     elif need_target:
         target, steps, gnorm = solve_reference_minimizer(problem, tol=1e-8)
         solve = {"method": "damped-newton", "iterations": steps, "residual": gnorm,
@@ -445,6 +445,12 @@ def _checks(config: ExperimentConfig, out_dir: Path):
     bundle = build_family(config, need_target=False)
     stream = RngStream(config.master_seed)
     check = config.check
+    # the box samples, then the checkers' (trials, grid_size) and (trials, 1 + pair_count) rows
+    for key, entries in (("grid_size", check.grid_size * bundle.op.dimension),
+                         ("pair_count", 2 * check.pair_count * bundle.op.dimension),
+                         ("trials", check.trials * max(check.grid_size, 1 + check.pair_count))):
+        _require(entries * 8 <= np.iinfo(np.intp).max,
+                 f"'check.{key}' {getattr(check, key)} needs arrays too large to index")
 
     exact_traj = iterate_exact(bundle.op, bundle.x0, config.horizon)
     box = Box.around(exact_traj)

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, read_json, write_atomic)
+                   RandomOperatorFactory, RngStream, read_json, row_norm, write_atomic)
 
 _ROW_SUM_TOL = 1e-12
 
@@ -245,29 +245,26 @@ def q_operator(model: MdpModel) -> ExactOperatorHandle:
     return ExactOperatorHandle(apply=apply, dimension=s * a, claimed_modulus=model.discount)
 
 
-def solve_exact(model: MdpModel, kind: str = "value", tol: float = 1e-10,
+def solve_exact(op: ExactOperatorHandle, tol: float = 1e-10,
                 max_iterations: int = 10 ** 6) -> tuple[np.ndarray, int, float]:
-    """(fixed point, sweeps, last sup-norm step ||Tx - x||) of the exact sweep,
-    by iteration from 0.
+    """(fixed point, sweeps, last sup-norm step ||Tx - x||) of the exact sweep
+    op, by iteration from 0; op.claimed_modulus, gamma, must lie in (0, 1) and
+    bound op's Lipschitz constant in sup norm.
 
     Stops once the sup-norm step ||Tx - x|| shrinks below
-    tol * (1 - discount) / discount; then ||Tx - x*|| <= discount / (1 - discount)
+    tol * (1 - gamma) / gamma; then ||Tx - x*|| <= gamma / (1 - gamma)
     * ||Tx - x|| <= tol, and Tx is returned.
     """
+    gamma = op.claimed_modulus
+    if gamma is None or not 0.0 < gamma < 1.0:
+        raise ConfigurationError(f"solve_exact needs a claimed modulus in (0, 1), got {gamma!r}")
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    if kind == "value":
-        x = np.zeros(model.num_states)
-        step = lambda y: bellman_apply(model, y)
-    elif kind == "q":
-        x = np.zeros((model.num_states, model.num_actions))
-        step = lambda y: q_apply(model, y)
-    else:
-        raise ConfigurationError(f"kind must be 'value' or 'q', got {kind!r}")
-    threshold = tol * (1.0 - model.discount) / model.discount
+    x = np.zeros(op.dimension)
+    threshold = tol * (1.0 - gamma) / gamma
     for sweep in range(1, max_iterations + 1):
-        nxt = step(x)
-        moved = float(np.max(np.abs(nxt - x)))
+        nxt = op.apply(x)
+        moved = float(row_norm(nxt - x, "sup"))
         if moved <= threshold:
             return nxt, sweep, moved
         x = nxt

@@ -39,7 +39,7 @@ def _sup(a, axis=None):
 
 @pytest.fixture(scope="module")
 def vstar20(mdp20):
-    return itrop.solve_exact(mdp20, "value", tol=1e-10)[0]
+    return itrop.solve_exact(itrop.bellman_operator(mdp20), tol=1e-10)[0]
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +291,7 @@ def test_criterion_10_reference_fixed_point(ref_mdp2):
     p = ref_mdp2.transition[:, 0, :]
     c = ref_mdp2.cost[:, 0]
     direct = np.linalg.solve(np.eye(2) - ref_mdp2.discount * p, c)
-    v, _, _ = itrop.solve_exact(ref_mdp2, "value", tol=1e-10)
+    v, _, _ = itrop.solve_exact(itrop.bellman_operator(ref_mdp2), tol=1e-10)
     gap = float(_sup(v - direct))
     _report(10, "iterative-solve-matches-linear-solve", gap <= 1e-8,
             f"sup gap {gap:.2e}")

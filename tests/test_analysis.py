@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import itrop
 from conftest import (block_fake, blow_up_factory, draw_threads, make_halving_factory,
-                      make_shift_factory, normal_draws, on_cpus)
+                      make_shift_factory, normal_draws, on_cpus, run_alone)
 from itrop.core import ConfigurationError
 
 point_lists = st.lists(st.floats(-10, 10), min_size=3, max_size=3)
@@ -123,7 +123,7 @@ def test_orbit_curves_columns_are_the_runs_alone(family, mdp20, logistic_problem
     if family == "evi":
         op, norm = itrop.bellman_operator(mdp20), "sup"
         factory = itrop.empirical_bellman_factory(mdp20, 5)
-        target, _, _ = itrop.solve_exact(mdp20, "value", tol=1e-10)
+        target, _, _ = itrop.solve_exact(op, tol=1e-10)
     else:
         op, norm = itrop.exact_gd_operator(logistic_problem), "l2"
         factory = itrop.sgd_factory(logistic_problem, 8)
@@ -134,7 +134,7 @@ def test_orbit_curves_columns_are_the_runs_alone(family, mdp20, logistic_problem
     dist, gap, dropped = itrop.orbit_curves(factory, exact, target, stream, runs, norm)
     assert dist.shape == gap.shape == (horizon + 1, runs) and dropped == {}
     for r in range(runs):
-        traj = itrop.iterate_random(factory, exact[0], horizon, stream.for_run(r))
+        traj = run_alone(factory, exact[0], horizon, stream.for_run(r))
         assert np.array_equal(dist[:, r], itrop.row_norm(traj - exact, norm))
         prefix_means = np.array([traj[:k + 1].mean(axis=0) for k in range(horizon + 1)])
         assert np.allclose(gap[:, r], itrop.row_norm(prefix_means - target, norm),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import itrop
 from itrop.core import ConfigurationError, DivergenceError
 
-from conftest import block_fake, make_halving_factory, make_shift_factory
+from conftest import block_fake, make_halving_factory, make_shift_factory, run_alone
 
 
 def affine_op(a: float, dim: int) -> itrop.ExactOperatorHandle:
@@ -212,26 +212,25 @@ def test_divergence_guard_step_matches_doubling_oracle():
     assert err.value.step == expected
 
 
-# ---------------------------------------------------------------- iterate_random
+# ---------------------------------------------------------------- one run alone
 
 def test_iterate_random_identity_factory_constant():
-    traj = itrop.iterate_random(identity_factory(2), [1.0, 2.0], 7,
-                                itrop.RngStream(0).child(0))
+    traj = run_alone(identity_factory(2), [1.0, 2.0], 7, itrop.RngStream(0).child(0))
     assert np.all(traj == traj[0])
 
 
 def test_iterate_random_bitwise_reproducible(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 5)
     run = itrop.RngStream(9).child(4)
-    a = itrop.iterate_random(factory, np.zeros(20), 30, run)
-    b = itrop.iterate_random(factory, np.zeros(20), 30, run)
+    a = run_alone(factory, np.zeros(20), 30, run)
+    b = run_alone(factory, np.zeros(20), 30, run)
     assert np.array_equal(a, b)
 
 
 def test_iterate_random_distinct_runs_differ(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 5)
-    a = itrop.iterate_random(factory, np.zeros(20), 30, itrop.RngStream(9).child(0))
-    b = itrop.iterate_random(factory, np.zeros(20), 30, itrop.RngStream(9).child(1))
+    a = run_alone(factory, np.zeros(20), 30, itrop.RngStream(9).child(0))
+    b = run_alone(factory, np.zeros(20), 30, itrop.RngStream(9).child(1))
     assert not np.array_equal(a, b)
 
 
@@ -244,14 +243,14 @@ def test_iterate_random_uses_per_step_substreams():
         return runs
 
     factory = block_fake(1, lambda runs, z: z, draw=draw)
-    itrop.iterate_random(factory, [0.0], 4, itrop.RngStream(1).child(6).for_run(2))
+    run_alone(factory, [0.0], 4, itrop.RngStream(1).child(6).for_run(2))
     assert seen == [((6, 0), [2]), ((6, 1), [2]), ((6, 2), [2]), ((6, 3), [2])]
 
 
 def test_iterate_random_divergence_guard():
     factory = block_fake(1, lambda runs, z: 10.0 * z)
     with pytest.raises(DivergenceError):
-        itrop.iterate_random(factory, [1.0], 100, itrop.RngStream(0).child(0))
+        run_alone(factory, [1.0], 100, itrop.RngStream(0).child(0))
 
 
 # ---------------------------------------------------------------- orbit curves
@@ -294,7 +293,7 @@ def test_time_average_matches_prefix_oracle():
     exact = itrop.iterate_exact(affine_op(0.5, 4), np.ones(4), 12)
     _, gap, _ = itrop.orbit_curves(factory, exact, target, stream, 2)
     for r in range(2):
-        traj = itrop.iterate_random(factory, exact[0], 12, stream.for_run(r))
+        traj = run_alone(factory, exact[0], 12, stream.for_run(r))
         # oracle: direct prefix means
         expected = np.array([traj[: k + 1].mean(axis=0) for k in range(13)])
         assert np.allclose(gap[:, r], itrop.row_norm(expected - target), rtol=0, atol=1e-12)

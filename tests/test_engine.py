@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import itrop
-from conftest import block_fake, blow_up_factory, draw_threads, normal_draws, on_cpus
+from conftest import (block_fake, blow_up_factory, draw_threads, normal_draws, on_cpus,
+                      run_alone)
 from itrop.core import ConfigurationError
 
 HORIZON = 12
@@ -53,7 +54,7 @@ def test_run_alone_equals_its_row_in_a_batch(mdp20, logistic_problem, name, runs
     batch, dropped = ensemble_orbits(factory, z0, runs, stream)
     assert dropped == {}
     for r in range(runs):
-        alone = itrop.iterate_random(factory, z0, HORIZON, stream.for_run(r))
+        alone = run_alone(factory, z0, HORIZON, stream.for_run(r))
         assert np.array_equal(alone, batch[r])
     if runs > 1 and name != "sgd-full":  # a full batch has no randomness
         assert not np.array_equal(batch[0], batch[1])
@@ -154,7 +155,7 @@ def test_engine_draws_a_step_once_for_its_runs():
     batch, _ = ensemble_orbits(factory, [1.0], 3, stream, horizon=2)
     assert seen == [((9, 0), [0, 1, 2]), ((9, 1), [0, 1, 2])]
     for r in range(3):
-        alone = itrop.iterate_random(factory, [1.0], 2, stream.for_run(r))
+        alone = run_alone(factory, [1.0], 2, stream.for_run(r))
         assert np.array_equal(alone, batch[r])
 
 
@@ -183,7 +184,7 @@ def test_diverging_row_is_dropped_with_its_step_and_others_continue(monkeypatch)
                 continue
             assert np.all(np.isnan(batch[r, blow_up[r]:]))
             with pytest.raises(itrop.DivergenceError) as err:
-                itrop.iterate_random(factory, [1.0, 1.0], 10, stream.for_run(r))
+                run_alone(factory, [1.0, 1.0], 10, stream.for_run(r))
             assert err.value.step == blow_up[r]
 
 
@@ -198,7 +199,7 @@ def test_diverging_block_factory_rows_match_solo_runs(poisson_problem):
     assert sorted(dropped) == [0, 1, 2, 3, 4]
     for r, step in dropped.items():
         with pytest.raises(itrop.DivergenceError) as err:
-            itrop.iterate_random(factory, np.zeros(8), 60, stream.for_run(r))
+            run_alone(factory, np.zeros(8), 60, stream.for_run(r))
         assert err.value.step == step
 
 
@@ -350,7 +351,7 @@ def test_a_dropped_run_s_drawn_ahead_rows_are_discarded(mdp20, monkeypatch):
         for r, k in blow_up.items():
             assert np.all(np.isnan(orbits[2][r, k:]))
         for r in survivors:
-            alone = itrop.iterate_random(factory, z0, HORIZON, stream.for_run(r))
+            alone = run_alone(factory, z0, HORIZON, stream.for_run(r))
             assert np.array_equal(alone, orbits[2][r])
 
 

@@ -637,7 +637,7 @@ def test_cli_value_iteration_failure_exits_two(tmp_path, capsys, monkeypatch):
     # the 6-state model at discount 0.8 needs about a hundred sweeps; allow 1
     solve = itrop.experiments.solve_exact
     monkeypatch.setattr(itrop.experiments, "solve_exact",
-                        lambda model, kind, tol: solve(model, kind, tol, max_iterations=1))
+                        lambda op, tol: solve(op, tol, max_iterations=1))
     cfg = write_config(tmp_path, evi_config(tmp_path / "d"))
     assert main(["run", cfg]) == 2
     assert "runtime failure: reference solve did not converge" in capsys.readouterr().err
@@ -702,6 +702,18 @@ def test_cli_arrays_too_large_to_index_are_a_config_error(tmp_path, capsys, size
     err = capsys.readouterr().err
     assert err.startswith("config error: 'horizon'") and "'runs'" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["grid_size", "pair_count", "trials"])
+def test_cli_check_arrays_too_large_to_index_are_a_config_error(tmp_path, capsys, monkeypatch,
+                                                                key):
+    # refused before the exact orbit and before any checker runs
+    monkeypatch.setattr(itrop.experiments, "iterate_exact", None)
+    data = evi_config(tmp_path / "o", runs=2, horizon=3, check={key: 2 ** 62},
+                      mdp={"num_states": 3, "num_actions": 2})
+    assert main(["check", write_config(tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: 'check.{key}' {2 ** 62} needs arrays too large to index\n"
 
 
 @pytest.mark.parametrize("message,shown", [("Unable to allocate 24.0 TiB",
@@ -912,3 +924,9 @@ def test_full_scale_configs_parse_with_the_run_count_asked_for(tmp_path, monkeyp
     assert len(emitted) == 4
     for path in emitted:
         assert ExperimentConfig.from_json(path).runs == 3
+        # each full config is its desk config at full scale
+        full = json.loads(Path(path).read_text())
+        desk = json.loads((script.parent.parent / "configs" / Path(path).name.replace(
+            "_full", "_desk")).read_text())
+        scale = {"runs": 3, "horizon": 1000, "output_dir": f"out/{Path(path).stem}"}
+        assert full == {**desk, **scale}

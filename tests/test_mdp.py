@@ -71,31 +71,41 @@ def test_bellman_single_action_is_affine(ref_mdp2):
 def test_reference_fixed_point_matches_linear_solve(ref_mdp2):
     oracle = linear_system_fixed_point(ref_mdp2)
     assert np.allclose(oracle, [2.0, 4.0], rtol=0, atol=1e-14)
-    v, sweeps, moved = itrop.solve_exact(ref_mdp2, "value", tol=1e-10)
+    v, sweeps, moved = itrop.solve_exact(itrop.bellman_operator(ref_mdp2), tol=1e-10)
     assert np.max(np.abs(v - oracle)) <= 1e-10
     # the last step met the stopping rule tol * (1 - discount) / discount = tol
     assert sweeps >= 1 and 0.0 <= moved <= 1e-10
 
 
 def test_q_fixed_point_consistent_with_value(ref_mdp2):
-    q, _, _ = itrop.solve_exact(ref_mdp2, "q", tol=1e-10)
-    v, _, _ = itrop.solve_exact(ref_mdp2, "value", tol=1e-10)
-    assert q.shape == (2, 1)
-    assert np.max(np.abs(q.min(axis=1) - v)) <= 1e-9
+    q_op = itrop.q_operator(ref_mdp2)
+    q, _, _ = itrop.solve_exact(q_op, tol=1e-10)
+    v, _, _ = itrop.solve_exact(itrop.bellman_operator(ref_mdp2), tol=1e-10)
+    assert q.shape == (2,)  # flat (S*A,), as the Q handle iterates it
+    assert np.max(np.abs(q.reshape(2, 1).min(axis=1) - v)) <= 1e-9
     # q* is a fixed point of the exact Q sweep
-    assert np.max(np.abs(itrop.q_apply(ref_mdp2, q) - q)) <= 1e-9
+    assert np.max(np.abs(q_op.apply(q) - q)) <= 1e-9
 
 
 def test_solve_exact_tolerance_semantics(ref_mdp2):
     oracle = linear_system_fixed_point(ref_mdp2)
     for tol in (1e-4, 1e-8, 1e-12):
-        v, _, _ = itrop.solve_exact(ref_mdp2, "value", tol=tol)
+        v, _, _ = itrop.solve_exact(itrop.bellman_operator(ref_mdp2), tol=tol)
         assert np.max(np.abs(v - oracle)) <= tol
 
 
 def test_solve_exact_iteration_cap(mdp20):
     with pytest.raises(NonConvergenceError, match="reference solve did not converge"):
-        itrop.solve_exact(mdp20, "value", tol=1e-10, max_iterations=3)
+        itrop.solve_exact(itrop.bellman_operator(mdp20), tol=1e-10, max_iterations=3)
+
+
+def test_solve_exact_needs_a_contraction_certificate(ref_mdp2):
+    # without a modulus in (0, 1) the stopping rule certifies nothing
+    sweep = itrop.bellman_operator(ref_mdp2)
+    for modulus in (None, 1.0, 2.0):
+        op = itrop.ExactOperatorHandle(apply=sweep.apply, dimension=2, claimed_modulus=modulus)
+        with pytest.raises(ConfigurationError, match="claimed modulus in \\(0, 1\\)"):
+            itrop.solve_exact(op)
 
 
 def test_bellman_shape_validation(mdp20):
