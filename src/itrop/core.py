@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -55,8 +56,8 @@ def as_point(x) -> np.ndarray:
 def row_norm(diff, norm: str = "l2") -> np.ndarray:
     """Norm ("l2" or "sup") of each row of diff, taken along its last axis."""
     diff = np.asarray(diff, dtype=np.float64)
-    if norm == "l2":
-        return np.linalg.norm(diff, axis=-1)
+    if norm == "l2":  # np.linalg.norm(diff, axis=-1), bit for bit, without its overhead
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1))
     if norm == "sup":
         return np.max(np.abs(diff), axis=-1, initial=0.0)
     raise ConfigurationError(f"unknown norm {norm!r}, expected one of {NORMS}")
@@ -103,6 +104,80 @@ def read_json(path):
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (pcg64.h), with which _child_starts derives
+# the states numpy would.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD, _STATE = (1 << 32) - 1, (1 << 128) - 1
+# generate_state(4, uint64) cycles the pool twice, hashing word i with the
+# B-constant before and after its i-th multiplication
+_B_HASH = [_INIT_B * pow(_MULT_B, i, 1 << 32) & _WORD for i in range(9)]
+_B_XOR, _B_MUL = np.array(_B_HASH[:8], np.uint32), np.array(_B_HASH[1:], np.uint32)
+
+# Steps whose streams RngStream.children derives at once.
+_CHILD_BATCH = 256
+
+# Each thread's one generator, which every stream read on the thread restarts.
+_thread = threading.local()
+
+
+def _word_count(n: int) -> int:
+    """uint32 words SeedSequence splits the nonnegative integer n into."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _child_starts(master_seed: int, prefix: tuple[int, ...], indices: list[int]) -> list[dict]:
+    """The PCG64 state of each lineage prefix + (k,), k in indices: bit for bit
+    PCG64(SeedSequence(master_seed, spawn_key=prefix + (k,))).state.
+
+    numpy's SeedSequence mixes the shared entropy (master_seed, prefix) once.
+    SeedSequence.mix_entropy then hashes each further word into every pool
+    word; its hash constant depends only on how many words came before, so
+    the words of k are mixed in for all k at once in uint32 arithmetic, one
+    run of indices of equal word count at a time.  (The seed's zero padding,
+    which numpy adds for a nonempty spawn key, leaves the pool of the prefix
+    alone unchanged: the first pass hashes 0 in for missing words.)
+    """
+    seq = np.random.SeedSequence(master_seed, spawn_key=prefix)
+    words = max(4, _word_count(master_seed)) + sum(map(_word_count, prefix))
+    hashes = 16 + 4 * (words - 4)  # hashmix calls made on the pool so far
+    starts = []
+    for count, run in groupby(indices, _word_count):
+        run = list(run)
+        pool = np.tile(seq.pool, (len(run), 1))
+        const = _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _WORD
+        for shift in range(0, 32 * count, 32):
+            word = np.array([k >> shift & _WORD for k in run], np.uint32)
+            for i in range(4):  # hashmix(word), mixed into pool word i
+                h = word ^ np.uint32(const)
+                const = const * _MULT_A & _WORD
+                h *= np.uint32(const)
+                h ^= h >> 16
+                x = pool[:, i] * np.uint32(_MIX_MULT_L) - h * np.uint32(_MIX_MULT_R)
+                pool[:, i] = x ^ (x >> 16)
+        starts += _pcg_states(pool)
+    return starts
+
+
+def _pcg_states(pools: np.ndarray) -> list[dict]:
+    """PCG64(seq).state for the SeedSequence pool of each row of the (K, 4)
+    uint32 pools: generate_state(4, uint64) gives the seed and increment, and
+    pcg_setseq_128_srandom_r seeds the generator with them."""
+    words = np.concatenate([pools, pools], axis=1) ^ _B_XOR
+    words *= _B_MUL
+    words ^= words >> 16
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in words.astype("<u4").view("<u8").tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _STATE
+        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _STATE
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic, splittable random stream.
@@ -139,45 +214,56 @@ class RngStream:
         """The same lineage, read for another run."""
         return replace(self, run=int(run))
 
-    @cached_property
-    def _start(self) -> tuple[np.random.SeedSequence, dict, dict[int, np.random.PCG64]]:
-        # One derivation per stream object: the chunks and runs of a step
-        # restore this state instead of deriving the lineage again, each
-        # thread into a bit generator of its own (keyed by thread id).
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=self.lineage)
-        bits = np.random.PCG64(seq)
-        return seq, bits.state, {threading.get_ident(): bits}
+    def children(self, indices) -> Iterator["RngStream"]:
+        """child(k) for each k of indices in turn, their start states derived
+        _CHILD_BATCH at a time (see _child_starts)."""
+        indices = iter(indices)
+        while batch := [int(k) for k in islice(indices, _CHILD_BATCH)]:
+            if min(batch) < 0:
+                raise ConfigurationError("stream lineage indices must be nonnegative integers")
+            for k, start in zip(batch, _child_starts(self.master_seed, self.lineage, batch)):
+                # self's fields are checked, and so is k: fill in child(k) as
+                # its constructor and _start would
+                child = object.__new__(RngStream)
+                child.__dict__.update(master_seed=self.master_seed, lineage=self.lineage + (k,),
+                                      run=self.run, _start=start)
+                yield child
 
-    def _bits_at(self, offset: int) -> np.random.PCG64:
-        """This thread's bit generator for the stream, `offset` draws into
-        the lineage's stream."""
-        seq, start, per_thread = self._start
-        bits = per_thread.get(threading.get_ident())
-        if bits is None:
-            bits = per_thread.setdefault(threading.get_ident(), np.random.PCG64(seq))
-        bits.state = start
+    @cached_property
+    def _start(self) -> dict:
+        # One derivation per stream object: the chunks and runs of a step
+        # restore this PCG64 state instead of deriving the lineage again.
+        if not self.lineage:
+            return _pcg_states(np.random.SeedSequence(self.master_seed).pool[None])[0]
+        return _child_starts(self.master_seed, self.lineage[:-1], self.lineage[-1:])[0]
+
+    def _generator_at(self, offset: int) -> np.random.Generator:
+        """This thread's generator, restarted `offset` draws into the
+        lineage's stream."""
+        try:
+            generator = _thread.generator
+        except AttributeError:
+            generator = _thread.generator = np.random.Generator(np.random.PCG64(0))
+        bits = generator.bit_generator
+        bits.state = self._start
         if offset:
             bits.advance(offset)
-        return bits
+        return generator
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator for this stream's run; every call replays the same draws.
+        """Generator for this stream's run; every call replays the same draws.
 
         Run r reads the r-th region of 2^64 draws, so any number of draws
-        per run stays disjoint from the other runs.
+        per run stays disjoint from the other runs.  The generator is valid
+        until the same thread takes its next generator from any stream.
         """
-        bits = np.random.PCG64(np.random.SeedSequence(self.master_seed,
-                                                      spawn_key=self.lineage))
-        if self.run:
-            bits.advance(self.run << 64)
-        return np.random.Generator(bits)
+        return self._generator_at(self.run << 64)
 
     def generators(self, runs) -> Iterator[np.random.Generator]:
-        """generator() for each of runs in turn, sharing one derivation of the
-        lineage; each generator is valid until the same thread takes the
-        next one from this stream."""
+        """generator() for each of runs in turn; each generator is valid until
+        the same thread takes its next generator from any stream."""
         for r in runs:
-            yield np.random.Generator(self._bits_at(int(r) << 64))
+            yield self._generator_at(int(r) << 64)
 
     def uniforms(self, width: int, runs) -> np.ndarray:
         """(len(runs), width) uniforms in [0, 1) for fixed-width draws.
@@ -188,7 +274,7 @@ class RngStream:
         runs = np.asarray(runs, dtype=np.int64)
         first = int(runs[0])
         span = int(runs[-1]) - first + 1
-        u = np.random.Generator(self._bits_at(first * width)).random((span, width))
+        u = self._generator_at(first * width).random((span, width))
         return u if span == runs.size else u[runs - first]
 
 
@@ -333,12 +419,17 @@ def _check_start(x0, dimension: int, num_steps: int) -> np.ndarray:
     return x0
 
 
-def _within_limit(block: np.ndarray, rows: int, dimension: int, step: int) -> np.ndarray:
-    """Shape check, then which rows stay in the trusted range (one reduction)."""
+def _within_limit(block: np.ndarray, rows: int, dimension: int, step: int) -> np.ndarray | None:
+    """Shape check, then None when every row stays in the trusted range, else
+    each row's flag (False for NaN).  The common case costs one scalar
+    reduction; the rows are looked at only when it fails."""
     if block.shape != (rows, dimension):
         raise ConfigurationError(f"operator returned shape {block.shape[1:]} at step {step}, "
                                  f"expected ({dimension},)")
-    return np.abs(block).max(axis=1) <= DIVERGENCE_LIMIT  # False for NaN
+    magnitude = np.abs(block)
+    if magnitude.max() <= DIVERGENCE_LIMIT:  # False for NaN
+        return None
+    return magnitude.max(axis=1) <= DIVERGENCE_LIMIT
 
 
 def iterate_exact(op: ExactOperatorHandle, y0, num_steps: int) -> np.ndarray:
@@ -348,7 +439,7 @@ def iterate_exact(op: ExactOperatorHandle, y0, num_steps: int) -> np.ndarray:
     out[0] = y
     for k in range(1, num_steps + 1):
         y = np.asarray(op.apply(y), dtype=np.float64)
-        if not _within_limit(y[None], 1, op.dimension, k)[0]:
+        if _within_limit(y[None], 1, op.dimension, k) is not None:
             raise DivergenceError(k)
         out[k] = y
     return out
@@ -359,7 +450,8 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     """Move the given runs of the randomized orbit from z0 as one (m, d) block.
 
     Step k (1..num_steps) applies to each run its realization from
-    stream.child(k - 1), so run r's orbit is the same whether it is moved
+    stream.child(k - 1) (derived by stream.children a batch of steps at a
+    time), so run r's orbit is the same whether it is moved
     alone or with others.  visit(k, runs, z) sees the block after every
     step and at k = 0: `runs` are the surviving runs (ascending), `z` their
     points.  A run whose point leaves the trusted range is dropped; the
@@ -382,7 +474,7 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     while done < num_steps and runs.size:  # an epoch: steps done + 1.. of the runs alive
         starts = range(0, runs.size, size)
         parts = [runs[lo:lo + size] for lo in starts]
-        plan = ((s, part) for s in map(stream.child, range(done, num_steps)) for part in parts)
+        plan = ((s, part) for s in stream.children(range(done, num_steps)) for part in parts)
         with closing(factory.draws(plan)) as drawn:
             for done in range(done + 1, num_steps + 1):
                 moved = [np.asarray(factory.move(next(drawn), z[lo:lo + size, None]),
@@ -390,7 +482,7 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
                          for lo, part in zip(starts, parts)]
                 z = moved[0] if len(moved) == 1 else np.concatenate(moved)
                 ok = _within_limit(z, runs.size, factory.dimension, done)
-                if ok.all():
+                if ok is None:
                     visit(done, runs, z)
                     continue
                 dropped.update((r, done) for r in runs[~ok].tolist())

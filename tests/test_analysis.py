@@ -141,6 +141,62 @@ def test_orbit_curves_columns_are_the_runs_alone(family, mdp20, logistic_problem
                            rtol=1e-12, atol=1e-14)
 
 
+def noisy_blow_up_factory(run_to_step, dim=3):
+    """z -> z / 2 + normal noise, except that run r is multiplied by 1e30 at
+    step run_to_step[r], which drops it."""
+
+    def draw(stream, runs):
+        step = stream.lineage[-1] + 1
+        return (np.array([run_to_step.get(r) == step for r in runs.tolist()]),
+                np.array([g.normal(size=dim) for g in stream.generators(runs)]))
+
+    def move(drawn, z):
+        blows_up, noise = drawn
+        return np.where(blows_up[:, None, None], z * 1e30, z / 2.0 + noise[:, None])
+
+    return block_fake(dim, move, draw=draw)
+
+
+def curves_alone(factory, exact, target, stream, run, norm):
+    """Run `run`'s distance and gap columns, reduced one step at a time."""
+    distance, gap = np.full(len(exact), np.nan), np.full(len(exact), np.nan)
+    total = np.zeros(exact.shape[1])
+
+    def visit(k, _, z):
+        nonlocal total
+        distance[k] = itrop.row_norm(z[0] - exact[k], norm)
+        total = total + z[0]
+        gap[k] = itrop.row_norm(total / (k + 1) - target, norm)
+
+    dropped = itrop.iterate_ensemble(factory, exact[0], len(exact) - 1, stream, [run], visit)
+    return distance, gap, dropped
+
+
+@pytest.mark.parametrize("held", [1, 4])
+@pytest.mark.parametrize("norm", ["l2", "sup"])
+@pytest.mark.parametrize("survivors", [True, False])
+def test_orbit_curves_of_dropped_runs_are_the_runs_alone(monkeypatch, held, norm, survivors):
+    # the visit holds `held` steps per block: run 1 drops inside a block, run
+    # 2 on a block boundary, run 3 at the step after one; without survivors
+    # the last run drops too, so the last block ends with no run left
+    runs, dim = 5, 3
+    monkeypatch.setattr(itrop.analysis, "CHUNK_BYTES", 8 * held * runs * dim * 8)
+    run_to_step = {1: held + 2, 2: 2 * held, 3: 3 * held + 1}
+    if not survivors:
+        run_to_step.update({0: 4 * held + 1, 4: 4 * held + 2})
+    factory = noisy_blow_up_factory(run_to_step, dim)
+    horizon, target = 5 * held + 3, np.full(dim, 0.25)
+    exact = np.random.default_rng(3).normal(size=(horizon + 1, dim))
+    stream = itrop.RngStream(12).child(4)
+    distance, gap, dropped = itrop.orbit_curves(factory, exact, target, stream, runs, norm)
+    assert dropped == run_to_step
+    for r in range(runs):
+        alone_distance, alone_gap, _ = curves_alone(factory, exact, target, stream, r, norm)
+        assert np.array_equal(distance[:, r], alone_distance, equal_nan=True), r
+        assert np.array_equal(gap[:, r], alone_gap, equal_nan=True), r
+        assert np.isnan(distance[run_to_step.get(r, horizon + 1):, r]).all()
+
+
 def test_distance_curve_obeys_stepwise_triangle_bound(mdp20):
     # d_k <= alpha * d_{k-1} + ||exact_step(y_{k-1}) - realization_k(y_{k-1})||
     op = itrop.bellman_operator(mdp20)
@@ -231,6 +287,19 @@ def test_ensemble_csv_round_trip_is_lossless(tmp_path):
     for name in ("mean", "variance", "std_error", "min", "max"):
         assert np.array_equal(getattr(back, name), getattr(summary, name)), name
     assert back.count == summary.count
+
+
+def test_ensemble_csv_lines_pin_each_value_s_shortest_repr(tmp_path):
+    values = np.array([np.nan, np.inf, -0.0, 5e-324, 1.0])
+    columns = [np.roll(values, shift) for shift in range(5)]
+    summary = itrop.EnsembleSummary(*columns, count=3)
+    summary.to_csv(tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (b"k,mean,variance,std_error,min,max,count\n"
+                                                 b"0,nan,1.0,5e-324,-0.0,inf,3\n"
+                                                 b"1,inf,nan,1.0,5e-324,-0.0,3\n"
+                                                 b"2,-0.0,inf,nan,1.0,5e-324,3\n"
+                                                 b"3,5e-324,-0.0,inf,nan,1.0,3\n"
+                                                 b"4,1.0,5e-324,-0.0,inf,nan,3\n")
 
 
 def test_ensemble_csv_parse_errors(tmp_path):

@@ -84,6 +84,43 @@ def test_stream_runs_read_disjoint_parts_of_one_stream():
         itrop.RngStream(1, run=-1)
 
 
+def seed_sequence_state(master, lineage):
+    return np.random.PCG64(np.random.SeedSequence(master, spawn_key=lineage)).state
+
+
+@pytest.mark.parametrize("master", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1])
+@pytest.mark.parametrize("lineage", [(), (5,), (2 ** 32,), (0, 2 ** 32 - 1),
+                                     (2 ** 32, 7), (3, 2 ** 40, 2 ** 64 + 5)])
+def test_stream_states_are_the_seed_sequence_states(master, lineage):
+    stream = itrop.RngStream(master, lineage)
+    assert stream.generator().bit_generator.state == seed_sequence_state(master, lineage)
+
+
+def test_stream_states_match_numpy_on_random_lineages():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        master = int(rng.integers(2 ** 63)) >> int(rng.integers(64))
+        lineage = tuple(int(rng.integers(2 ** 63)) >> int(rng.integers(64))
+                        for _ in range(rng.integers(4)))
+        state = itrop.RngStream(master, lineage).generator().bit_generator.state
+        assert state == seed_sequence_state(master, lineage), (master, lineage)
+
+
+@pytest.mark.parametrize("prefix", [(), (1, 2 ** 33)], ids=["empty", "two-word"])
+def test_children_states_span_a_change_of_word_count(prefix):
+    # one batch holds step indices of one and of two 32-bit words, and the
+    # steps run over more than one batch
+    steps = range(2 ** 32 - 300, 2 ** 32 + 300)
+    children = list(itrop.RngStream(2 ** 63 - 1, prefix).children(steps))
+    assert [c.lineage for c in children] == [prefix + (k,) for k in steps]
+    for child in children:
+        assert child == itrop.RngStream(2 ** 63 - 1, prefix).child(child.lineage[-1])
+        assert child.generator().bit_generator.state == seed_sequence_state(2 ** 63 - 1,
+                                                                            child.lineage)
+    with pytest.raises(ConfigurationError):
+        list(itrop.RngStream(0).children([3, -1]))
+
+
 def test_threads_reading_one_stream_get_the_serial_draws():
     # more threads than cores, switching often, read disjoint runs of one
     # stream object whose start state none of them has derived yet
@@ -152,6 +189,17 @@ def test_row_norm_matches_distance():
             assert itrop.row_norm(row, norm) == value
     with pytest.raises(ConfigurationError):
         itrop.row_norm(diff, "l1")
+
+
+def test_row_norm_l2_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(5)
+    blocks = [rng.normal(size=(7, 13)) * 10.0 ** rng.integers(-150, 150, size=(7, 1)),
+              rng.normal(size=(3, 5, 33)),
+              np.array([[np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 0.0], [np.inf, np.nan]]),
+              np.zeros((4, 9)), -np.zeros((2, 3))]
+    for block in blocks:
+        assert (itrop.row_norm(block, "l2").tobytes()
+                == np.linalg.norm(block, axis=-1).tobytes())
 
 
 def test_different_master_seeds_differ():

@@ -3,6 +3,7 @@ it is moved in, and a diverging row is dropped without disturbing the rest."""
 
 import dataclasses
 import itertools
+import math
 import threading
 import time
 
@@ -157,6 +158,29 @@ def test_engine_draws_a_step_once_for_its_runs():
     for r in range(3):
         alone = run_alone(factory, [1.0], 2, stream.for_run(r))
         assert np.array_equal(alone, batch[r])
+
+
+def test_engine_derives_its_step_streams_in_batches(monkeypatch):
+    # numpy's SeedSequence mixes the shared lineage once per batch of steps,
+    # not once per step
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("spawn_key"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    steps, stream = 2000, itrop.RngStream(5).child(9)
+    batch, _ = ensemble_orbits(block_fake(1, lambda shifts, z: z * 0.5 + shifts[:, None],
+                                          draw=normal_draws(1)), [1.0], 3, stream, steps)
+    assert 0 < len(built) <= math.ceil(steps / itrop.core._CHILD_BATCH) + 1
+    assert set(built) == {(9,)}
+    # and the draws are the ones each step's own SeedSequence gives
+    for k in (1, 700, steps):
+        shift = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(5, spawn_key=(9, k - 1)))).normal()
+        assert batch[0, k] == batch[0, k - 1] * 0.5 + shift
 
 
 def test_diverging_row_is_dropped_with_its_step_and_others_continue(monkeypatch):

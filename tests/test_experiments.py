@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import runpy
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -714,6 +715,18 @@ def test_cli_check_arrays_too_large_to_index_are_a_config_error(tmp_path, capsys
     assert main(["check", write_config(tmp_path, data)]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: 'check.{key}' {2 ** 62} needs arrays too large to index\n"
+
+
+def test_cli_check_trials_no_memory_holds_exit_two_at_once(tmp_path, capsys):
+    # the checkers plan their chunks as they draw them, so the first array
+    # sized by trials is the first checker's rows: (2**55, 5) flags, which no
+    # address space holds, whatever the host's overcommit
+    data = evi_config(tmp_path / "o", runs=2, horizon=3, check={"trials": 2 ** 55},
+                      mdp={"num_states": 3, "num_actions": 2})
+    begun = time.perf_counter()
+    assert main(["check", write_config(tmp_path, data)]) == 2
+    assert time.perf_counter() - begun < 5
+    assert capsys.readouterr().err.startswith("runtime failure: Unable to allocate")
 
 
 @pytest.mark.parametrize("message,shown", [("Unable to allocate 24.0 TiB",
