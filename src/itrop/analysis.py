@@ -3,9 +3,8 @@ assumptions under which randomized fixed-point iteration is trustworthy."""
 
 from __future__ import annotations
 
-import json
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,22 +21,6 @@ ASSUMPTION_IDS = ("A2-sup-prob", "A3-monotone", "A4-composite-lipschitz",
                   "A5-contraction-log")
 
 _CSV_HEADER = "k,mean,variance,std_error,min,max,count"
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -144,12 +127,6 @@ class AssumptionReport:
             raise ConfigurationError(f"unknown verdict {self.verdict!r}")
         if self.verdict == VERDICT_VIOLATED and not self.evidence:
             raise ConfigurationError("a violated verdict needs recorded evidence")
-
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
-
-    def save(self, path) -> None:
-        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def orbit_curves(factory: RandomOperatorFactory, exact, target, stream: RngStream,
@@ -496,9 +473,6 @@ class LlnReport:
     tail_se: float
     spread: float                   # max pairwise gap between time averages
     max_gap_to_tail: float
-
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
 
 
 def _batch_means_se(values: np.ndarray, num_batches: int = 20) -> np.ndarray:

@@ -8,7 +8,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, islice
 from pathlib import Path
@@ -88,6 +88,28 @@ def read_text(path) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
+def _plain(value):
+    """json's default hook: a numpy array or scalar as the Python value it holds."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def write_json(path, doc) -> None:
+    """Write doc through write_atomic as JSON with sorted keys, a 2-space indent
+    and a trailing newline.  numpy arrays and scalars are written as the
+    Python values they hold: np.float64 is a float, so it is written as
+    float's repr; any other value json cannot write raises TypeError."""
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n")
+
+
+def require_indexable(entries: int, message: str) -> None:
+    """ConfigurationError(message) unless an array of `entries` float64 values
+    can be indexed, so a size no array can take fails before any is made."""
+    if entries * 8 > np.iinfo(np.intp).max:
+        raise ConfigurationError(message)
 
 
 def _reject_constant(name: str):
@@ -182,37 +204,29 @@ def _pcg_states(pools: np.ndarray) -> list[dict]:
 class RngStream:
     """Deterministic, splittable random stream.
 
-    A stream is identified by a master seed plus a lineage of integer
-    indices (purpose, sample size, step, ...).  Distinct lineages give
-    statistically independent generators, and the same lineage always
-    reproduces the same draws.  `run` selects the part of the lineage's
-    stream that one run reads, so runs drawn together never share draws and
-    a run's draws do not depend on which other runs are drawn with it, nor
-    on the thread that draws them: several threads may read one stream
-    object at once (the engine draws multinomial next states ahead on the
-    usable CPUs), and every read gives the same bytes as a serial one.
+    A stream is a (master_seed, lineage) pair: a master seed plus a lineage
+    of integer indices (purpose, sample size, step, ...).  Distinct lineages
+    give statistically independent generators, and the same lineage always
+    reproduces the same draws.  Each read names the runs it reads: a run has
+    its own part of the lineage's stream, so runs drawn together never share
+    draws and a run's draws do not depend on which other runs are drawn with
+    it, nor on the thread that draws them: several threads may read one
+    stream object at once (the engine draws multinomial next states ahead on
+    the usable CPUs), and every read gives the same bytes as a serial one.
     """
 
     master_seed: int
     lineage: tuple[int, ...] = ()
-    run: int = 0
 
     def __post_init__(self):
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ConfigurationError("master_seed must be a nonnegative integer")
         if any((not isinstance(i, int)) or i < 0 for i in self.lineage):
             raise ConfigurationError("stream lineage indices must be nonnegative integers")
-        if not isinstance(self.run, int) or self.run < 0:
-            raise ConfigurationError("stream run must be a nonnegative integer")
 
     def child(self, *indices: int) -> "RngStream":
-        """Derive a sub-stream by extending the lineage (the run is kept)."""
-        return RngStream(self.master_seed, self.lineage + tuple(int(i) for i in indices),
-                         self.run)
-
-    def for_run(self, run: int) -> "RngStream":
-        """The same lineage, read for another run."""
-        return replace(self, run=int(run))
+        """Derive a sub-stream by extending the lineage."""
+        return RngStream(self.master_seed, self.lineage + tuple(int(i) for i in indices))
 
     def children(self, indices) -> Iterator["RngStream"]:
         """child(k) for each k of indices in turn, their start states derived
@@ -226,7 +240,7 @@ class RngStream:
                 # its constructor and _start would
                 child = object.__new__(RngStream)
                 child.__dict__.update(master_seed=self.master_seed, lineage=self.lineage + (k,),
-                                      run=self.run, _start=start)
+                                      _start=start)
                 yield child
 
     @cached_property
@@ -251,17 +265,16 @@ class RngStream:
         return generator
 
     def generator(self) -> np.random.Generator:
-        """Generator for this stream's run; every call replays the same draws.
-
-        Run r reads the r-th region of 2^64 draws, so any number of draws
-        per run stays disjoint from the other runs.  The generator is valid
-        until the same thread takes its next generator from any stream.
-        """
-        return self._generator_at(self.run << 64)
+        """Run 0's generator, the lineage's stream from its start; every call
+        replays the same draws.  The generator is valid until the same thread
+        takes its next generator from any stream."""
+        return self._generator_at(0)
 
     def generators(self, runs) -> Iterator[np.random.Generator]:
-        """generator() for each of runs in turn; each generator is valid until
-        the same thread takes its next generator from any stream."""
+        """The generator of each of runs in turn: run r reads the r-th region
+        of 2^64 draws, so any number of draws per run stays disjoint from the
+        other runs.  Each generator is valid until the same thread takes its
+        next generator from any stream."""
         for r in runs:
             yield self._generator_at(int(r) << 64)
 
@@ -304,12 +317,12 @@ class RandomOperatorFactory:
     threads.  sample_size is the number of per-step samples a realization
     averages.
 
-    realize(stream) draws one realization, the one that run stream.run reads
-    from stream: a deterministic map of any (..., dimension) array of points
-    to one of the same shape, every row moved with the same drawn randomness.
-    When not given it is draw and move with m = 1, so a realization, the
-    engine's (m, d) step (P = 1) and the checkers' (m, P, d) trials all run
-    the same move.
+    realize(stream, run=0) draws one realization, the one that run `run`
+    reads from stream: a deterministic map of any (..., dimension) array of
+    points to one of the same shape, every row moved with the same drawn
+    randomness; a negative run is a ConfigurationError.  When not given it
+    is draw and move with m = 1, so a realization, the engine's (m, d) step
+    (P = 1) and the checkers' (m, P, d) trials all run the same move.
     """
 
     sample_size: int
@@ -319,7 +332,7 @@ class RandomOperatorFactory:
     row_bytes: int
     point_bytes: int
     draws_ahead: bool = False
-    realize: Callable[[RngStream], Callable[[np.ndarray], np.ndarray]] | None = None
+    realize: Callable[..., Callable[[np.ndarray], np.ndarray]] | None = None
 
     def __post_init__(self):
         # derived when not given, and derived anew when replace() copies it
@@ -327,8 +340,8 @@ class RandomOperatorFactory:
                 or getattr(self.realize, "__func__", None) is RandomOperatorFactory._realize):
             object.__setattr__(self, "realize", self._realize)
 
-    def _realize(self, stream: RngStream):
-        drawn = self.draw(stream, np.array([stream.run]))
+    def _realize(self, stream: RngStream, run: int = 0):
+        drawn = self.draw(stream, _check_runs([run]))
 
         def apply(x):
             x = np.asarray(x, dtype=np.float64)
@@ -373,7 +386,7 @@ class RandomOperatorFactory:
             pool.shutdown(cancel_futures=True)
 
     def step(self, stream: RngStream, runs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """The block whose row i is realize(stream.for_run(runs[i]))(Z[i]),
+        """The block whose row i is realize(stream, runs[i])(Z[i]),
         bitwise.  Z is (m, d), one point per run, or (m, P, d), a block of P
         points per run.  runs must be ascending, as in iterate_ensemble; the
         runs are drawn and moved in chunks (see draws)."""

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import IntEnum
 from pathlib import Path
 from typing import Callable
@@ -18,8 +17,8 @@ from .analysis import (Box, VERDICT_INCONCLUSIVE, VERDICT_CONSISTENT,
                        VERDICT_VIOLATED, check_contraction_log, check_monotone,
                        check_sup_probability, ensemble, lln_audit, orbit_curves)
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, iterate_exact, read_json, row_norm,
-                   write_atomic)
+                   RandomOperatorFactory, RngStream, iterate_exact, read_json,
+                   require_indexable, row_norm, write_json)
 from .mdp import (MdpModel, bellman_operator, empirical_bellman_factory, empirical_q_factory,
                   load_model, q_operator, random_mdp, solve_exact)
 from .regression import (SAMPLING_MODES, EigenBounds, RegressionProblem, eigen_bounds,
@@ -303,9 +302,9 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
         problem, bounds = config.regression.build()
         op = exact_gd_operator(problem, bounds)
         factory_for = lambda n: sgd_factory(problem, n, config.regression.sampling)
-    _require((config.horizon + 1) * max(config.runs, op.dimension) * 8 <= np.iinfo(np.intp).max,
-             f"'horizon' {config.horizon} and 'runs' {config.runs} need arrays too large "
-             f"to index for dimension {op.dimension}")
+    require_indexable((config.horizon + 1) * max(config.runs, op.dimension),
+                      f"'horizon' {config.horizon} and 'runs' {config.runs} need arrays too "
+                      f"large to index for dimension {op.dimension}")
     if need_target and mdp:
         target, sweeps, moved = solve_exact(op, tol=1e-10)
         gamma = op.claimed_modulus
@@ -330,10 +329,6 @@ class RunResult:
     verdicts: dict = field(default_factory=dict)
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _run(config: ExperimentConfig, body: Callable[[ExperimentConfig, Path], tuple]) -> RunResult:
     """The one driver of every experiment kind: make the output directory
     before any work, call body(config, out_dir) -> (files, divergent runs,
@@ -347,10 +342,10 @@ def _run(config: ExperimentConfig, body: Callable[[ExperimentConfig, Path], tupl
         raise ConfigurationError(f"cannot write {out_dir}: {exc}") from exc
     files, divergent, extra = body(config, out_dir)
     files.append(out_dir / "meta.json")
-    _write_json(files[-1], {"schema_version": SCHEMA_VERSION, "code_version": __version__,
-                            "config": config.to_dict(), "divergent_run_count": len(divergent),
-                            "divergent_runs": divergent,
-                            "wall_time_seconds": time.perf_counter() - started, **extra})
+    write_json(files[-1], {"schema_version": SCHEMA_VERSION, "code_version": __version__,
+                           "config": config.to_dict(), "divergent_run_count": len(divergent),
+                           "divergent_runs": divergent,
+                           "wall_time_seconds": time.perf_counter() - started, **extra})
     verdicts = extra.get("verdicts", {})
     if VERDICT_VIOLATED in verdicts.values():
         code = EXIT_ASSUMPTION
@@ -416,7 +411,7 @@ def _lln(config: ExperimentConfig, out_dir: Path):
         report = lln_audit(bundle.factory_for(n), bundle.x0, lambda z: row_norm(z, bundle.norm),
                            config.horizon, config.runs, stream.child(n))
         files.append(out_dir / f"lln_n{n}.json")
-        _write_json(files[-1], report.to_dict())
+        write_json(files[-1], asdict(report))
         log.info("lln n=%d done", n)
     # lln_audit raises on any dropped run, so every run drew every step
     return files, [], {"realizations_drawn": [{"sample_size": n, "count": config.runs
@@ -449,8 +444,8 @@ def _checks(config: ExperimentConfig, out_dir: Path):
     for key, entries in (("grid_size", check.grid_size * bundle.op.dimension),
                          ("pair_count", 2 * check.pair_count * bundle.op.dimension),
                          ("trials", check.trials * max(check.grid_size, 1 + check.pair_count))):
-        _require(entries * 8 <= np.iinfo(np.intp).max,
-                 f"'check.{key}' {getattr(check, key)} needs arrays too large to index")
+        require_indexable(entries, f"'check.{key}' {getattr(check, key)} needs arrays too "
+                                   f"large to index")
 
     exact_traj = iterate_exact(bundle.op, bundle.x0, config.horizon)
     box = Box.around(exact_traj)
@@ -478,7 +473,7 @@ def _checks(config: ExperimentConfig, out_dir: Path):
     reports = (report_a2, report_a3, report_a5)
     files = [out_dir / f"assumption_{report.assumption_id}.json" for report in reports]
     for report, path in zip(reports, files):
-        report.save(path)
+        write_json(path, asdict(report))
     # one realization per trial: A2 at every sample size, A3 and A5 at the first
     drawn = ([{"assumption_id": report_a2.assumption_id, "sample_size": n,
                "count": check.trials} for n in config.sample_sizes]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -11,7 +10,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, read_json, row_norm, write_atomic)
+                   RandomOperatorFactory, RngStream, read_json, require_indexable,
+                   row_norm, write_json)
 
 _ROW_SUM_TOL = 1e-12
 
@@ -277,6 +277,9 @@ def random_mdp(num_states: int, num_actions: int, seed: int, discount: float = 0
     """Seeded random instance: rows are normalized i.i.d. uniforms, costs uniform(0,1)."""
     if num_states < 1 or num_actions < 1:
         raise ConfigurationError("need at least one state and one action")
+    require_indexable(num_states * num_actions * num_states,
+                      f"an MDP of {num_states} states and {num_actions} actions needs "
+                      f"arrays too large to index")
     rng = RngStream(seed).generator()
     raw = rng.random((num_states, num_actions, num_states))
     transition = raw / raw.sum(axis=2, keepdims=True)
@@ -331,7 +334,7 @@ def model_from_dict(data: dict) -> MdpModel:
 
 def save_model(model: MdpModel, path) -> None:
     """Write the model as JSON; floats round-trip losslessly."""
-    write_atomic(path, json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> MdpModel:

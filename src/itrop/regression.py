@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, read_text, write_atomic)
+                   RandomOperatorFactory, RngStream, read_text, require_indexable,
+                   write_atomic)
 
 FAMILIES = ("logistic", "poisson")
 SAMPLING_MODES = ("with_replacement", "without_replacement")
@@ -319,6 +320,8 @@ def synth_dataset(num_samples: int, dim: int, family: str, seed: int) -> Regress
         raise ConfigurationError("dim must be >= 2 (constant column plus features)")
     if family not in FAMILIES:
         raise ConfigurationError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    require_indexable(num_samples * dim, f"a dataset of {num_samples} samples of dimension "
+                                         f"{dim} needs arrays too large to index")
     rng = RngStream(seed).generator()
     truth = rng.normal(size=dim) / np.sqrt(dim)
     feats = np.hstack([np.ones((num_samples, 1)), rng.random((num_samples, dim - 1))])

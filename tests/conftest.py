@@ -48,14 +48,14 @@ def block_fake(dim: int, move, draw=lambda stream, runs: runs,
                                        row_bytes=8 * dim, point_bytes=8 * dim)
 
 
-def run_alone(factory, z0, num_steps: int, stream: itrop.RngStream) -> np.ndarray:
-    """The orbit of run stream.run moved alone by the engine, as a (num_steps+1, d)
-    array; DivergenceError at the step where the engine drops it."""
+def run_alone(factory, z0, num_steps: int, stream: itrop.RngStream, run: int = 0) -> np.ndarray:
+    """The orbit of run `run` of stream moved alone by the engine, as a
+    (num_steps+1, d) array; DivergenceError at the step where the engine drops it."""
     rows = []
-    dropped = itrop.iterate_ensemble(factory, z0, num_steps, stream, [stream.run],
+    dropped = itrop.iterate_ensemble(factory, z0, num_steps, stream, [run],
                                      lambda k, runs, z: rows.append(z[0].copy()))
     if dropped:
-        raise itrop.DivergenceError(dropped[stream.run])
+        raise itrop.DivergenceError(dropped[run])
     return np.array(rows)
 
 

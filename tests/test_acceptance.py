@@ -123,6 +123,7 @@ def test_criterion_01_contraction_decay(mdp20, vstar20):
             f"max excess {float(np.max(gaps - bound)):.2e}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_02_orbit_distance_ordering(evi_study):
     means, ses = {}, {}
     for n in EVI_LADDER:
@@ -141,6 +142,7 @@ def test_criterion_02_orbit_distance_ordering(evi_study):
             "; ".join(gaps) + f"; {evi_study['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_03_time_average_variance_reduction(evi_study, sgd_study):
     rows = []
     ok = True
@@ -268,6 +270,7 @@ def test_criterion_08_sampled_sweep_sits_below_exact_mean(mdp20):
             f"worst standardized excess {worst:.2f} (limit 3)")
 
 
+@pytest.mark.slow
 def test_criterion_09_time_average_vs_ensemble_tail(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 25)
     f = lambda z: _sup(z, axis=1)

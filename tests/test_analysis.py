@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -134,7 +135,7 @@ def test_orbit_curves_columns_are_the_runs_alone(family, mdp20, logistic_problem
     dist, gap, dropped = itrop.orbit_curves(factory, exact, target, stream, runs, norm)
     assert dist.shape == gap.shape == (horizon + 1, runs) and dropped == {}
     for r in range(runs):
-        traj = run_alone(factory, exact[0], horizon, stream.for_run(r))
+        traj = run_alone(factory, exact[0], horizon, stream, r)
         assert np.array_equal(dist[:, r], itrop.row_norm(traj - exact, norm))
         prefix_means = np.array([traj[:k + 1].mean(axis=0) for k in range(horizon + 1)])
         assert np.allclose(gap[:, r], itrop.row_norm(prefix_means - target, norm),
@@ -206,7 +207,7 @@ def test_distance_curve_obeys_stepwise_triangle_bound(mdp20):
     d, _, _ = itrop.orbit_curves(factory, exact, np.zeros(20), stream, 3, "sup")
     for r in range(3):
         for k in range(1, 41):
-            f_k = factory.realize(stream.child(k - 1).for_run(r))
+            f_k = factory.realize(stream.child(k - 1), r)
             noise = np.max(np.abs(op.apply(exact[k - 1]) - f_k(exact[k - 1])))
             assert d[k, r] <= mdp20.discount * d[k - 1, r] + noise + 1e-12
 
@@ -340,11 +341,12 @@ def test_assumption_report_save_round_trip(tmp_path):
         verdict="consistent",
         evidence=[{"gap": np.float64(0.25)}])
     path = tmp_path / "report.json"
-    report.save(path)
+    itrop.core.write_json(path, dataclasses.asdict(report))
     doc = json.loads(path.read_text())
-    assert doc == report.to_dict()
-    assert doc["parameters"]["sizes"] == [1, 2]
+    assert doc == {"assumption_id": "A3-monotone", "parameters": {"trials": 3, "sizes": [1, 2]},
+                   "verdict": "consistent", "evidence": [{"gap": 0.25}]}
     assert isinstance(doc["evidence"][0]["gap"], float)
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------- sup-probability check
@@ -668,25 +670,26 @@ def test_checker_trial_t_is_run_t_realized_alone(mdp20, logistic_problem, name):
     points = np.concatenate([np.zeros((1, d)), pairs.reshape(-1, d)])
     box = unit_box(d)
     for t in range(12):
-        images = factory.realize(stream.child(0).for_run(t))(grid)
+        images = factory.realize(stream.child(0), t)(grid)
         assert np.array_equal(values["A2"][t], itrop.row_norm(images - exact, "sup") > eps)
-        images = factory.realize(stream.child(1).for_run(t))(points)
+        images = factory.realize(stream.child(1), t)(points)
         assert np.array_equal(values["A3"][t], np.concatenate(
             [[np.max(-images[0])], np.max(images[1::2] - images[2::2], axis=1)]))
         for key, child, depth, norm in (("A5", 2, 1, "l2"), ("A4", 3, 2, "sup")):
             s = stream.child(child)
-            before = itrop.analysis._draw_pairs(box, s.child(depth).for_run(t).generator(), 4)
+            before = itrop.analysis._draw_pairs(box, next(s.child(depth).generators([t])), 4)
             after = before
             for j in range(depth):
-                after = factory.realize(s.child(j).for_run(t))(after)
+                after = factory.realize(s.child(j), t)(after)
             ratios = (itrop.row_norm(after[:, 0] - after[:, 1], norm)
                       / itrop.row_norm(before[:, 0] - before[:, 1], norm))
             assert values[key][t] == np.max(ratios)
 
 
-def check_reports(mdp20, traced, sizes=(5, 400), trials=100):
+def check_reports(mdp20, traced, out_dir, sizes=(5, 400), trials=100):
     """The four checkers on mdp20 at the given sample sizes, each factory's
-    draws recorded by thread; (reports as JSON, thread names per size)."""
+    draws recorded by thread; (the bytes of the reports as written to files
+    in out_dir, thread names per size)."""
     names = {}
     factories = []
     for n in sizes:
@@ -703,17 +706,20 @@ def check_reports(mdp20, traced, sizes=(5, 400), trials=100):
             itrop.check_contraction_log(factory, 4, trials, box, stream.child(2, i), "sup"),
             itrop.check_composite_lipschitz(factory, 2, 4, trials, box, stream.child(3, i)),
         ]
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True), names
+    out_dir.mkdir()
+    for i, report in enumerate(reports):
+        itrop.core.write_json(out_dir / f"{i}.json", dataclasses.asdict(report))
+    return [(out_dir / f"{i}.json").read_bytes() for i in range(len(reports))], names
 
 
 @pytest.mark.parametrize("chunk_bytes", [1 << 20, 1])
-def test_checker_reports_are_the_same_bytes_on_one_and_two_cpus(mdp20, monkeypatch,
+def test_checker_reports_are_the_same_bytes_on_one_and_two_cpus(mdp20, monkeypatch, tmp_path,
                                                                  chunk_bytes):
     monkeypatch.setattr(itrop.core, "CHUNK_BYTES", chunk_bytes)
     reports = {}
     for cpus in (1, 2):
         on_cpus(monkeypatch, cpus)
-        reports[cpus], names = check_reports(mdp20, draw_threads)
+        reports[cpus], names = check_reports(mdp20, draw_threads, tmp_path / str(cpus))
         # the multinomial rung draws ahead on two CPUs, the alias rung never
         assert {name.startswith("itrop-draw") for name in names[400]} == {cpus > 1}
         assert set(names[5]) == {threading.current_thread().name}
@@ -746,7 +752,7 @@ def test_lln_audit_halving_orbit_closed_form():
     assert report.max_gap_to_tail == pytest.approx(expected - 0.5 ** horizon, rel=1e-12)
 
 
-def test_lln_audit_constant_orbit_is_exact():
+def test_lln_audit_constant_orbit_is_exact(tmp_path):
     factory = block_fake(2, lambda runs, z: z)
     f = lambda z: z[:, 0] + z[:, 1]
     report = itrop.lln_audit(factory, [1.0, 2.0], f, horizon=40, runs=3,
@@ -754,7 +760,8 @@ def test_lln_audit_constant_orbit_is_exact():
     assert np.array_equal(report.time_averages, np.full(3, 3.0))
     assert report.tail_mean == 3.0 and report.tail_se == 0.0
     assert np.array_equal(report.time_average_ses, np.zeros(3))
-    json.dumps(report.to_dict())  # serializable as-is
+    itrop.core.write_json(tmp_path / "lln.json", dataclasses.asdict(report))  # writable as-is
+    assert json.loads((tmp_path / "lln.json").read_text())["time_averages"] == [3.0] * 3
 
 
 def test_lln_audit_validation():

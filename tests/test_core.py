@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 
@@ -74,14 +75,16 @@ def test_stream_runs_read_disjoint_parts_of_one_stream():
     # variable-width parts: run r reads its own region of 2^64 draws
     bits = np.random.PCG64(np.random.SeedSequence(42, spawn_key=(3,)))
     bits.advance(3 << 64)
-    assert np.array_equal(s.for_run(3).generator().random(5),
+    assert np.array_equal(next(s.generators([3])).random(5),
                           np.random.Generator(bits).random(5))
     regions = [g.random(5) for g in s.generators([0, 3])]
     assert np.array_equal(regions[0], whole[:5])
-    assert np.array_equal(regions[1], s.for_run(3).generator().random(5))
-    assert s.for_run(3).child(1) == itrop.RngStream(42, (3, 1), run=3)
+    assert np.array_equal(regions[1], next(s.generators([3])).random(5))
+    # a realization names its run, which must be a run index
+    shifted = make_shift_factory(5).realize(s, 3)(np.zeros(5))
+    assert np.array_equal(shifted, next(s.generators([3])).normal(size=5))
     with pytest.raises(ConfigurationError):
-        itrop.RngStream(1, run=-1)
+        make_shift_factory(5).realize(s, -1)
 
 
 def seed_sequence_state(master, lineage):
@@ -126,7 +129,7 @@ def test_threads_reading_one_stream_get_the_serial_draws():
     # stream object whose start state none of them has derived yet
     stream, threads, reps = itrop.RngStream(44).child(5), 4, 200
     serial = itrop.RngStream(44).child(5)
-    expected = {r: (serial.for_run(r).generator().random(6), serial.uniforms(3, [r])[0])
+    expected = {r: (next(serial.generators([r])).random(6), serial.uniforms(3, [r])[0])
                 for r in range(2 * threads)}
     mismatches, done = [], []
 
@@ -167,6 +170,18 @@ def test_write_atomic_never_leaves_a_partial_file(tmp_path, monkeypatch):
         itrop.core.write_atomic(path, "new\n")
     assert path.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_write_json_writes_numpy_values_as_the_python_values_they_hold(tmp_path):
+    path = tmp_path / "doc.json"
+    third = 1.0 / 3.0
+    itrop.core.write_json(path, {"b": np.float64(third), "a": (np.int64(7), np.bool_(True)),
+                                 "c": np.array([[0.1, 2.0]]), "d": [np.arange(2)]})
+    expected = {"a": [7, True], "b": third, "c": [[0.1, 2.0]], "d": [[0, 1]]}
+    assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError):
+        itrop.core.write_json(path, {"e": {1, 2}})
+    assert json.loads(path.read_text()) == expected  # the failed write left the file alone
 
 
 def test_distance_hand_values():
@@ -291,7 +306,7 @@ def test_iterate_random_uses_per_step_substreams():
         return runs
 
     factory = block_fake(1, lambda runs, z: z, draw=draw)
-    run_alone(factory, [0.0], 4, itrop.RngStream(1).child(6).for_run(2))
+    run_alone(factory, [0.0], 4, itrop.RngStream(1).child(6), 2)
     assert seen == [((6, 0), [2]), ((6, 1), [2]), ((6, 2), [2]), ((6, 3), [2])]
 
 
@@ -341,7 +356,7 @@ def test_time_average_matches_prefix_oracle():
     exact = itrop.iterate_exact(affine_op(0.5, 4), np.ones(4), 12)
     _, gap, _ = itrop.orbit_curves(factory, exact, target, stream, 2)
     for r in range(2):
-        traj = run_alone(factory, exact[0], 12, stream.for_run(r))
+        traj = run_alone(factory, exact[0], 12, stream, r)
         # oracle: direct prefix means
         expected = np.array([traj[: k + 1].mean(axis=0) for k in range(13)])
         assert np.allclose(gap[:, r], itrop.row_norm(expected - target), rtol=0, atol=1e-12)

@@ -55,7 +55,7 @@ def test_run_alone_equals_its_row_in_a_batch(mdp20, logistic_problem, name, runs
     batch, dropped = ensemble_orbits(factory, z0, runs, stream)
     assert dropped == {}
     for r in range(runs):
-        alone = run_alone(factory, z0, HORIZON, stream.for_run(r))
+        alone = run_alone(factory, z0, HORIZON, stream, r)
         assert np.array_equal(alone, batch[r])
     if runs > 1 and name != "sgd-full":  # a full batch has no randomness
         assert not np.array_equal(batch[0], batch[1])
@@ -79,7 +79,7 @@ def test_realize_reads_the_same_draws_as_the_engine(mdp20):
     x = np.linspace(-1.0, 1.0, 20)
     block = factory.step(stream, np.arange(4), np.tile(x, (4, 1)))
     for r in range(4):
-        assert np.array_equal(factory.realize(stream.for_run(r))(x), block[r])
+        assert np.array_equal(factory.realize(stream, r)(x), block[r])
 
 
 @pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "qvi-alias",
@@ -96,7 +96,7 @@ def test_step_moves_a_block_of_points_per_run(mdp20, logistic_problem, monkeypat
     block = factory.step(stream, runs, z)
     assert block.shape == z.shape
     for i, r in enumerate(runs):
-        assert np.array_equal(block[i], factory.realize(stream.for_run(r))(z[i]))
+        assert np.array_equal(block[i], factory.realize(stream, r)(z[i]))
     # a broadcast block (the same points for every run) moves as its copy does
     shared = np.broadcast_to(z[0], z.shape)
     assert np.array_equal(factory.step(stream, runs, shared),
@@ -135,7 +135,7 @@ def test_realization_moves_a_block_as_it_moves_each_row(mdp20, logistic_problem,
     factory = factories(mdp20, logistic_problem)[name]
     d = factory.dimension
     block = np.random.default_rng(34).normal(size=shape + (d,))
-    realization = factory.realize(itrop.RngStream(35).child(4).for_run(2))
+    realization = factory.realize(itrop.RngStream(35).child(4), 2)
     rows = np.array([realization(x) for x in block.reshape(-1, d)])
     assert realization(block).shape == block.shape
     assert np.array_equal(realization(block), rows.reshape(block.shape))
@@ -156,7 +156,7 @@ def test_engine_draws_a_step_once_for_its_runs():
     batch, _ = ensemble_orbits(factory, [1.0], 3, stream, horizon=2)
     assert seen == [((9, 0), [0, 1, 2]), ((9, 1), [0, 1, 2])]
     for r in range(3):
-        alone = run_alone(factory, [1.0], 2, stream.for_run(r))
+        alone = run_alone(factory, [1.0], 2, stream, r)
         assert np.array_equal(alone, batch[r])
 
 
@@ -208,7 +208,7 @@ def test_diverging_row_is_dropped_with_its_step_and_others_continue(monkeypatch)
                 continue
             assert np.all(np.isnan(batch[r, blow_up[r]:]))
             with pytest.raises(itrop.DivergenceError) as err:
-                run_alone(factory, [1.0, 1.0], 10, stream.for_run(r))
+                run_alone(factory, [1.0, 1.0], 10, stream, r)
             assert err.value.step == blow_up[r]
 
 
@@ -223,7 +223,7 @@ def test_diverging_block_factory_rows_match_solo_runs(poisson_problem):
     assert sorted(dropped) == [0, 1, 2, 3, 4]
     for r, step in dropped.items():
         with pytest.raises(itrop.DivergenceError) as err:
-            run_alone(factory, np.zeros(8), 60, stream.for_run(r))
+            run_alone(factory, np.zeros(8), 60, stream, r)
         assert err.value.step == step
 
 
@@ -277,7 +277,7 @@ def test_multinomial_step_is_the_same_bytes_on_one_and_two_cpus(mdp20, monkeypat
         assert {name.startswith("itrop-draw") for name in names} == {cpus > 1}
     assert blocks[1].tobytes() == blocks[2].tobytes()
     for i, r in enumerate(runs):
-        assert np.array_equal(blocks[2][i], factory.realize(stream.for_run(r))(z[i]))
+        assert np.array_equal(blocks[2][i], factory.realize(stream, r)(z[i]))
     assert not [t for t in threading.enumerate() if t.name.startswith("itrop-draw")]
 
 
@@ -285,11 +285,11 @@ def test_replacing_draw_or_move_rederives_realize(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 5)
     traced, names = draw_threads(factory)
     x = np.linspace(0.0, 1.0, 20)
-    stream = itrop.RngStream(44).for_run(3)
-    assert np.array_equal(traced.realize(stream)(x), factory.realize(stream)(x))
+    stream = itrop.RngStream(44)
+    assert np.array_equal(traced.realize(stream, 3)(x), factory.realize(stream, 3)(x))
     assert len(names) == 1  # the realization drew through the replaced draw
     halved = dataclasses.replace(factory, move=lambda drawn, z: z / 2.0)
-    assert np.array_equal(halved.realize(stream)(x), x / 2.0)
+    assert np.array_equal(halved.realize(stream, 3)(x), x / 2.0)
     timed = dataclasses.replace(factory, realize=lambda s: (lambda y: y))
     assert timed.realize(stream)(x) is x  # a given realize is kept
 
@@ -375,7 +375,7 @@ def test_a_dropped_run_s_drawn_ahead_rows_are_discarded(mdp20, monkeypatch):
         for r, k in blow_up.items():
             assert np.all(np.isnan(orbits[2][r, k:]))
         for r in survivors:
-            alone = run_alone(factory, z0, HORIZON, stream.for_run(r))
+            alone = run_alone(factory, z0, HORIZON, stream, r)
             assert np.array_equal(alone, orbits[2][r])
 
 

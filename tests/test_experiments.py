@@ -717,6 +717,37 @@ def test_cli_check_arrays_too_large_to_index_are_a_config_error(tmp_path, capsys
     assert err == f"config error: 'check.{key}' {2 ** 62} needs arrays too large to index\n"
 
 
+SYNTHETIC_TOO_LARGE = {
+    "gen-mdp": ["gen", "mdp", "--num-states", str(10 ** 10), "--num-actions", "1"],
+    "gen-dataset": ["gen", "dataset", "--family", "logistic", "--num-samples", "10",
+                    "--dim", str(2 ** 62)],
+    "run-mdp": {"mdp": {"num_states": 10 ** 10, "num_actions": 1}},
+    "run-regression": {"experiment": "sgd-logistic", "mdp": None,
+                       "regression": {"num_samples": 10, "dim": 2 ** 62}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTHETIC_TOO_LARGE))
+def test_cli_synthetic_inputs_too_large_to_index_are_a_config_error(tmp_path, capsys,
+                                                                    monkeypatch, case):
+    # refused before the seeded generator draws anything
+    monkeypatch.setattr(itrop.mdp, "RngStream", None)
+    monkeypatch.setattr(itrop.regression, "RngStream", None)
+    given = SYNTHETIC_TOO_LARGE[case]
+    if case.startswith("gen"):
+        args = given + ["--seed", "0", "--out", str(tmp_path / "asset")]
+    else:
+        data = {k: v for k, v in {**evi_config(tmp_path / "o"), **given}.items()
+                if v is not None}
+        args = ["run", write_config(tmp_path, data)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    sizes = ("an MDP of 10000000000 states and 1 actions" if "mdp" in case
+             else f"a dataset of 10 samples of dimension {2 ** 62}")
+    assert err == f"config error: {sizes} needs arrays too large to index\n"
+    assert not (tmp_path / "asset").exists()
+
+
 def test_cli_check_trials_no_memory_holds_exit_two_at_once(tmp_path, capsys):
     # the checkers plan their chunks as they draw them, so the first array
     # sized by trials is the first checker's rows: (2**55, 5) flags, which no

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import itrop
+from itrop.cli import main
 from itrop.experiments import ExperimentConfig, run_experiment
 
 MDP = {"num_states": 6, "num_actions": 3, "seed": 2, "discount": 0.8}
@@ -58,6 +59,9 @@ GOLDEN = {
     "assumptions-sgd": "57acebed249460a5cb588cb8ee9aaae9a439e426ec7b4d6bfa62578957e3fa6a",
 }
 
+# SHA-256 of the model file `itrop gen mdp --num-states 3 --num-actions 2 --seed 5` writes
+GOLDEN_MODEL = "0a07ce18c0d4185d05dbf50a3a519e00daa5c8e50d96b6a08c7cafce122bc2fb"
+
 
 def output_digest(out_dir) -> str:
     """SHA-256 over each output file's name and bytes; meta.json enters without
@@ -86,3 +90,10 @@ def test_golden_output_digest(tmp_path, kind):
         {**CONFIGS[kind], "output_dir": str(out_dir)}))
     assert result.exit_code == EXIT_CODES.get(kind, 0)
     assert output_digest(out_dir) == GOLDEN[kind]
+
+
+def test_golden_model_digest(tmp_path):
+    out = tmp_path / "model.json"
+    assert main(["gen", "mdp", "--num-states", "3", "--num-actions", "2", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MODEL
