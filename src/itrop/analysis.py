@@ -3,7 +3,6 @@ assumptions under which randomized fixed-point iteration is trustworthy."""
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -223,47 +222,17 @@ def _proportion_se(p: float, trials: int) -> float:
     return float(np.sqrt(p * (1.0 - p) / trials))
 
 
-def _per_trial(factory: RandomOperatorFactory, layers: list, trials: int, width: int,
-               start, stat) -> np.ndarray:
-    """stat(points, images) for trials 0..trials-1, rows stacked in trial order.
-
-    Trial t is run t: points = start(runs) is the (m, width, d) block of the
-    trials' points, and images is that block moved by each run's realization
-    from every stream of layers in turn.  Trials go in chunks of
-    factory.chunk(width) runs, drawn by factory.draws (every layer of a chunk
-    before the next chunk), and each chunk is reduced by stat as it comes out,
-    into one array of rows allocated at the first chunk.
-    """
-    size = factory.chunk(width)
-    chunks = range(0, trials, size)  # planned as drawn: only the rows grow with trials
-
-    def runs(lo):
-        return np.arange(lo, min(lo + size, trials))
-
-    rows = None
-    with closing(factory.draws((layer, runs(lo)) for lo in chunks for layer in layers)) as drawn:
-        for lo in chunks:
-            points = images = start(runs(lo))
-            for _ in layers:
-                images = factory.move(next(drawn), images)
-            part = stat(points, images)
-            if rows is None:
-                rows = np.empty((trials,) + part.shape[1:], part.dtype)
-            rows[lo:lo + len(part)] = part
-    return rows
-
-
 def _shared(points: np.ndarray):
     """start() for trials that all move the same (P, d) points."""
-    return lambda runs: np.broadcast_to(points, (runs.size,) + points.shape)
+    return lambda part: np.broadcast_to(points, (part.stop - part.start,) + points.shape)
 
 
 def _exceedances(factory: RandomOperatorFactory, grid: np.ndarray, exact: np.ndarray,
                  eps: float, trials: int, stream: RngStream, norm: str) -> np.ndarray:
     """(trials, G) flags: trial t's image of grid point g lies farther than
     eps from exact[g], the grid being moved by run t of stream."""
-    return _per_trial(factory, [stream], trials, len(grid), _shared(grid),
-                      lambda _, images: row_norm(images - exact, norm) > eps)
+    return factory.reduce([stream], range(trials), len(grid), _shared(grid),
+                          lambda _, images: row_norm(images - exact, norm) > eps)
 
 
 def _monotone_gaps(factory: RandomOperatorFactory, x0: np.ndarray, pairs: np.ndarray,
@@ -276,7 +245,7 @@ def _monotone_gaps(factory: RandomOperatorFactory, x0: np.ndarray, pairs: np.nda
         return np.concatenate([np.max(x0 - images[:, :1], axis=2),
                                np.max(images[:, 1::2] - images[:, 2::2], axis=2)], axis=1)
 
-    return _per_trial(factory, [stream], trials, len(points), _shared(points), gaps)
+    return factory.reduce([stream], range(trials), len(points), _shared(points), gaps)
 
 
 def _draw_pairs(box: Box, rng: np.random.Generator, pair_count: int) -> np.ndarray:
@@ -301,17 +270,17 @@ def _lipschitz_samples(factory: RandomOperatorFactory, depth: int, pair_count: i
         raise ConfigurationError("trials must be >= 2")
     pair_stream = stream.child(depth)
 
-    def pairs(runs):
+    def pairs(part):
         return np.stack([_draw_pairs(box, rng, pair_count).reshape(-1, box.dim)
-                         for rng in pair_stream.generators(runs)])
+                         for rng in pair_stream.generators(range(trials)[part])])
 
     def max_ratios(points, images):
         ratios = (row_norm(images[:, 0::2] - images[:, 1::2], norm)
                   / row_norm(points[:, 0::2] - points[:, 1::2], norm))
         return np.fmax.reduce(ratios, axis=1, initial=0.0)
 
-    return _per_trial(factory, [stream.child(j) for j in range(depth)], trials,
-                      2 * pair_count, pairs, max_ratios)
+    return factory.reduce([stream.child(j) for j in range(depth)], range(trials),
+                          2 * pair_count, pairs, max_ratios)
 
 
 def check_sup_probability(op: ExactOperatorHandle,

@@ -21,9 +21,9 @@ DIVERGENCE_LIMIT = 1e12
 
 NORMS = ("l2", "sup")
 
-# The engine, step and the checkers draw and move runs in chunks whose
-# temporaries stay under this many bytes (RandomOperatorFactory.chunk), so
-# memory does not grow with the runs or trials.
+# The engine and RandomOperatorFactory.reduce (step and the checkers) draw
+# and move runs in chunks whose temporaries stay under this many bytes
+# (RandomOperatorFactory.chunk), so memory does not grow with the runs or trials.
 CHUNK_BYTES = 1 << 20
 
 
@@ -385,24 +385,44 @@ class RandomOperatorFactory:
         finally:
             pool.shutdown(cancel_futures=True)
 
+    def reduce(self, layers, runs, width: int, start, stat) -> np.ndarray:
+        """stat(points, images) for the runs, in chunks of chunk(width) runs,
+        its rows stacked in run order.  runs is an ascending range or array,
+        sliced a chunk at a time as draws draws it (every layer of a chunk
+        before the next); points = start(part) is the (m, width, d) block of
+        runs[part], part a slice of positions, and images that block moved by
+        each run's realization from every stream of layers in turn.  The rows
+        are allocated at the first chunk, so only they grow with the runs."""
+        total, size = len(runs), self.chunk(width)
+        chunks = range(0, total, size)
+        plan = ((layer, np.asarray(runs[lo:lo + size])) for lo in chunks for layer in layers)
+        rows = None
+        with closing(self.draws(plan)) as drawn:
+            for lo in chunks:
+                part = slice(lo, min(lo + size, total))
+                points = images = start(part)
+                for _ in layers:
+                    images = self.move(next(drawn), images)
+                reduced = stat(points, images)
+                if rows is None:
+                    rows = np.empty((total,) + reduced.shape[1:], reduced.dtype)
+                rows[part] = reduced
+        return rows
+
     def step(self, stream: RngStream, runs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The block whose row i is realize(stream, runs[i])(Z[i]),
         bitwise.  Z is (m, d), one point per run, or (m, P, d), a block of P
-        points per run.  runs must be ascending, as in iterate_ensemble; the
-        runs are drawn and moved in chunks (see draws)."""
+        points per run.  runs must be ascending, as in iterate_ensemble.  This
+        is reduce with the one layer stream, start block[part] and stat the
+        identity: the runs are drawn and moved in chunks."""
         runs = _check_runs(runs)
         z = np.asarray(z, dtype=np.float64)
         if z.ndim not in (2, 3) or len(z) != runs.size or z.shape[-1] != self.dimension:
             raise ConfigurationError(f"points must have shape ({runs.size}, [P,] "
                                      f"{self.dimension}), got {z.shape}")
         block = z.reshape(runs.size, -1, self.dimension)
-        size = self.chunk(block.shape[1])
-        parts = [slice(lo, lo + size) for lo in range(0, runs.size, size)]
-        out = np.empty(block.shape)
-        with closing(self.draws((stream, runs[part]) for part in parts)) as drawn:
-            for part, d in zip(parts, drawn):
-                out[part] = self.move(d, block[part])
-        return out.reshape(z.shape)
+        return self.reduce([stream], runs, block.shape[1], lambda part: block[part],
+                           lambda _, images: images).reshape(z.shape)
 
 
 def _check_runs(runs) -> np.ndarray:

@@ -195,8 +195,8 @@ class ExperimentConfig(_Section):
     experiment: str = _key(None)
     master_seed: int = _key(int, minimum=0)
     sample_sizes: tuple[int, ...] = _key(None)
-    # R = 1 or K = 1 is a valid description; operations that need more
-    # (ensemble variance, the lln audit) raise their own errors.
+    # R = 1 or K = 1 is a valid description; `run` refuses R = 1 before any work
+    # (_orbits: ensemble variance needs 2 runs), lln_audit R = 1 or K = 1.
     runs: int = _key(int, 200, minimum=1)
     horizon: int = _key(int, 1000, minimum=1)
     output_dir: str = _key(str, "out")
@@ -266,11 +266,12 @@ class ExperimentConfig(_Section):
 
 @dataclass(frozen=True)
 class FamilyBundle:
-    """Everything an experiment needs about one operator family; `solve`
-    certifies how the target was computed (None when it was not)."""
+    """Everything an experiment needs about one operator family: one factory
+    per sample size, in `sample_sizes` order, and `solve`, which certifies
+    how the target was computed (None when it was not)."""
 
     op: ExactOperatorHandle
-    factory_for: Callable[[int], RandomOperatorFactory]
+    factories: tuple[RandomOperatorFactory, ...]
     target: np.ndarray | None
     x0: np.ndarray
     norm: str
@@ -287,7 +288,9 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
     norm by discount / (1 - discount) times the last value-iteration step, in
     l2 by the final gradient norm over lam (strong convexity).  Before the
     solve, a config whose (horizon + 1, max(runs, dimension)) float arrays
-    could not be indexed is a ConfigurationError.
+    could not be indexed is a ConfigurationError; so is a sample size the
+    family cannot serve (a batch above the dataset size), every sample
+    size's factory being built first.
     """
     name = config.family_name()
     mdp = name in ("evi", "qvi")
@@ -297,11 +300,12 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
         make_op, make_factory = ((bellman_operator, empirical_bellman_factory) if name == "evi"
                                  else (q_operator, empirical_q_factory))
         op = make_op(model)
-        factory_for = lambda n: make_factory(model, n)
+        factories = tuple(make_factory(model, n) for n in config.sample_sizes)
     else:
         problem, bounds = config.regression.build()
         op = exact_gd_operator(problem, bounds)
-        factory_for = lambda n: sgd_factory(problem, n, config.regression.sampling)
+        factories = tuple(sgd_factory(problem, n, config.regression.sampling)
+                          for n in config.sample_sizes)
     require_indexable((config.horizon + 1) * max(config.runs, op.dimension),
                       f"'horizon' {config.horizon} and 'runs' {config.runs} need arrays too "
                       f"large to index for dimension {op.dimension}")
@@ -315,7 +319,7 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
         solve = {"method": "damped-newton", "iterations": steps, "residual": gnorm,
                  "certified_bound": gnorm / problem.lam, "beta": problem.beta,
                  "claimed_modulus": op.claimed_modulus}
-    return FamilyBundle(op=op, factory_for=factory_for, target=target,
+    return FamilyBundle(op=op, factories=factories, target=target,
                         x0=np.zeros(op.dimension), norm="sup" if mdp else "l2", solve=solve)
 
 
@@ -376,13 +380,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 
 def _orbits(config: ExperimentConfig, out_dir: Path):
+    _require(config.runs >= 2, "need at least 2 runs for ensemble statistics")
     bundle = build_family(config)
     stream = RngStream(config.master_seed).child(Purpose.RUN)
     exact_traj = iterate_exact(bundle.op, bundle.x0, config.horizon)
     files, divergent, drawn = [], [], []
-    for n in config.sample_sizes:
+    for n, factory in zip(config.sample_sizes, bundle.factories):
         begun = time.perf_counter()
-        dist, gap, dropped = orbit_curves(bundle.factory_for(n), exact_traj, bundle.target,
+        dist, gap, dropped = orbit_curves(factory, exact_traj, bundle.target,
                                           stream.child(n), config.runs, bundle.norm)
         seconds = time.perf_counter() - begun
         divergent.extend({"sample_size": n, "run": r, "step": dropped[r]}
@@ -407,8 +412,8 @@ def _lln(config: ExperimentConfig, out_dir: Path):
     bundle = build_family(config, need_target=False)
     stream = RngStream(config.master_seed).child(Purpose.LLN)
     files = []
-    for n in config.sample_sizes:
-        report = lln_audit(bundle.factory_for(n), bundle.x0, lambda z: row_norm(z, bundle.norm),
+    for n, factory in zip(config.sample_sizes, bundle.factories):
+        report = lln_audit(factory, bundle.x0, lambda z: row_norm(z, bundle.norm),
                            config.horizon, config.runs, stream.child(n))
         files.append(out_dir / f"lln_n{n}.json")
         write_json(files[-1], asdict(report))
@@ -451,15 +456,14 @@ def _checks(config: ExperimentConfig, out_dir: Path):
     box = Box.around(exact_traj)
     grid = box.sample(stream.child(Purpose.GRID).generator(), check.grid_size)
 
-    factories = [bundle.factory_for(n) for n in config.sample_sizes]
-    report_a2 = check_sup_probability(bundle.op, factories, grid, check.eps,
+    report_a2 = check_sup_probability(bundle.op, bundle.factories, grid, check.eps,
                                       check.trials, stream.child(Purpose.A2), bundle.norm)
 
     pairs = _ordered_pairs(box, stream.child(Purpose.A3_PAIRS).generator(), check.pair_count)
-    report_a3 = check_monotone(factories[0], bundle.x0, pairs, check.trials,
+    report_a3 = check_monotone(bundle.factories[0], bundle.x0, pairs, check.trials,
                                stream.child(Purpose.A3))
 
-    report_a5 = check_contraction_log(factories[0], check.pair_count, check.trials, box,
+    report_a5 = check_contraction_log(bundle.factories[0], check.pair_count, check.trials, box,
                                       stream.child(Purpose.A5), bundle.norm)
     # An empirical "consistent" is only a lower-bound statement; without an
     # analytic contraction certificate it cannot be upgraded past inconclusive.

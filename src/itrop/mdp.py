@@ -24,6 +24,11 @@ ALIAS_CROSSOVER = 35.0
 MULTINOMIAL_BLOCK_BYTES = 1 << 17
 
 
+def _check_discount(discount) -> None:
+    if not isinstance(discount, numbers.Real) or not 0.0 < discount < 1.0:
+        raise ConfigurationError(f"discount must lie in (0, 1), got {discount!r}")
+
+
 @dataclass(frozen=True)
 class MdpModel:
     """Tabular MDP with transition kernel (S, A, S), cost table (S, A), discount in (0, 1)."""
@@ -55,8 +60,7 @@ class MdpModel:
             si, ai = bad[0]
             raise ConfigurationError(
                 f"transition row (s={si}, a={ai}) sums to {sums[si, ai]!r}, not 1")
-        if not isinstance(self.discount, numbers.Real) or not 0.0 < self.discount < 1.0:
-            raise ConfigurationError(f"discount must lie in (0, 1), got {self.discount!r}")
+        _check_discount(self.discount)
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "discount", float(self.discount))
@@ -280,6 +284,7 @@ def random_mdp(num_states: int, num_actions: int, seed: int, discount: float = 0
     require_indexable(num_states * num_actions * num_states,
                       f"an MDP of {num_states} states and {num_actions} actions needs "
                       f"arrays too large to index")
+    _check_discount(discount)  # before the kernel is drawn
     rng = RngStream(seed).generator()
     raw = rng.random((num_states, num_actions, num_states))
     transition = raw / raw.sum(axis=2, keepdims=True)

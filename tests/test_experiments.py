@@ -382,9 +382,9 @@ def patch_unstable_family(monkeypatch, runs_that_diverge):
         return np.where(blows_up, z * 1e13, z / 2.0)
 
     def fake_build_family(config, need_target=True):
-        factory_for = lambda n: block_fake(1, move, sample_size=n)
+        factories = tuple(block_fake(1, move, sample_size=n) for n in config.sample_sizes)
         return itrop.experiments.FamilyBundle(
-            op=op, factory_for=factory_for,
+            op=op, factories=factories,
             target=np.zeros(1), x0=np.ones(1), norm="sup")
 
     monkeypatch.setattr(itrop.experiments, "build_family", fake_build_family)
@@ -462,7 +462,7 @@ def test_orbit_curves_of_a_dropped_run_are_nan_from_its_drop_step(tmp_path, monk
     bundle = itrop.experiments.build_family(
         ExperimentConfig.from_dict(evi_config(tmp_path, runs=5, horizon=6)))
     exact = itrop.iterate_exact(bundle.op, bundle.x0, 6)
-    dist, gap, dropped = itrop.orbit_curves(bundle.factory_for(1), exact, bundle.target,
+    dist, gap, dropped = itrop.orbit_curves(bundle.factories[0], exact, bundle.target,
                                             itrop.RngStream(0).child(0, 1), 5, bundle.norm)
     assert dropped == {1: 1, 3: 1}
     for curve in (dist, gap):
@@ -497,10 +497,10 @@ def test_run_and_a2_draw_from_disjoint_keys(tmp_path, monkeypatch):
         return runs
 
     def fake_build_family(config, need_target=True):
-        factory_for = lambda n: block_fake(1, lambda runs, z: z / 2.0, draw=draw,
-                                           sample_size=n)
+        factories = tuple(block_fake(1, lambda runs, z: z / 2.0, draw=draw, sample_size=n)
+                          for n in config.sample_sizes)
         return itrop.experiments.FamilyBundle(
-            op=op, factory_for=factory_for, target=np.zeros(1),
+            op=op, factories=factories, target=np.zeros(1),
             x0=np.ones(1), norm="sup")
 
     monkeypatch.setattr(itrop.experiments, "build_family", fake_build_family)
@@ -746,6 +746,40 @@ def test_cli_synthetic_inputs_too_large_to_index_are_a_config_error(tmp_path, ca
              else f"a dataset of 10 samples of dimension {2 ** 62}")
     assert err == f"config error: {sizes} needs arrays too large to index\n"
     assert not (tmp_path / "asset").exists()
+
+
+@pytest.mark.parametrize("experiment", ["sgd-logistic", "lln"])
+def test_cli_sample_size_above_the_dataset_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 experiment):
+    # every rung's factory is built before the reference solve and before the
+    # first rung runs, so no rung's files are written
+    monkeypatch.setattr(itrop.experiments, "solve_reference_minimizer", None)
+    monkeypatch.setattr(itrop.experiments, "iterate_exact", None)
+    data = sgd_config(tmp_path / "o", sample_sizes=[4, 16, 100])
+    if experiment == "lln":
+        data.update(experiment="lln", family="sgd-logistic")
+    assert main(["run", write_config(tmp_path, data)]) == 1
+    assert capsys.readouterr().err == "config error: batch_size must lie in [1, 60], got 100\n"
+    assert not list((tmp_path / "o").iterdir())
+
+
+def test_cli_run_refuses_a_single_run_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(itrop.experiments, "build_family", None)
+    assert main(["run", write_config(tmp_path, evi_config(tmp_path / "o", runs=1))]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: need at least 2 runs for ensemble statistics\n"
+    assert not list((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("discount", ["0", "1", "2", "nan"])
+def test_cli_gen_mdp_checks_the_discount_before_drawing(tmp_path, capsys, monkeypatch, discount):
+    monkeypatch.setattr(itrop.mdp, "RngStream", None)
+    args = ["gen", "mdp", "--num-states", "1500", "--num-actions", "5", "--discount", discount,
+            "--seed", "0", "--out", str(tmp_path / "m.json")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: discount must lie in (0, 1), got {float(discount)!r}\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_cli_check_trials_no_memory_holds_exit_two_at_once(tmp_path, capsys):
