@@ -129,11 +129,11 @@ class AssumptionReport:
 
 
 def orbit_curves(factory: RandomOperatorFactory, exact, target, stream: RngStream,
-                 runs: int, norm: str = "l2"):
+                 runs: int):
     """Move runs 0..runs-1 of stream as one block for len(exact) - 1 steps from
     exact[0]; return (distance, gap, dropped).  distance[k, r] = |z_k - exact[k]|
-    and gap[k, r] = |mean(z_0..z_k) - target| for run r, (K+1, runs) each; a run
-    in dropped (run -> step) is NaN from that step on.
+    and gap[k, r] = |mean(z_0..z_k) - target| for run r, (K+1, runs) each, in
+    factory.norm; a run in dropped (run -> step) is NaN from that step on.
 
     The steps are held in blocks while the live runs stay the same, and each
     block is reduced at once: its running totals are the sequential sums
@@ -144,7 +144,8 @@ def orbit_curves(factory: RandomOperatorFactory, exact, target, stream: RngStrea
     if exact.ndim != 2 or not len(exact) or exact.shape[1] != target.size:
         raise ConfigurationError(f"need a nonempty (K+1, {target.size}) orbit for a target "
                                  f"of dimension {target.size}, got shape {exact.shape}")
-    row_norm(exact[:0], norm)  # an unknown norm fails before the first draw
+    if runs < 1:
+        raise ConfigurationError(f"runs must be >= 1, got {runs}")
     horizon = len(exact) - 1
     distance = np.full((horizon + 1, runs), np.nan)
     gap = np.full((horizon + 1, runs), np.nan)
@@ -160,12 +161,12 @@ def orbit_curves(factory: RandomOperatorFactory, exact, target, stream: RngStrea
         nonlocal steps
         k, z = slice(first, first + steps), held[:steps, :live.size]
         cols = slice(None) if live.size == runs else live
-        distance[k, cols] = row_norm(z - exact[k, None], norm)
+        distance[k, cols] = row_norm(z - exact[k, None], factory.norm)
         z[0] += total[cols]
         np.add.accumulate(z, axis=0, out=z)
         total[cols] = z[-1]
         z /= np.arange(first + 1, first + steps + 1, dtype=np.float64)[:, None, None]
-        gap[k, cols] = row_norm(z - target, norm)
+        gap[k, cols] = row_norm(z - target, factory.norm)
         steps = 0
 
     def record(k, alive, z):
@@ -228,11 +229,11 @@ def _shared(points: np.ndarray):
 
 
 def _exceedances(factory: RandomOperatorFactory, grid: np.ndarray, exact: np.ndarray,
-                 eps: float, trials: int, stream: RngStream, norm: str) -> np.ndarray:
+                 eps: float, trials: int, stream: RngStream) -> np.ndarray:
     """(trials, G) flags: trial t's image of grid point g lies farther than
-    eps from exact[g], the grid being moved by run t of stream."""
+    eps from exact[g] in factory.norm, the grid being moved by run t of stream."""
     return factory.reduce([stream], range(trials), len(grid), _shared(grid),
-                          lambda _, images: row_norm(images - exact, norm) > eps)
+                          lambda _, images: row_norm(images - exact, factory.norm) > eps)
 
 
 def _monotone_gaps(factory: RandomOperatorFactory, x0: np.ndarray, pairs: np.ndarray,
@@ -259,15 +260,19 @@ def _draw_pairs(box: Box, rng: np.random.Generator, pair_count: int) -> np.ndarr
 
 
 def _lipschitz_samples(factory: RandomOperatorFactory, depth: int, pair_count: int,
-                       trials: int, box: Box, stream: RngStream, norm: str) -> np.ndarray:
-    """Per trial t, the max-ratio Lipschitz estimate of the composition of run
-    t's realizations from stream.child(0..depth-1), over pair_count random
-    pairs drawn from run t's part of stream.child(depth); NaN ratios are
-    skipped.  A trial's first k pairs are the same for any pair_count >= k."""
+                       trials: int, box: Box, stream: RngStream) -> np.ndarray:
+    """Per trial t, the max-ratio Lipschitz estimate, in factory.norm, of the
+    composition of run t's realizations from stream.child(0..depth-1), over
+    pair_count random pairs drawn from run t's part of stream.child(depth);
+    NaN ratios are skipped.  A trial's first k pairs are the same for any
+    pair_count >= k."""
     if pair_count < 2:
         raise ConfigurationError("pair_count must be >= 2")
     if trials < 2:
         raise ConfigurationError("trials must be >= 2")
+    if box.dim != factory.dimension:
+        raise ConfigurationError(f"box has dimension {box.dim}, the factory "
+                                 f"{factory.dimension}")
     pair_stream = stream.child(depth)
 
     def pairs(part):
@@ -275,8 +280,8 @@ def _lipschitz_samples(factory: RandomOperatorFactory, depth: int, pair_count: i
                          for rng in pair_stream.generators(range(trials)[part])])
 
     def max_ratios(points, images):
-        ratios = (row_norm(images[:, 0::2] - images[:, 1::2], norm)
-                  / row_norm(points[:, 0::2] - points[:, 1::2], norm))
+        ratios = (row_norm(images[:, 0::2] - images[:, 1::2], factory.norm)
+                  / row_norm(points[:, 0::2] - points[:, 1::2], factory.norm))
         return np.fmax.reduce(ratios, axis=1, initial=0.0)
 
     return factory.reduce([stream.child(j) for j in range(depth)], range(trials),
@@ -285,10 +290,11 @@ def _lipschitz_samples(factory: RandomOperatorFactory, depth: int, pair_count: i
 
 def check_sup_probability(op: ExactOperatorHandle,
                           factories: Sequence[RandomOperatorFactory],
-                          grid, eps: float, trials: int, stream: RngStream,
-                          norm: str = "l2") -> AssumptionReport:
+                          grid, eps: float, trials: int, stream: RngStream) -> AssumptionReport:
     """Estimate sup_x P(dist(random(x), exact(x)) > eps) over a finite grid,
     for a ladder of sample sizes; consistent when the ladder is non-increasing.
+    Distances are in op.norm, which every factory must share; eps must be
+    positive and finite.
 
     The estimated max should shrink as sample sizes grow if the random
     operators concentrate on the exact one.
@@ -296,20 +302,26 @@ def check_sup_probability(op: ExactOperatorHandle,
     factories = list(factories)
     if not factories:
         raise ConfigurationError("need at least one factory")
+    if any(f.norm != op.norm or f.dimension != op.dimension for f in factories):
+        raise ConfigurationError(f"factories must act on the operator's space: dimension "
+                                 f"{op.dimension}, norm {op.norm!r}")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ConfigurationError(f"eps must be a positive finite number, got {eps!r}")
     sizes = [f.sample_size for f in factories]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigurationError("factories must have strictly increasing sample sizes")
     if trials < 100:
         raise ConfigurationError("need trials >= 100 for stable probability estimates")
     grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 2 or not len(grid):
-        raise ConfigurationError("grid must be a nonempty (G, d) array of points")
+    if grid.ndim != 2 or not len(grid) or grid.shape[1] != op.dimension:
+        raise ConfigurationError(f"grid must be a nonempty (G, {op.dimension}) array of "
+                                 f"points, got shape {grid.shape}")
     exact = np.apply_along_axis(op.apply, 1, grid)  # exact operators take one point
 
     rows = []
     for i, factory in enumerate(factories):
-        probs = _exceedances(factory, grid, exact, eps, trials, stream.child(i),
-                             norm).sum(axis=0) / trials
+        probs = _exceedances(factory, grid, exact, eps, trials,
+                             stream.child(i)).sum(axis=0) / trials
         j_max = int(np.argmax(probs))
         p = float(probs[j_max])
         rows.append({
@@ -333,7 +345,7 @@ def check_sup_probability(op: ExactOperatorHandle,
     return AssumptionReport(
         assumption_id="A2-sup-prob",
         parameters={"eps": eps, "trials": trials, "grid_size": len(grid),
-                    "sample_sizes": sizes, "norm": norm},
+                    "sample_sizes": sizes, "norm": op.norm},
         verdict=verdict,
         evidence=rows)
 
@@ -350,8 +362,13 @@ def check_monotone(factory: RandomOperatorFactory, x0, pairs, trials: int,
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    d = factory.dimension
     x0 = np.asarray(x0, dtype=np.float64)
-    pairs = np.asarray(pairs, dtype=np.float64).reshape(len(pairs), 2, x0.size)
+    if x0.shape != (d,):
+        raise ConfigurationError(f"x0 must have shape ({d},), got {x0.shape}")
+    pairs = np.asarray(pairs, dtype=np.float64)
+    if pairs.ndim != 3 or pairs.shape[1:] != (2, d):
+        raise ConfigurationError(f"pairs must have shape (P, 2, {d}), got {pairs.shape}")
     unordered = np.flatnonzero(np.any(pairs[:, 0] > pairs[:, 1], axis=1))
     if unordered.size:
         raise ConfigurationError(f"pair {unordered[0]} is not ordered componentwise")
@@ -370,15 +387,15 @@ def check_monotone(factory: RandomOperatorFactory, x0, pairs, trials: int,
 
 
 def check_contraction_log(factory: RandomOperatorFactory, pair_count: int,
-                          trials: int, box: Box, stream: RngStream,
-                          norm: str = "l2") -> AssumptionReport:
-    """Estimate the per-realization Lipschitz coefficient by random-pair max
-    ratios; the iteration is stable when log-coefficients are negative on average.
+                          trials: int, box: Box, stream: RngStream) -> AssumptionReport:
+    """Estimate the per-realization Lipschitz coefficient in factory.norm by
+    random-pair max ratios; the iteration is stable when log-coefficients are
+    negative on average.
 
     The max-ratio estimate is a lower bound on the true coefficient (more
     pairs can only raise it), so `consistent` is evidence, not proof.
     """
-    alphas = _lipschitz_samples(factory, 1, pair_count, trials, box, stream, norm)
+    alphas = _lipschitz_samples(factory, 1, pair_count, trials, box, stream)
     logs = np.log(np.maximum(alphas, 1e-300))
     mean, se = float(np.mean(alphas)), float(_mean_se(alphas))
     mean_log, se_log = float(np.mean(logs)), float(_mean_se(logs))
@@ -391,7 +408,7 @@ def check_contraction_log(factory: RandomOperatorFactory, pair_count: int,
 
     return AssumptionReport(
         assumption_id="A5-contraction-log",
-        parameters={"pair_count": pair_count, "trials": trials, "norm": norm,
+        parameters={"pair_count": pair_count, "trials": trials, "norm": factory.norm,
                     "estimate_is_lower_bound": True},
         verdict=verdict,
         evidence=[{"mean_alpha_hat": mean, "se_alpha_hat": se,
@@ -402,14 +419,15 @@ def check_contraction_log(factory: RandomOperatorFactory, pair_count: int,
 
 def check_composite_lipschitz(factory: RandomOperatorFactory, depth: int,
                               pair_count: int, trials: int, box: Box,
-                              stream: RngStream, norm: str = "l2",
+                              stream: RngStream,
                               eps_ladder: Sequence[float] = (0.5, 0.25, 0.1, 0.05),
                               ) -> AssumptionReport:
-    """Max-ratio Lipschitz estimate for depth-fold compositions of fresh
-    independent realizations, with tail estimates P(coefficient > 1 - eps)."""
+    """Max-ratio Lipschitz estimate, in factory.norm, for depth-fold
+    compositions of fresh independent realizations, with tail estimates
+    P(coefficient > 1 - eps)."""
     if depth < 1:
         raise ConfigurationError("depth must be >= 1")
-    alphas = _lipschitz_samples(factory, depth, pair_count, trials, box, stream, norm)
+    alphas = _lipschitz_samples(factory, depth, pair_count, trials, box, stream)
     mean, se = float(np.mean(alphas)), float(_mean_se(alphas))
     above = [float(np.mean(alphas > 1.0 - e)) for e in eps_ladder]
     rows = [{"eps": float(e), "prob_above": p, "std_error": _proportion_se(p, trials)}
@@ -425,7 +443,7 @@ def check_composite_lipschitz(factory: RandomOperatorFactory, depth: int,
     return AssumptionReport(
         assumption_id="A4-composite-lipschitz",
         parameters={"depth": depth, "pair_count": pair_count, "trials": trials,
-                    "norm": norm, "estimate_is_lower_bound": True,
+                    "norm": factory.norm, "estimate_is_lower_bound": True,
                     "mean_alpha_hat": mean, "se_alpha_hat": se,
                     "max_alpha_hat": float(np.max(alphas))},
         verdict=verdict,

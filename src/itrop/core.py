@@ -53,6 +53,11 @@ def as_point(x) -> np.ndarray:
     return p
 
 
+def _check_norm(norm) -> None:
+    if norm not in NORMS:
+        raise ConfigurationError(f"unknown norm {norm!r}, expected one of {NORMS}")
+
+
 def row_norm(diff, norm: str = "l2") -> np.ndarray:
     """Norm ("l2" or "sup") of each row of diff, taken along its last axis."""
     diff = np.asarray(diff, dtype=np.float64)
@@ -60,7 +65,7 @@ def row_norm(diff, norm: str = "l2") -> np.ndarray:
         return np.sqrt(np.add.reduce(diff * diff, axis=-1))
     if norm == "sup":
         return np.max(np.abs(diff), axis=-1, initial=0.0)
-    raise ConfigurationError(f"unknown norm {norm!r}, expected one of {NORMS}")
+    _check_norm(norm)  # neither: raises
 
 
 def write_atomic(path, text: str) -> None:
@@ -293,15 +298,21 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ExactOperatorHandle:
-    """A deterministic self-map of R^dimension.
+    """A deterministic self-map of R^dimension, measured in `norm`.
 
-    claimed_modulus, when known, is an upper bound on the map's Lipschitz
-    constant (sub-1 means the map is a contraction).
+    norm ("l2" or "sup", checked here) is the metric of the space the map
+    acts on: claimed_modulus, when known, is an upper bound on the map's
+    Lipschitz constant in that norm (sub-1 means the map is a contraction),
+    and solve_exact and check_sup_probability measure distances in it.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     dimension: int
     claimed_modulus: float | None = None
+    norm: str = "l2"
+
+    def __post_init__(self):
+        _check_norm(self.norm)
 
 
 @dataclass(frozen=True)
@@ -323,6 +334,10 @@ class RandomOperatorFactory:
     randomness; a negative run is a ConfigurationError.  When not given it
     is draw and move with m = 1, so a realization, the engine's (m, d) step
     (P = 1) and the checkers' (m, P, d) trials all run the same move.
+
+    norm ("l2" or "sup", checked here) is the metric of the space the
+    realizations act on: orbit_curves and the checkers measure distances
+    and Lipschitz ratios in it.
     """
 
     sample_size: int
@@ -333,8 +348,10 @@ class RandomOperatorFactory:
     point_bytes: int
     draws_ahead: bool = False
     realize: Callable[..., Callable[[np.ndarray], np.ndarray]] | None = None
+    norm: str = "l2"
 
     def __post_init__(self):
+        _check_norm(self.norm)
         # derived when not given, and derived anew when replace() copies it
         if (self.realize is None
                 or getattr(self.realize, "__func__", None) is RandomOperatorFactory._realize):
@@ -387,12 +404,15 @@ class RandomOperatorFactory:
 
     def reduce(self, layers, runs, width: int, start, stat) -> np.ndarray:
         """stat(points, images) for the runs, in chunks of chunk(width) runs,
-        its rows stacked in run order.  runs is an ascending range or array,
-        sliced a chunk at a time as draws draws it (every layer of a chunk
-        before the next); points = start(part) is the (m, width, d) block of
+        its rows stacked in run order.  runs is an ascending range or array
+        of distinct nonnegative run indices (anything else is a
+        ConfigurationError, a range checked without listing it), sliced a
+        chunk at a time as draws draws it (every layer of a chunk before the
+        next); points = start(part) is the (m, width, d) block of
         runs[part], part a slice of positions, and images that block moved by
         each run's realization from every stream of layers in turn.  The rows
         are allocated at the first chunk, so only they grow with the runs."""
+        runs = _check_runs(runs)
         total, size = len(runs), self.chunk(width)
         chunks = range(0, total, size)
         plan = ((layer, np.asarray(runs[lo:lo + size])) for lo in chunks for layer in layers)
@@ -417,19 +437,25 @@ class RandomOperatorFactory:
         identity: the runs are drawn and moved in chunks."""
         runs = _check_runs(runs)
         z = np.asarray(z, dtype=np.float64)
-        if z.ndim not in (2, 3) or len(z) != runs.size or z.shape[-1] != self.dimension:
-            raise ConfigurationError(f"points must have shape ({runs.size}, [P,] "
+        if z.ndim not in (2, 3) or len(z) != len(runs) or z.shape[-1] != self.dimension:
+            raise ConfigurationError(f"points must have shape ({len(runs)}, [P,] "
                                      f"{self.dimension}), got {z.shape}")
-        block = z.reshape(runs.size, -1, self.dimension)
+        block = z.reshape(len(runs), -1, self.dimension)
         return self.reduce([stream], runs, block.shape[1], lambda part: block[part],
                            lambda _, images: images).reshape(z.shape)
 
 
-def _check_runs(runs) -> np.ndarray:
-    """runs as an int64 array, which must list distinct run indices in ascending
-    order: the samplers read a block of runs as one span of their stream."""
-    runs = np.asarray(runs, dtype=np.int64)
-    if runs.ndim != 1 or runs.size == 0 or runs[0] < 0 or np.any(np.diff(runs) <= 0):
+def _check_runs(runs):
+    """runs as an int64 array, or a range as it is, which must list distinct
+    run indices in ascending order: the samplers read a block of runs as one
+    span of their stream.  A range is checked without listing its runs."""
+    if isinstance(runs, range):
+        ok = bool(runs) and runs.start >= 0 and runs.step > 0
+    else:
+        runs = np.asarray(runs, dtype=np.int64)
+        ok = (runs.ndim == 1 and runs.size > 0 and runs[0] >= 0
+              and not np.any(np.diff(runs) <= 0))
+    if not ok:
         raise ConfigurationError("runs must be a nonempty ascending list of distinct run indices")
     return runs
 
@@ -498,7 +524,7 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     step.  The orbits are the same bytes for any number of CPUs.
     """
     z0 = _check_start(z0, factory.dimension, num_steps)
-    runs = _check_runs(runs)
+    runs = np.asarray(_check_runs(runs), dtype=np.int64)
     size = factory.chunk()
     z = np.tile(z0, (runs.size, 1))
     visit(0, runs, z)

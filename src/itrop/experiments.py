@@ -268,13 +268,14 @@ class ExperimentConfig(_Section):
 class FamilyBundle:
     """Everything an experiment needs about one operator family: one factory
     per sample size, in `sample_sizes` order, and `solve`, which certifies
-    how the target was computed (None when it was not)."""
+    how the target was computed (None when it was not).  The metric is the
+    operator's: op.norm, which every factory shares (sup for MDP families,
+    l2 for SGD)."""
 
     op: ExactOperatorHandle
     factories: tuple[RandomOperatorFactory, ...]
     target: np.ndarray | None
     x0: np.ndarray
-    norm: str
     solve: dict | None = None
 
 
@@ -320,7 +321,7 @@ def build_family(config: ExperimentConfig, need_target: bool = True) -> FamilyBu
                  "certified_bound": gnorm / problem.lam, "beta": problem.beta,
                  "claimed_modulus": op.claimed_modulus}
     return FamilyBundle(op=op, factories=factories, target=target,
-                        x0=np.zeros(op.dimension), norm="sup" if mdp else "l2", solve=solve)
+                        x0=np.zeros(op.dimension), solve=solve)
 
 
 @dataclass
@@ -388,7 +389,7 @@ def _orbits(config: ExperimentConfig, out_dir: Path):
     for n, factory in zip(config.sample_sizes, bundle.factories):
         begun = time.perf_counter()
         dist, gap, dropped = orbit_curves(factory, exact_traj, bundle.target,
-                                          stream.child(n), config.runs, bundle.norm)
+                                          stream.child(n), config.runs)
         seconds = time.perf_counter() - begun
         divergent.extend({"sample_size": n, "run": r, "step": dropped[r]}
                          for r in sorted(dropped))
@@ -413,7 +414,7 @@ def _lln(config: ExperimentConfig, out_dir: Path):
     stream = RngStream(config.master_seed).child(Purpose.LLN)
     files = []
     for n, factory in zip(config.sample_sizes, bundle.factories):
-        report = lln_audit(factory, bundle.x0, lambda z: row_norm(z, bundle.norm),
+        report = lln_audit(factory, bundle.x0, lambda z: row_norm(z, factory.norm),
                            config.horizon, config.runs, stream.child(n))
         files.append(out_dir / f"lln_n{n}.json")
         write_json(files[-1], asdict(report))
@@ -457,14 +458,14 @@ def _checks(config: ExperimentConfig, out_dir: Path):
     grid = box.sample(stream.child(Purpose.GRID).generator(), check.grid_size)
 
     report_a2 = check_sup_probability(bundle.op, bundle.factories, grid, check.eps,
-                                      check.trials, stream.child(Purpose.A2), bundle.norm)
+                                      check.trials, stream.child(Purpose.A2))
 
     pairs = _ordered_pairs(box, stream.child(Purpose.A3_PAIRS).generator(), check.pair_count)
     report_a3 = check_monotone(bundle.factories[0], bundle.x0, pairs, check.trials,
                                stream.child(Purpose.A3))
 
     report_a5 = check_contraction_log(bundle.factories[0], check.pair_count, check.trials, box,
-                                      stream.child(Purpose.A5), bundle.norm)
+                                      stream.child(Purpose.A5))
     # An empirical "consistent" is only a lower-bound statement; without an
     # analytic contraction certificate it cannot be upgraded past inconclusive.
     cert = bundle.op.claimed_modulus

@@ -214,7 +214,7 @@ def _empirical_factory(model: MdpModel, sample_size: int, kind: str) -> RandomOp
         sample_size, s if kind == "value" else s * a,
         draw=lambda stream, runs: _empirical_kernels(model, sample_size, stream, runs),
         move=lambda kernels, z: _sweep(model, kind, kernels, z),
-        row_bytes=row_bytes, point_bytes=point_bytes, draws_ahead=not alias)
+        row_bytes=row_bytes, point_bytes=point_bytes, draws_ahead=not alias, norm="sup")
 
 
 def empirical_bellman_factory(model: MdpModel, sample_size: int) -> RandomOperatorFactory:
@@ -223,12 +223,15 @@ def empirical_bellman_factory(model: MdpModel, sample_size: int) -> RandomOperat
     A realization draws, for every (s, a), the empirical distribution of
     sample_size i.i.d. next states; applying it replaces E v(s') by the
     sample mean.  All applications of one realization share its draws.
+    The factory measures in sup norm, in which every realization is a
+    discount-contraction.
     """
     return _empirical_factory(model, sample_size, "value")
 
 
 def empirical_q_factory(model: MdpModel, sample_size: int) -> RandomOperatorFactory:
-    """Sampled Q-iteration operators over flattened (S*A,) tables."""
+    """Sampled Q-iteration operators over flattened (S*A,) tables, measured
+    in sup norm as empirical_bellman_factory's."""
     return _empirical_factory(model, sample_size, "q")
 
 
@@ -236,28 +239,30 @@ def bellman_operator(model: MdpModel) -> ExactOperatorHandle:
     """Exact value sweep as an operator handle (a discount-contraction in sup norm)."""
     return ExactOperatorHandle(apply=lambda v: bellman_apply(model, v),
                                dimension=model.num_states,
-                               claimed_modulus=model.discount)
+                               claimed_modulus=model.discount, norm="sup")
 
 
 def q_operator(model: MdpModel) -> ExactOperatorHandle:
-    """Exact Q sweep over flattened tables as an operator handle."""
+    """Exact Q sweep over flattened tables as an operator handle (a
+    discount-contraction in sup norm)."""
     s, a = model.num_states, model.num_actions
 
     def apply(qflat):
         return q_apply(model, np.asarray(qflat).reshape(s, a)).ravel()
 
-    return ExactOperatorHandle(apply=apply, dimension=s * a, claimed_modulus=model.discount)
+    return ExactOperatorHandle(apply=apply, dimension=s * a, claimed_modulus=model.discount,
+                               norm="sup")
 
 
 def solve_exact(op: ExactOperatorHandle, tol: float = 1e-10,
                 max_iterations: int = 10 ** 6) -> tuple[np.ndarray, int, float]:
-    """(fixed point, sweeps, last sup-norm step ||Tx - x||) of the exact sweep
-    op, by iteration from 0; op.claimed_modulus, gamma, must lie in (0, 1) and
-    bound op's Lipschitz constant in sup norm.
+    """(fixed point, iterations, last step ||Tx - x||) of the contraction op,
+    by iteration from 0, every norm being op.norm; op.claimed_modulus, gamma,
+    must lie in (0, 1) and bound op's Lipschitz constant in that norm.
 
-    Stops once the sup-norm step ||Tx - x|| shrinks below
-    tol * (1 - gamma) / gamma; then ||Tx - x*|| <= gamma / (1 - gamma)
-    * ||Tx - x|| <= tol, and Tx is returned.
+    Stops once the step ||Tx - x|| shrinks below tol * (1 - gamma) / gamma;
+    then ||Tx - x*|| <= gamma / (1 - gamma) * ||Tx - x|| <= tol, and Tx is
+    returned.
     """
     gamma = op.claimed_modulus
     if gamma is None or not 0.0 < gamma < 1.0:
@@ -268,7 +273,7 @@ def solve_exact(op: ExactOperatorHandle, tol: float = 1e-10,
     threshold = tol * (1.0 - gamma) / gamma
     for sweep in range(1, max_iterations + 1):
         nxt = op.apply(x)
-        moved = float(row_norm(nxt - x, "sup"))
+        moved = float(row_norm(nxt - x, op.norm))
         if moved <= threshold:
             return nxt, sweep, moved
         x = nxt

@@ -164,7 +164,8 @@ def gradient(problem: RegressionProblem, x, subset=None) -> np.ndarray:
 
 def exact_gd_operator(problem: RegressionProblem,
                       bounds: EigenBounds | None = None) -> ExactOperatorHandle:
-    """Full-gradient descent step x -> x - beta * grad(x) as an operator handle."""
+    """Full-gradient descent step x -> x - beta * grad(x) as an operator
+    handle, measured in l2 (the norm of its contraction coefficient)."""
     modulus = contraction_coefficient(bounds, problem.beta) if bounds is not None else None
 
     def apply(x):
@@ -198,7 +199,8 @@ def sgd_factory(problem: RegressionProblem, batch_size: int,
     batch); repeated applications of the same realization reuse the batch.
     Each run of a block gathers its own batch_size feature rows, so a step
     costs batch_size * d per run whatever the dataset size.  A full batch
-    drawn without replacement reproduces the exact gradient step.
+    drawn without replacement reproduces the exact gradient step.  The
+    factory measures in l2, as exact_gd_operator does.
     """
     n = problem.dataset.num_samples
     if not (1 <= batch_size <= n):

@@ -41,11 +41,12 @@ def poisson_problem():
 
 
 def block_fake(dim: int, move, draw=lambda stream, runs: runs,
-               sample_size: int = 1) -> itrop.RandomOperatorFactory:
-    """A test factory: a step draws draw(stream, runs) (by default the run
-    indices themselves) and moves the (m, P, d) block Z by move(draws, Z)."""
+               sample_size: int = 1, norm: str = "l2") -> itrop.RandomOperatorFactory:
+    """A test factory measured in `norm`: a step draws draw(stream, runs) (by
+    default the run indices themselves) and moves the (m, P, d) block Z by
+    move(draws, Z)."""
     return itrop.RandomOperatorFactory(sample_size, dim, draw, move,
-                                       row_bytes=8 * dim, point_bytes=8 * dim)
+                                       row_bytes=8 * dim, point_bytes=8 * dim, norm=norm)
 
 
 def run_alone(factory, z0, num_steps: int, stream: itrop.RngStream, run: int = 0) -> np.ndarray:

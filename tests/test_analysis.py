@@ -32,6 +32,17 @@ def unit_box(dim):
     return itrop.Box(lower=-np.ones(dim), upper=np.ones(dim))
 
 
+def recording_draws():
+    """A draw that records each stream it is asked for, and the list it records in."""
+    calls = []
+
+    def draw(stream, runs):
+        calls.append(stream)
+        return runs
+
+    return draw, calls
+
+
 # ---------------------------------------------------------------- Box
 
 def test_box_sample_respects_bounds_and_seed():
@@ -72,9 +83,9 @@ def test_distance_curve_zero_for_identical_routes():
     dim = 3
     exact = itrop.iterate_exact(halving_op(dim), np.ones(dim), 6)
     for norm in ("l2", "sup"):
-        dist, gap, dropped = itrop.orbit_curves(make_halving_factory(dim), exact,
-                                                np.zeros(dim), itrop.RngStream(1).child(0),
-                                                4, norm)
+        factory = dataclasses.replace(make_halving_factory(dim), norm=norm)
+        dist, gap, dropped = itrop.orbit_curves(factory, exact, np.zeros(dim),
+                                                itrop.RngStream(1).child(0), 4)
         assert dist.shape == gap.shape == (7, 4) and dropped == {}
         assert np.array_equal(dist, np.zeros((7, 4)))
         # every run averages the same orbit
@@ -86,14 +97,16 @@ def test_distance_curve_hand_values_and_norm_override():
     exact = np.array([[0.0, 0.0], [3.0, 4.0]])
     target = np.array([3.0, 4.0])
     identity, stream = constant_scale_factory(2, 1.0), itrop.RngStream(0)
-    dist, gap, _ = itrop.orbit_curves(identity, exact, target, stream, 2, "l2")
+    assert identity.norm == "l2"  # the default
+    dist, gap, _ = itrop.orbit_curves(identity, exact, target, stream, 2)
     assert dist.tolist() == [[0.0, 0.0], [5.0, 5.0]]
     assert gap.tolist() == [[5.0, 5.0], [5.0, 5.0]]
-    dist, gap, _ = itrop.orbit_curves(identity, exact, target, stream, 2, "sup")
+    sup_identity = dataclasses.replace(identity, norm="sup")
+    dist, gap, _ = itrop.orbit_curves(sup_identity, exact, target, stream, 2)
     assert dist.tolist() == [[0.0, 0.0], [4.0, 4.0]]
     assert gap.tolist() == [[4.0, 4.0], [4.0, 4.0]]
     with pytest.raises(ConfigurationError):
-        itrop.orbit_curves(identity, exact, target, stream, 2, "manhattan")
+        dataclasses.replace(identity, norm="manhattan")
 
 
 def test_orbit_curves_rejects_bad_inputs_before_the_first_step():
@@ -108,12 +121,21 @@ def test_orbit_curves_rejects_bad_inputs_before_the_first_step():
     stream = itrop.RngStream(0)
     with pytest.raises(ConfigurationError, match="target"):
         itrop.orbit_curves(factory, exact, np.zeros(3), stream, 2)
-    with pytest.raises(ConfigurationError, match="norm"):
-        itrop.orbit_curves(factory, exact, np.zeros(2), stream, 2, norm="manhattan")
+    with pytest.raises(ConfigurationError, match="norm"):  # refused as it is built
+        block_fake(2, lambda runs, z: z, draw=draw, norm="manhattan")
     with pytest.raises(ConfigurationError, match="nonempty"):
         itrop.orbit_curves(factory, np.empty((0, 2)), np.zeros(2), stream, 2)
     with pytest.raises(ConfigurationError, match="dimension"):  # orbit of the wrong operator
         itrop.orbit_curves(factory, np.zeros((4, 3)), np.zeros(3), stream, 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("runs", [-1, 0])
+def test_orbit_curves_rejects_a_run_count_below_one_before_the_first_step(runs):
+    draw, calls = recording_draws()
+    factory = block_fake(2, lambda drawn, z: z, draw=draw)
+    with pytest.raises(ConfigurationError, match="runs"):
+        itrop.orbit_curves(factory, np.zeros((4, 2)), np.zeros(2), itrop.RngStream(0), runs)
     assert calls == []
 
 
@@ -132,7 +154,8 @@ def test_orbit_curves_columns_are_the_runs_alone(family, mdp20, logistic_problem
     horizon, runs = 30, 4
     exact = itrop.iterate_exact(op, np.zeros(op.dimension), horizon)
     stream = itrop.RngStream(17).child(5)
-    dist, gap, dropped = itrop.orbit_curves(factory, exact, target, stream, runs, norm)
+    assert factory.norm == op.norm == norm
+    dist, gap, dropped = itrop.orbit_curves(factory, exact, target, stream, runs)
     assert dist.shape == gap.shape == (horizon + 1, runs) and dropped == {}
     for r in range(runs):
         traj = run_alone(factory, exact[0], horizon, stream, r)
@@ -142,9 +165,9 @@ def test_orbit_curves_columns_are_the_runs_alone(family, mdp20, logistic_problem
                            rtol=1e-12, atol=1e-14)
 
 
-def noisy_blow_up_factory(run_to_step, dim=3):
+def noisy_blow_up_factory(run_to_step, dim=3, norm="l2"):
     """z -> z / 2 + normal noise, except that run r is multiplied by 1e30 at
-    step run_to_step[r], which drops it."""
+    step run_to_step[r], which drops it; measured in `norm`."""
 
     def draw(stream, runs):
         step = stream.lineage[-1] + 1
@@ -155,7 +178,7 @@ def noisy_blow_up_factory(run_to_step, dim=3):
         blows_up, noise = drawn
         return np.where(blows_up[:, None, None], z * 1e30, z / 2.0 + noise[:, None])
 
-    return block_fake(dim, move, draw=draw)
+    return block_fake(dim, move, draw=draw, norm=norm)
 
 
 def curves_alone(factory, exact, target, stream, run, norm):
@@ -185,11 +208,11 @@ def test_orbit_curves_of_dropped_runs_are_the_runs_alone(monkeypatch, held, norm
     run_to_step = {1: held + 2, 2: 2 * held, 3: 3 * held + 1}
     if not survivors:
         run_to_step.update({0: 4 * held + 1, 4: 4 * held + 2})
-    factory = noisy_blow_up_factory(run_to_step, dim)
+    factory = noisy_blow_up_factory(run_to_step, dim, norm)
     horizon, target = 5 * held + 3, np.full(dim, 0.25)
     exact = np.random.default_rng(3).normal(size=(horizon + 1, dim))
     stream = itrop.RngStream(12).child(4)
-    distance, gap, dropped = itrop.orbit_curves(factory, exact, target, stream, runs, norm)
+    distance, gap, dropped = itrop.orbit_curves(factory, exact, target, stream, runs)
     assert dropped == run_to_step
     for r in range(runs):
         alone_distance, alone_gap, _ = curves_alone(factory, exact, target, stream, r, norm)
@@ -204,7 +227,7 @@ def test_distance_curve_obeys_stepwise_triangle_bound(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 5)
     stream = itrop.RngStream(19).child(2)
     exact = itrop.iterate_exact(op, np.zeros(20), 40)
-    d, _, _ = itrop.orbit_curves(factory, exact, np.zeros(20), stream, 3, "sup")
+    d, _, _ = itrop.orbit_curves(factory, exact, np.zeros(20), stream, 3)
     for r in range(3):
         for k in range(1, 41):
             f_k = factory.realize(stream.child(k - 1), r)
@@ -381,8 +404,7 @@ def test_sup_probability_concentrating_ladder_is_consistent(mdp20):
     factories = [itrop.empirical_bellman_factory(mdp20, n) for n in (1, 16, 256)]
     grid = [np.zeros(20), np.linspace(0.0, 2.0, 20), np.full(20, 1.0)]
     report = itrop.check_sup_probability(op, factories, grid, eps=0.25, trials=150,
-                                         stream=itrop.RngStream(51).child(0),
-                                         norm="sup")
+                                         stream=itrop.RngStream(51).child(0))
     probs = [row["max_probability"] for row in report.evidence]
     assert probs[0] > probs[-1]
     assert report.verdict == "consistent"
@@ -403,6 +425,39 @@ def test_sup_probability_diverging_ladder_is_violated():
     assert report.verdict == "violated"
     probs = [row["max_probability"] for row in report.evidence]
     assert probs[1] > probs[0]
+
+
+def test_sup_probability_refuses_an_eps_no_distance_can_pass(mdp20):
+    # sample sizes relabelled so that the noisiest factory comes last: a
+    # ladder that grows noisier, which eps = 0 would read as consistent
+    op = itrop.bellman_operator(mdp20)
+    factories = [dataclasses.replace(itrop.empirical_bellman_factory(mdp20, n), sample_size=m)
+                 for n, m in ((400, 1), (25, 25), (1, 400))]
+    grid = [np.zeros(20), np.linspace(0.0, 2.0, 20), np.full(20, 1.0)]
+    report = itrop.check_sup_probability(op, factories, grid, 0.25, 100, itrop.RngStream(54))
+    assert report.verdict == "violated"
+    for eps in (0.0, -0.25, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="eps"):
+            itrop.check_sup_probability(op, factories, grid, eps, 100, itrop.RngStream(54))
+
+
+def test_sup_probability_refuses_factories_outside_the_operator_s_space(mdp20):
+    draw, calls = recording_draws()
+    sup = block_fake(20, lambda drawn, z: z, draw=draw, norm="sup")
+    l2_op = itrop.ExactOperatorHandle(apply=lambda x: x, dimension=20)
+    with pytest.raises(ConfigurationError, match="norm 'l2'"):
+        itrop.check_sup_probability(l2_op, [sup], [np.zeros(20)], 0.25, 100, itrop.RngStream(0))
+    with pytest.raises(ConfigurationError, match="norm 'l2'"):  # the real families
+        itrop.check_sup_probability(l2_op, [itrop.empirical_bellman_factory(mdp20, 4)],
+                                    [np.zeros(20)], 0.25, 100, itrop.RngStream(0))
+    sup_op = itrop.ExactOperatorHandle(apply=lambda x: x, dimension=20, norm="sup")
+    with pytest.raises(ConfigurationError, match="dimension 20"):
+        itrop.check_sup_probability(sup_op, [block_fake(19, lambda drawn, z: z, norm="sup")],
+                                    [np.zeros(19)], 0.25, 100, itrop.RngStream(0))
+    with pytest.raises(ConfigurationError, match="grid"):
+        itrop.check_sup_probability(sup_op, [sup], [np.zeros(19)], 0.25, 100,
+                                    itrop.RngStream(0))
+    assert calls == []
 
 
 def test_sup_probability_validation(mdp20):
@@ -476,6 +531,20 @@ def test_monotone_evidence_is_capped(logistic_problem):
     assert len(report.evidence) == 100
 
 
+def test_monotone_rejects_points_of_another_dimension_before_the_first_draw():
+    draw, calls = recording_draws()
+    factory = block_fake(2, lambda drawn, z: z, draw=draw)
+    stream, pairs = itrop.RngStream(0), [(np.zeros(2), np.ones(2))]
+    for x0 in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+        with pytest.raises(ConfigurationError, match="x0"):
+            itrop.check_monotone(factory, x0, pairs, trials=5, stream=stream)
+    for bad in ([(np.zeros(3), np.ones(3))], np.zeros((4, 2)), np.zeros((1, 3, 2)),
+                np.zeros((2, 2, 1))):
+        with pytest.raises(ConfigurationError, match="pairs"):
+            itrop.check_monotone(factory, np.zeros(2), bad, trials=5, stream=stream)
+    assert calls == []
+
+
 def test_monotone_validation():
     factory = make_halving_factory(2)
     with pytest.raises(ConfigurationError, match="ordered"):
@@ -506,8 +575,7 @@ def test_contraction_log_empirical_bellman_bounded_by_discount(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 4)
     report = itrop.check_contraction_log(factory, pair_count=8, trials=40,
                                          box=unit_box(20),
-                                         stream=itrop.RngStream(71).child(0),
-                                         norm="sup")
+                                         stream=itrop.RngStream(71).child(0))
     assert report.verdict == "consistent"
     assert report.evidence[0]["max_alpha_hat"] <= mdp20.discount * (1 + 1e-12)
 
@@ -531,12 +599,32 @@ def test_contraction_log_more_pairs_raise_the_estimate(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 2)
     stream = itrop.RngStream(74).child(0)
     small = itrop.check_contraction_log(factory, pair_count=4, trials=30,
-                                        box=unit_box(20), stream=stream, norm="sup")
+                                        box=unit_box(20), stream=stream)
     large = itrop.check_contraction_log(factory, pair_count=16, trials=30,
-                                        box=unit_box(20), stream=stream, norm="sup")
+                                        box=unit_box(20), stream=stream)
     # the first 4 pairs of each trial coincide, so the 16-pair max dominates
     assert large.evidence[0]["mean_alpha_hat"] >= small.evidence[0]["mean_alpha_hat"]
     assert large.evidence[0]["max_alpha_hat"] >= small.evidence[0]["max_alpha_hat"]
+
+
+def test_contraction_log_of_a_sampled_bellman_sweep_reads_its_discount(mdp20):
+    # every sampled sweep is a discount-contraction in sup norm, the factory's
+    # norm; measured in l2 the same trials read a max ratio of 1.019
+    report = itrop.check_contraction_log(itrop.empirical_bellman_factory(mdp20, 1), 16, 200,
+                                         itrop.Box([0.0] * 20, [10.0] * 20), itrop.RngStream(5))
+    assert report.evidence[0]["max_alpha_hat"] <= mdp20.discount * (1 + 1e-12)
+    assert report.parameters["norm"] == "sup"
+
+
+def test_lipschitz_checks_reject_a_box_of_another_dimension_before_the_first_draw():
+    draw, calls = recording_draws()
+    factory = block_fake(2, lambda drawn, z: z / 2.0, draw=draw)
+    for dim in (1, 3):
+        with pytest.raises(ConfigurationError, match="box"):
+            itrop.check_contraction_log(factory, 4, 5, unit_box(dim), itrop.RngStream(0))
+        with pytest.raises(ConfigurationError, match="box"):
+            itrop.check_composite_lipschitz(factory, 2, 4, 5, unit_box(dim), itrop.RngStream(0))
+    assert calls == []
 
 
 def test_contraction_log_validation():
@@ -557,10 +645,10 @@ def test_composite_depth_one_matches_contraction_log(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 3)
     stream = itrop.RngStream(75).child(0)
     single = itrop.check_contraction_log(factory, pair_count=6, trials=20,
-                                         box=unit_box(20), stream=stream, norm="sup")
+                                         box=unit_box(20), stream=stream)
     composite = itrop.check_composite_lipschitz(factory, depth=1, pair_count=6,
                                                 trials=20, box=unit_box(20),
-                                                stream=stream, norm="sup")
+                                                stream=stream)
     assert composite.parameters["mean_alpha_hat"] == single.evidence[0]["mean_alpha_hat"]
     assert composite.parameters["max_alpha_hat"] == single.evidence[0]["max_alpha_hat"]
 
@@ -579,8 +667,7 @@ def test_composite_empirical_bellman_decays_geometrically(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 3)
     report = itrop.check_composite_lipschitz(factory, depth=3, pair_count=4,
                                              trials=15, box=unit_box(20),
-                                             stream=itrop.RngStream(77).child(0),
-                                             norm="sup")
+                                             stream=itrop.RngStream(77).child(0))
     assert report.verdict == "consistent"
     assert report.parameters["max_alpha_hat"] <= mdp20.discount ** 3 * (1 + 1e-12)
 
@@ -631,7 +718,8 @@ def checked_factory(name, mdp20, logistic_problem):
 
 
 def per_trial_values(factory, stream, trials=12):
-    """Each checker's per-trial statistic: A2 flags, A3 gaps, A5 and A4 max ratios."""
+    """Each checker's per-trial statistic: A2 flags, A3 gaps, A5 and A4 max
+    ratios, with the factory measured in sup norm for A2 and A4 and in l2 for A5."""
     d = factory.dimension
     rng = np.random.default_rng(95)
     grid = rng.uniform(-1.0, 1.0, (3, d))
@@ -641,11 +729,12 @@ def per_trial_values(factory, stream, trials=12):
     exact = factory.realize(stream.child(9))(grid)
     eps = np.median(itrop.row_norm(factory.realize(stream.child(10))(grid) - exact, "sup"))
     an = itrop.analysis
+    sup, l2 = (dataclasses.replace(factory, norm=norm) for norm in ("sup", "l2"))
     return {
-        "A2": an._exceedances(factory, grid, exact, eps, trials, stream.child(0), "sup"),
+        "A2": an._exceedances(sup, grid, exact, eps, trials, stream.child(0)),
         "A3": an._monotone_gaps(factory, np.zeros(d), pairs, trials, stream.child(1)),
-        "A5": an._lipschitz_samples(factory, 1, 4, trials, unit_box(d), stream.child(2), "l2"),
-        "A4": an._lipschitz_samples(factory, 2, 4, trials, unit_box(d), stream.child(3), "sup"),
+        "A5": an._lipschitz_samples(l2, 1, 4, trials, unit_box(d), stream.child(2)),
+        "A4": an._lipschitz_samples(sup, 2, 4, trials, unit_box(d), stream.child(3)),
     }, grid, pairs, exact, eps
 
 
@@ -698,13 +787,14 @@ def check_reports(mdp20, traced, out_dir, sizes=(5, 400), trials=100):
     op, stream, box = itrop.bellman_operator(mdp20), itrop.RngStream(98), unit_box(20)
     grid = box.sample(np.random.default_rng(99), 3)
     pairs = np.sort(box.sample(np.random.default_rng(100), (4, 2)), axis=1)
-    reports = [itrop.check_sup_probability(op, factories, grid, 0.25, trials, stream.child(0),
-                                           "sup")]
+    reports = [itrop.check_sup_probability(op, factories, grid, 0.25, trials, stream.child(0))]
     for i, factory in enumerate(factories):
+        # the composite check measures the same realizations in l2
+        l2 = dataclasses.replace(factory, norm="l2")
         reports += [
             itrop.check_monotone(factory, np.zeros(20), pairs, trials, stream.child(1, i)),
-            itrop.check_contraction_log(factory, 4, trials, box, stream.child(2, i), "sup"),
-            itrop.check_composite_lipschitz(factory, 2, 4, trials, box, stream.child(3, i)),
+            itrop.check_contraction_log(factory, 4, trials, box, stream.child(2, i)),
+            itrop.check_composite_lipschitz(l2, 2, 4, trials, box, stream.child(3, i)),
         ]
     out_dir.mkdir()
     for i, report in enumerate(reports):

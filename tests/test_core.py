@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import threading
@@ -18,8 +19,8 @@ def affine_op(a: float, dim: int) -> itrop.ExactOperatorHandle:
                                      claimed_modulus=abs(a))
 
 
-def identity_factory(dim: int) -> itrop.RandomOperatorFactory:
-    return block_fake(dim, lambda runs, z: z)
+def identity_factory(dim: int, norm: str = "l2") -> itrop.RandomOperatorFactory:
+    return block_fake(dim, lambda runs, z: z, norm=norm)
 
 
 # ---------------------------------------------------------------- points / norms
@@ -320,8 +321,9 @@ def test_iterate_random_divergence_guard():
 
 def test_run_paired_identical_routes_give_zero_distance():
     exact = itrop.iterate_exact(affine_op(0.5, 2), [4.0, 4.0], 6)
-    dist, _, dropped = itrop.orbit_curves(make_halving_factory(2), exact, [0.0, 0.0],
-                                          itrop.RngStream(0).child(0), 2, norm="sup")
+    halving = dataclasses.replace(make_halving_factory(2), norm="sup")
+    dist, _, dropped = itrop.orbit_curves(halving, exact, [0.0, 0.0],
+                                          itrop.RngStream(0).child(0), 2)
     assert np.array_equal(dist, np.zeros((7, 2))) and dropped == {}
 
 
@@ -342,10 +344,41 @@ def test_run_paired_dimension_mismatch():
 
 
 def test_run_paired_rejects_unknown_norm():
-    exact = itrop.iterate_exact(affine_op(0.5, 1), [1.0], 3)
-    with pytest.raises(ConfigurationError):
-        itrop.orbit_curves(make_halving_factory(1), exact, [0.0],
-                           itrop.RngStream(0).child(0), 2, norm="manhattan")
+    # the norm is the operator's, so an unknown one fails where it is built
+    with pytest.raises(ConfigurationError, match="manhattan"):
+        dataclasses.replace(make_halving_factory(1), norm="manhattan")
+    with pytest.raises(ConfigurationError, match="manhattan"):
+        dataclasses.replace(affine_op(0.5, 1), norm="manhattan")
+
+
+@pytest.mark.parametrize("norm", ["manhattan", "L2", None])
+def test_operators_refuse_an_unknown_norm_where_they_are_built(norm):
+    calls = []
+
+    def draw(stream, runs):
+        calls.append(runs)
+        return runs
+
+    with pytest.raises(ConfigurationError, match="norm"):
+        itrop.RandomOperatorFactory(1, 2, draw, lambda runs, z: z, row_bytes=16,
+                                    point_bytes=16, norm=norm)
+    with pytest.raises(ConfigurationError, match="norm"):
+        itrop.ExactOperatorHandle(apply=lambda x: x, dimension=2, norm=norm)
+    assert calls == []
+
+
+def test_each_family_measures_in_the_norm_of_its_modulus(mdp20, logistic_problem):
+    # the Bellman sweeps contract in sup norm, the gradient steps in l2
+    assert {itrop.bellman_operator(mdp20).norm, itrop.q_operator(mdp20).norm,
+            itrop.empirical_bellman_factory(mdp20, 5).norm,
+            itrop.empirical_q_factory(mdp20, 400).norm} == {"sup"}
+    assert {itrop.exact_gd_operator(logistic_problem).norm,
+            itrop.sgd_factory(logistic_problem, 8).norm,
+            itrop.sgd_factory(logistic_problem, 8, "without_replacement").norm} == {"l2"}
+    # a custom operator keeps the l2 default, and replace() keeps the norm
+    assert make_halving_factory(2).norm == "l2"
+    factory = itrop.empirical_bellman_factory(mdp20, 5)
+    assert dataclasses.replace(factory, realize=factory.realize).norm == "sup"
 
 
 def test_time_average_matches_prefix_oracle():
@@ -365,8 +398,8 @@ def test_time_average_matches_prefix_oracle():
 
 def test_time_average_constant_orbit():
     exact = np.tile([2.0, -1.0], (6, 1))
-    dist, gap, _ = itrop.orbit_curves(identity_factory(2), exact, [0.0, 0.0],
-                                      itrop.RngStream(0), 2, "sup")
+    dist, gap, _ = itrop.orbit_curves(identity_factory(2, "sup"), exact, [0.0, 0.0],
+                                      itrop.RngStream(0), 2)
     assert np.array_equal(dist, np.zeros((6, 2)))
     assert np.array_equal(gap, np.full((6, 2), 2.0))
 

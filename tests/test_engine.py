@@ -114,6 +114,25 @@ def test_step_checks_its_runs_as_the_engine_does(mdp20, logistic_problem, name, 
         factory.step(itrop.RngStream(38), np.array(runs, dtype=np.int64), z)
 
 
+@pytest.mark.parametrize("runs", [[], [2, 1], [1, 1], [-1, 0], np.zeros((1, 1), np.int64),
+                                  range(0), range(-1, 2 ** 62), range(2 ** 62, 0, -1)],
+                         ids=["empty", "unsorted", "duplicate", "negative", "2-d",
+                              "empty-range", "negative-range", "descending-range"])
+def test_reduce_checks_its_runs_before_the_first_draw(runs):
+    # a range is checked without listing its runs: these would take 2**65 bytes
+    calls = []
+
+    def draw(stream, drawn):
+        calls.append(drawn)
+        return drawn
+
+    factory = block_fake(1, lambda drawn, z: z, draw=draw)
+    with pytest.raises(ConfigurationError, match="runs"):
+        factory.reduce([itrop.RngStream(39)], runs, 1, lambda part: np.zeros((1, 1, 1)),
+                       lambda _, images: images)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "sgd-with"])
 def test_step_rejects_blocks_whose_points_are_not_of_its_dimension(mdp20, logistic_problem,
                                                                   name):

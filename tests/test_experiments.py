@@ -227,15 +227,18 @@ def test_mdp_spec_path_round_trip(tmp_path):
 
 def test_build_family_shapes(tmp_path):
     evi = build_family(ExperimentConfig.from_dict(evi_config(tmp_path)))
-    assert evi.norm == "sup" and evi.op.dimension == 6
+    assert evi.op.norm == "sup" and evi.op.dimension == 6
+    assert [f.norm for f in evi.factories] == ["sup"] * len(evi.factories)
     assert itrop.row_norm(evi.op.apply(evi.target) - evi.target, "sup") <= 1e-9
 
     qvi = build_family(ExperimentConfig.from_dict(
         evi_config(tmp_path, experiment="qvi")))
     assert qvi.op.dimension == 18  # states x actions, flattened
+    assert {qvi.op.norm} | {f.norm for f in qvi.factories} == {"sup"}
 
     sgd = build_family(ExperimentConfig.from_dict(sgd_config(tmp_path)))
-    assert sgd.norm == "l2" and sgd.op.dimension == 4
+    assert sgd.op.norm == "l2" and sgd.op.dimension == 4
+    assert [f.norm for f in sgd.factories] == ["l2"] * len(sgd.factories)
     assert sgd.op.claimed_modulus is not None and sgd.op.claimed_modulus < 1.0
     assert itrop.row_norm(sgd.op.apply(sgd.target) - sgd.target, "l2") <= 1e-7
 
@@ -373,8 +376,10 @@ def test_run_experiment_single_step_horizon_works(tmp_path):
 
 
 def patch_unstable_family(monkeypatch, runs_that_diverge):
-    """Swap in a dimension-1 halving family whose designated runs blow up."""
-    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=1)
+    """Swap in a dimension-1 halving family, measured in sup norm, whose
+    designated runs blow up."""
+    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=1,
+                                   norm="sup")
 
     def move(runs, z):
         # the engine draws the runs of step stream (RUN, n, k-1); the fake's draws are the runs
@@ -382,10 +387,10 @@ def patch_unstable_family(monkeypatch, runs_that_diverge):
         return np.where(blows_up, z * 1e13, z / 2.0)
 
     def fake_build_family(config, need_target=True):
-        factories = tuple(block_fake(1, move, sample_size=n) for n in config.sample_sizes)
+        factories = tuple(block_fake(1, move, sample_size=n, norm="sup")
+                          for n in config.sample_sizes)
         return itrop.experiments.FamilyBundle(
-            op=op, factories=factories,
-            target=np.zeros(1), x0=np.ones(1), norm="sup")
+            op=op, factories=factories, target=np.zeros(1), x0=np.ones(1))
 
     monkeypatch.setattr(itrop.experiments, "build_family", fake_build_family)
 
@@ -463,7 +468,7 @@ def test_orbit_curves_of_a_dropped_run_are_nan_from_its_drop_step(tmp_path, monk
         ExperimentConfig.from_dict(evi_config(tmp_path, runs=5, horizon=6)))
     exact = itrop.iterate_exact(bundle.op, bundle.x0, 6)
     dist, gap, dropped = itrop.orbit_curves(bundle.factories[0], exact, bundle.target,
-                                            itrop.RngStream(0).child(0, 1), 5, bundle.norm)
+                                            itrop.RngStream(0).child(0, 1), 5)
     assert dropped == {1: 1, 3: 1}
     for curve in (dist, gap):
         assert np.all(np.isfinite(curve[0]))
@@ -490,18 +495,19 @@ def test_too_few_survivors_is_fatal(tmp_path, monkeypatch):
 def test_run_and_a2_draw_from_disjoint_keys(tmp_path, monkeypatch):
     # every use of a master seed roots its lineage at its own purpose tag
     keys = []
-    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=1)
+    op = itrop.ExactOperatorHandle(apply=lambda x: np.asarray(x) / 2.0, dimension=1,
+                                   norm="sup")
 
     def draw(stream, runs):
         keys.extend((stream.lineage, r) for r in runs.tolist())
         return runs
 
     def fake_build_family(config, need_target=True):
-        factories = tuple(block_fake(1, lambda runs, z: z / 2.0, draw=draw, sample_size=n)
+        factories = tuple(block_fake(1, lambda runs, z: z / 2.0, draw=draw, sample_size=n,
+                                     norm="sup")
                           for n in config.sample_sizes)
         return itrop.experiments.FamilyBundle(
-            op=op, factories=factories, target=np.zeros(1),
-            x0=np.ones(1), norm="sup")
+            op=op, factories=factories, target=np.zeros(1), x0=np.ones(1))
 
     monkeypatch.setattr(itrop.experiments, "build_family", fake_build_family)
     run_experiment(ExperimentConfig.from_dict(

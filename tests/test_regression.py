@@ -399,6 +399,26 @@ def test_reference_minimizer_agrees_with_gradient_descent(request, fixture):
     assert np.linalg.norm(x - y) <= 2 * tol / problem.lam
 
 
+@pytest.mark.parametrize("family, dim, lam, tol", [("logistic", 40, 0.5, 1e-4),
+                                                   ("poisson", 20, 1.0, 1e-4),
+                                                   ("logistic", 20, 5.0, 1e-6)])
+def test_solve_exact_certifies_a_gradient_step_in_its_l2_norm(family, dim, lam, tol):
+    # the step's modulus is an l2 bound, so the stopping rule measures the
+    # step in l2; a sup-norm step stops early, up to 3 tol from the minimizer
+    ds = itrop.synth_dataset(1000, dim, family, seed=11)
+    probe = itrop.RegressionProblem(dataset=ds, family=family, lam=lam, beta=1.0)
+    bounds = itrop.eigen_bounds(probe)
+    problem = itrop.RegressionProblem(dataset=ds, family=family, lam=lam,
+                                      beta=1.0 / bounds.upper)
+    op = itrop.exact_gd_operator(problem, bounds)
+    assert op.claimed_modulus < 1.0
+    x, _, moved = itrop.solve_exact(op, tol=tol)
+    minimizer, _, _ = itrop.solve_reference_minimizer(problem, tol=1e-13)
+    assert np.linalg.norm(x - minimizer) <= tol
+    assert op.norm == "l2"
+    assert moved <= tol * (1.0 - op.claimed_modulus) / op.claimed_modulus
+
+
 def test_reference_solve_with_a_wrong_gradient_fails_the_certificate(
         logistic_problem, monkeypatch):
     true_gradient = itrop.gradient
