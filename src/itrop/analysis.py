@@ -8,9 +8,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (CHUNK_BYTES, ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, as_point,
-                   iterate_ensemble, read_text, row_norm, write_atomic)
+from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
+                   RandomOperatorFactory, RngStream, as_point, iterate_ensemble,
+                   read_text, row_norm, write_atomic)
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATED = "violated"
@@ -135,10 +135,10 @@ def orbit_curves(factory: RandomOperatorFactory, exact, target, stream: RngStrea
     and gap[k, r] = |mean(z_0..z_k) - target| for run r, (K+1, runs) each, in
     factory.norm; a run in dropped (run -> step) is NaN from that step on.
 
-    The steps are held in blocks while the live runs stay the same, and each
-    block is reduced at once: its running totals are the sequential sums
+    The engine hands over blocks of steps (iterate_ensemble), and each block
+    is reduced at once, in place: its running totals are the sequential sums
     `total += z_k` (np.add.accumulate), so every value is the one a
-    step-by-step reduction gives, bit for bit.
+    step-by-step reduction gives, bit for bit, for any block size.
     """
     exact, target = np.asarray(exact, dtype=np.float64), as_point(target)
     if exact.ndim != 2 or not len(exact) or exact.shape[1] != target.size:
@@ -150,37 +150,18 @@ def orbit_curves(factory: RandomOperatorFactory, exact, target, stream: RngStrea
     distance = np.full((horizon + 1, runs), np.nan)
     gap = np.full((horizon + 1, runs), np.nan)
     total = np.zeros((runs, exact.shape[1]))
-    # held steps: at most CHUNK_BYTES / 8, so they and the two temporaries of a
-    # norm over them stay in a core's cache (1 MiB blocks cost twice the time
-    # per step and 2 MB more peak memory at R = 10, d = 20)
-    held = np.empty((min(horizon + 1, max(1, CHUNK_BYTES // 8 // max(total.nbytes, 1))),)
-                    + total.shape)
-    first, steps, live = 0, 0, None  # held[:steps] are steps first.. of the runs live
 
-    def reduce_held():
-        nonlocal steps
-        k, z = slice(first, first + steps), held[:steps, :live.size]
-        cols = slice(None) if live.size == runs else live
+    def reduce_block(first, alive, z):
+        k = slice(first, first + len(z))
+        cols = slice(None) if alive.size == runs else alive
         distance[k, cols] = row_norm(z - exact[k, None], factory.norm)
         z[0] += total[cols]
         np.add.accumulate(z, axis=0, out=z)
         total[cols] = z[-1]
-        z /= np.arange(first + 1, first + steps + 1, dtype=np.float64)[:, None, None]
+        z /= np.arange(first + 1, first + len(z) + 1, dtype=np.float64)[:, None, None]
         gap[k, cols] = row_norm(z - target, factory.norm)
-        steps = 0
 
-    def record(k, alive, z):
-        nonlocal first, steps, live
-        if steps and (steps == len(held) or alive.size != live.size):
-            reduce_held()  # the block is full, or a run dropped
-        if not steps:
-            first, live = k, alive
-        held[steps, :alive.size] = z
-        steps += 1
-
-    dropped = iterate_ensemble(factory, exact[0], horizon, stream, range(runs), record)
-    if steps:
-        reduce_held()
+    dropped = iterate_ensemble(factory, exact[0], horizon, stream, range(runs), reduce_block)
     return distance, gap, dropped
 
 
@@ -475,7 +456,8 @@ def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], np.n
     """Run several randomized orbits (runs 0..runs-1 of stream, moved as one
     block) and compare the time average of f on each with the cross-run mean
     of f at the final step.  f maps the (runs, d) block of one step to one
-    value per run, in one call per step.
+    value per run, in one call per step; the engine's blocks of steps fill
+    the (runs, horizon + 1) matrix of f, the same bytes for any block size.
 
     Both estimate the same stationary expectation when the iteration is
     stable, so they should agree within sampling error.
@@ -486,12 +468,13 @@ def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], np.n
         raise ConfigurationError("runs must be >= 2")
     values = np.empty((runs, horizon + 1))
 
-    def record(k, alive, z):
-        row = np.asarray(f(z), dtype=np.float64)
-        if row.shape != alive.shape:
-            raise ConfigurationError(
-                f"f must map an (m, d) block to m values, got {row.shape}")
-        values[alive, k] = row
+    def record(first, alive, block):
+        for k, z in enumerate(block, first):
+            row = np.asarray(f(z), dtype=np.float64)
+            if row.shape != alive.shape:
+                raise ConfigurationError(
+                    f"f must map an (m, d) block to m values, got {row.shape}")
+            values[alive, k] = row
 
     dropped = iterate_ensemble(factory, x0, horizon, stream, range(runs), record)
     if dropped:

@@ -511,10 +511,16 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     Step k (1..num_steps) applies to each run its realization from
     stream.child(k - 1) (derived by stream.children a batch of steps at a
     time), so run r's orbit is the same whether it is moved
-    alone or with others.  visit(k, runs, z) sees the block after every
-    step and at k = 0: `runs` are the surviving runs (ascending), `z` their
-    points.  A run whose point leaves the trusted range is dropped; the
-    result maps each dropped run to the step where that happened.
+    alone or with others.  A run whose point leaves the trusted range is
+    dropped; the result maps each dropped run to the step where that happened.
+
+    visit(first, runs, block) sees steps 0..num_steps in order, a block at a
+    time: `runs` are the surviving runs (ascending) and block[i] their (m, d)
+    points at step first + i.  A block ends at CHUNK_BYTES / 8 bytes (one
+    step at least) and at a drop, where the survivors start the next.  The
+    engine moves its own points, so a visit may write into its block, whose
+    buffer is reused once visit returns.  Orbits are the same bytes for any
+    block size.
 
     The runs are planned in epochs.  An epoch splits the runs alive at its
     start into chunks (RandomOperatorFactory.chunk) once, and factory.draws
@@ -527,7 +533,10 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     runs = np.asarray(_check_runs(runs), dtype=np.int64)
     size = factory.chunk()
     z = np.tile(z0, (runs.size, 1))
-    visit(0, runs, z)
+    # a block and a visit's norms over it stay in a core's cache (1 MiB blocks
+    # cost orbit_curves twice the time per step and 2 MB more peak memory at R = 10, d = 20)
+    block = np.empty((min(num_steps + 1, max(1, CHUNK_BYTES // 8 // z.nbytes)),) + z.shape)
+    block[0], first, held = z, 0, 1  # block[:held] holds steps first.. of the runs
     dropped: dict[int, int] = {}
     done = 0
     while done < num_steps and runs.size:  # an epoch: steps done + 1.. of the runs alive
@@ -536,17 +545,24 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
         plan = ((s, part) for s in stream.children(range(done, num_steps)) for part in parts)
         with closing(factory.draws(plan)) as drawn:
             for done in range(done + 1, num_steps + 1):
+                if held == len(block):  # a full block is visited before the next step
+                    visit(first, runs, block[:held, :runs.size])
+                    first, held = done, 0
                 moved = [np.asarray(factory.move(next(drawn), z[lo:lo + size, None]),
                                     dtype=np.float64).reshape(part.size, -1)
                          for lo, part in zip(starts, parts)]
                 z = moved[0] if len(moved) == 1 else np.concatenate(moved)
                 ok = _within_limit(z, runs.size, factory.dimension, done)
-                if ok is None:
-                    visit(done, runs, z)
-                    continue
-                dropped.update((r, done) for r in runs[~ok].tolist())
-                runs, z = runs[ok], z[ok]
-                if runs.size:
-                    visit(done, runs, z)
-                break
+                if ok is not None:  # a drop ends the block and the epoch
+                    if held:
+                        visit(first, runs, block[:held, :runs.size])
+                    first, held = done, 0
+                    dropped.update((r, done) for r in runs[~ok].tolist())
+                    runs, z = runs[ok], z[ok]
+                block[held, :runs.size] = z
+                held += 1
+                if ok is not None:
+                    break
+    if runs.size:
+        visit(first, runs, block[:held, :runs.size])
     return dropped

@@ -54,7 +54,8 @@ def run_alone(factory, z0, num_steps: int, stream: itrop.RngStream, run: int = 0
     (num_steps+1, d) array; DivergenceError at the step where the engine drops it."""
     rows = []
     dropped = itrop.iterate_ensemble(factory, z0, num_steps, stream, [run],
-                                     lambda k, runs, z: rows.append(z[0].copy()))
+                                     lambda first, runs, block: rows.extend(z[0].copy()
+                                                                            for z in block))
     if dropped:
         raise itrop.DivergenceError(dropped[run])
     return np.array(rows)

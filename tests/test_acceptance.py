@@ -61,12 +61,13 @@ def evi_study(mdp20, vstar20):
         total = np.zeros((R_RUNS, 20))
         gaps = {}
 
-        def visit(k, runs, z):
-            if WINDOW.start <= k < WINDOW.stop:
-                window[:] += _sup(exact[k] - z, axis=1)
-            total[:] += z
-            if k in (50, HORIZON):
-                gaps[k] = _sup(total / (k + 1) - vstar20, axis=1)
+        def visit(first, runs, block):
+            for k, z in enumerate(block, first):
+                if WINDOW.start <= k < WINDOW.stop:
+                    window[:] += _sup(exact[k] - z, axis=1)
+                total[:] += z
+                if k in (50, HORIZON):
+                    gaps[k] = _sup(total / (k + 1) - vstar20, axis=1)
 
         dropped = itrop.iterate_ensemble(itrop.empirical_bellman_factory(mdp20, n), x0,
                                          HORIZON, stream.child(n), range(R_RUNS), visit)
@@ -99,10 +100,11 @@ def sgd_study(big_logistic):
     total = np.zeros((R_RUNS, problem.dataset.dim))
     gaps = {}
 
-    def visit(k, runs, z):
-        total[:] += z
-        if k in (50, HORIZON):
-            gaps[k] = np.linalg.norm(total / (k + 1) - target, axis=1)
+    def visit(first, runs, block):
+        for k, z in enumerate(block, first):
+            total[:] += z
+            if k in (50, HORIZON):
+                gaps[k] = np.linalg.norm(total / (k + 1) - target, axis=1)
 
     dropped = itrop.iterate_ensemble(factory, x0, HORIZON, itrop.RngStream(2027).child(16),
                                      range(R_RUNS), visit)

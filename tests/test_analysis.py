@@ -186,11 +186,12 @@ def curves_alone(factory, exact, target, stream, run, norm):
     distance, gap = np.full(len(exact), np.nan), np.full(len(exact), np.nan)
     total = np.zeros(exact.shape[1])
 
-    def visit(k, _, z):
+    def visit(first, _, block):
         nonlocal total
-        distance[k] = itrop.row_norm(z[0] - exact[k], norm)
-        total = total + z[0]
-        gap[k] = itrop.row_norm(total / (k + 1) - target, norm)
+        for k, z in enumerate(block, first):
+            distance[k] = itrop.row_norm(z[0] - exact[k], norm)
+            total = total + z[0]
+            gap[k] = itrop.row_norm(total / (k + 1) - target, norm)
 
     dropped = itrop.iterate_ensemble(factory, exact[0], len(exact) - 1, stream, [run], visit)
     return distance, gap, dropped
@@ -200,11 +201,11 @@ def curves_alone(factory, exact, target, stream, run, norm):
 @pytest.mark.parametrize("norm", ["l2", "sup"])
 @pytest.mark.parametrize("survivors", [True, False])
 def test_orbit_curves_of_dropped_runs_are_the_runs_alone(monkeypatch, held, norm, survivors):
-    # the visit holds `held` steps per block: run 1 drops inside a block, run
+    # the engine hands over `held` steps per block: run 1 drops inside a block, run
     # 2 on a block boundary, run 3 at the step after one; without survivors
     # the last run drops too, so the last block ends with no run left
     runs, dim = 5, 3
-    monkeypatch.setattr(itrop.analysis, "CHUNK_BYTES", 8 * held * runs * dim * 8)
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", 8 * held * runs * dim * 8)
     run_to_step = {1: held + 2, 2: 2 * held, 3: 3 * held + 1}
     if not survivors:
         run_to_step.update({0: 4 * held + 1, 4: 4 * held + 2})
@@ -881,6 +882,40 @@ def test_summaries_apply_f_once_to_a_block():
     itrop.lln_audit(make_shift_factory(2), [0.0, 0.0], f, horizon=6, runs=3,
                     stream=itrop.RngStream(92).child(0))
     assert blocks == [(3, 2)] * 7  # one call per step 0..horizon
+
+
+@pytest.mark.parametrize("kind", ["evi-alias", "sgd"])
+def test_lln_audit_does_not_depend_on_the_block_size(mdp20, logistic_problem, monkeypatch,
+                                                      kind):
+    if kind == "sgd":
+        factory = itrop.sgd_factory(logistic_problem, 8)
+    else:
+        assert itrop.uses_alias(20, 5)
+        factory = itrop.empirical_bellman_factory(mdp20, 5)
+    runs, horizon, sizes = 4, 30, []
+    engine = itrop.analysis.iterate_ensemble
+
+    def counted(factory, z0, num_steps, stream, runs, visit):
+        def sized(first, alive, block):  # records the size of each block handed over
+            sizes.append(len(block))
+            visit(first, alive, block)
+
+        return engine(factory, z0, num_steps, stream, runs, sized)
+
+    monkeypatch.setattr(itrop.analysis, "iterate_ensemble", counted)
+    reports = []
+    for steps in (None, 1, 4):  # None: the default, one block for the whole orbit
+        if steps:
+            block_bytes = 8 * steps * runs * factory.dimension * 8
+            monkeypatch.setattr(itrop.core, "CHUNK_BYTES", block_bytes)
+        sizes.clear()
+        reports.append(itrop.lln_audit(factory, np.linspace(0.0, 1.0, factory.dimension),
+                                       lambda z: itrop.row_norm(z, factory.norm), horizon,
+                                       runs, itrop.RngStream(96).child(3)))
+        assert max(sizes) == (steps or horizon + 1) and sum(sizes) == horizon + 1
+    for field in dataclasses.fields(itrop.LlnReport):
+        values = [np.asarray(getattr(report, field.name)).tobytes() for report in reports]
+        assert values[1] == values[0] and values[2] == values[0], field.name
 
 
 def test_summaries_reject_f_without_one_value_per_row():

@@ -22,8 +22,9 @@ def ensemble_orbits(factory, z0, runs, stream, horizon=HORIZON):
     """(runs, K+1, d) orbits collected from the engine, plus its dropped runs."""
     out = np.full((runs, horizon + 1, factory.dimension), np.nan)
 
-    def keep(k, alive, z):
-        out[alive, k] = z
+    def keep(first, alive, block):
+        for k, z in enumerate(block, first):
+            out[alive, k] = z
 
     dropped = itrop.iterate_ensemble(factory, z0, horizon, stream, range(runs), keep)
     return out, dropped
@@ -212,8 +213,9 @@ def test_diverging_row_is_dropped_with_its_step_and_others_continue(monkeypatch)
         factory = blow_up_factory(blow_up)
         visits = []
 
-        def keep(k, alive, z):
-            visits.append((k, alive.tolist()))
+        def keep(first, alive, block):
+            for k, _ in enumerate(block, first):
+                visits.append((k, alive.tolist()))
 
         dropped = itrop.iterate_ensemble(factory, [1.0, 1.0], 10, stream, range(6), keep)
         assert dropped == blow_up
@@ -231,6 +233,42 @@ def test_diverging_row_is_dropped_with_its_step_and_others_continue(monkeypatch)
             assert err.value.step == blow_up[r]
 
 
+@pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "sgd-with", "blow-up"])
+@pytest.mark.parametrize("steps", [1, 4])
+@pytest.mark.parametrize("chunks", ["one-chunk", "chunk-per-run"])
+def test_a_visit_may_overwrite_the_block_it_is_given(mdp20, logistic_problem, monkeypatch,
+                                                     name, steps, chunks):
+    # orbit_curves rewrites its block into running means: the engine moves its
+    # own points, so zeroing every block it hands over changes no orbit
+    runs, blow_up = 3, {1: 3} if name == "blow-up" else {}
+    factory = (blow_up_factory(blow_up) if name == "blow-up"
+               else factories(mdp20, logistic_problem)[name])
+    chunk_bytes = 8 * steps * runs * factory.dimension * 8  # blocks of `steps` steps
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", chunk_bytes)
+    factory = dataclasses.replace(factory,
+                                  row_bytes=chunk_bytes if chunks == "chunk-per-run" else 8)
+    assert (factory.chunk() == 1) == (chunks == "chunk-per-run")
+    stream = itrop.RngStream(34).child(5)
+    z0 = np.linspace(0.5, 1.0, factory.dimension)
+    out = np.full((runs, HORIZON + 1, factory.dimension), np.nan)
+    sizes = []
+
+    def keep_then_zero(first, alive, block):
+        sizes.append(len(block))
+        for k, z in enumerate(block, first):
+            out[alive, k] = z
+        block[...] = 0.0
+
+    assert itrop.iterate_ensemble(factory, z0, HORIZON, stream, range(runs),
+                                  keep_then_zero) == blow_up
+    assert sum(sizes) == HORIZON + 1 and max(sizes) == steps
+    for r in range(runs):
+        if r in blow_up:
+            assert np.all(np.isnan(out[r, blow_up[r]:]))
+        else:
+            assert np.array_equal(out[r], run_alone(factory, z0, HORIZON, stream, r))
+
+
 def test_diverging_block_factory_rows_match_solo_runs(poisson_problem):
     # a step size far past 2/L blows every run up, at a step that depends on its batches
     problem = itrop.RegressionProblem(dataset=poisson_problem.dataset, family="poisson",
@@ -238,7 +276,7 @@ def test_diverging_block_factory_rows_match_solo_runs(poisson_problem):
     factory = itrop.sgd_factory(problem, 4)
     stream = itrop.RngStream(8).child(3)
     dropped = itrop.iterate_ensemble(factory, np.zeros(8), 60, stream, range(5),
-                                     lambda k, alive, z: None)
+                                     lambda first, alive, block: None)
     assert sorted(dropped) == [0, 1, 2, 3, 4]
     for r, step in dropped.items():
         with pytest.raises(itrop.DivergenceError) as err:
@@ -250,12 +288,12 @@ def test_engine_checks_shapes_and_runs():
     bad = block_fake(2, lambda runs, z: np.zeros(z.shape[:-1] + (3,)))
     with pytest.raises(ConfigurationError, match="shape"):
         itrop.iterate_ensemble(bad, [0.0, 0.0], 2, itrop.RngStream(0), [0, 1],
-                               lambda k, alive, z: None)
+                               lambda first, alive, block: None)
     halving = blow_up_factory({})
     for runs in ([], [1, 1], [2, 1], [-1]):
         with pytest.raises(ConfigurationError, match="runs"):
             itrop.iterate_ensemble(halving, [0.0, 0.0], 2, itrop.RngStream(0), runs,
-                                   lambda k, alive, z: None)
+                                   lambda first, alive, block: None)
 
 
 # ---------------------------------------------------------------- draws ahead
