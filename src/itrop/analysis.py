@@ -269,6 +269,13 @@ def _lipschitz_samples(factory: RandomOperatorFactory, depth: int, pair_count: i
                           2 * pair_count, pairs, max_ratios)
 
 
+def _require_space(op: ExactOperatorHandle, factories) -> None:
+    """ConfigurationError unless every factory shares op's dimension and norm."""
+    if any(f.norm != op.norm or f.dimension != op.dimension for f in factories):
+        raise ConfigurationError(f"factories must act on the operator's space: dimension "
+                                 f"{op.dimension}, norm {op.norm!r}")
+
+
 def check_sup_probability(op: ExactOperatorHandle,
                           factories: Sequence[RandomOperatorFactory],
                           grid, eps: float, trials: int, stream: RngStream) -> AssumptionReport:
@@ -283,9 +290,7 @@ def check_sup_probability(op: ExactOperatorHandle,
     factories = list(factories)
     if not factories:
         raise ConfigurationError("need at least one factory")
-    if any(f.norm != op.norm or f.dimension != op.dimension for f in factories):
-        raise ConfigurationError(f"factories must act on the operator's space: dimension "
-                                 f"{op.dimension}, norm {op.norm!r}")
+    _require_space(op, factories)
     if not (np.isfinite(eps) and eps > 0):
         raise ConfigurationError(f"eps must be a positive finite number, got {eps!r}")
     sizes = [f.sample_size for f in factories]
@@ -367,20 +372,23 @@ def check_monotone(factory: RandomOperatorFactory, x0, pairs, trials: int,
                   for t, c in zip(trial[:100], column[:100])])
 
 
-def check_contraction_log(factory: RandomOperatorFactory, pair_count: int,
-                          trials: int, box: Box, stream: RngStream) -> AssumptionReport:
-    """Estimate the per-realization Lipschitz coefficient in factory.norm by
-    random-pair max ratios; the iteration is stable when log-coefficients are
-    negative on average.
+def check_contraction_log(op: ExactOperatorHandle, factory: RandomOperatorFactory,
+                          pair_count: int, trials: int, box: Box,
+                          stream: RngStream) -> AssumptionReport:
+    """Estimate the per-realization Lipschitz coefficient in op.norm by
+    random-pair max ratios, factory sharing op's norm and dimension; the
+    iteration is stable when log-coefficients are negative on average.
 
-    The max-ratio estimate is a lower bound on the true coefficient (more
-    pairs can only raise it), so `consistent` is evidence, not proof.
+    The max ratios only bound the coefficients from below, so `consistent`
+    also needs op.claimed_modulus (recorded as analytic_modulus) below 1.
     """
+    _require_space(op, [factory])
     alphas = _lipschitz_samples(factory, 1, pair_count, trials, box, stream)
     logs = np.log(np.maximum(alphas, 1e-300))
     mean, se = float(np.mean(alphas)), float(_mean_se(alphas))
     mean_log, se_log = float(np.mean(logs)), float(_mean_se(logs))
-    if mean_log + 3.0 * se_log < 0.0:
+    cert = op.claimed_modulus
+    if mean_log + 3.0 * se_log < 0.0 and cert is not None and cert < 1.0:
         verdict = VERDICT_CONSISTENT
     elif mean_log - 3.0 * se_log > 0.0:
         verdict = VERDICT_VIOLATED
@@ -389,8 +397,8 @@ def check_contraction_log(factory: RandomOperatorFactory, pair_count: int,
 
     return AssumptionReport(
         assumption_id="A5-contraction-log",
-        parameters={"pair_count": pair_count, "trials": trials, "norm": factory.norm,
-                    "estimate_is_lower_bound": True},
+        parameters={"pair_count": pair_count, "trials": trials, "norm": op.norm,
+                    "estimate_is_lower_bound": True, "analytic_modulus": cert},
         verdict=verdict,
         evidence=[{"mean_alpha_hat": mean, "se_alpha_hat": se,
                    "mean_log_alpha_hat": mean_log, "se_log_alpha_hat": se_log,

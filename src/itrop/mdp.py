@@ -267,8 +267,8 @@ def solve_exact(op: ExactOperatorHandle, tol: float = 1e-10,
     gamma = op.claimed_modulus
     if gamma is None or not 0.0 < gamma < 1.0:
         raise ConfigurationError(f"solve_exact needs a claimed modulus in (0, 1), got {gamma!r}")
-    if tol <= 0:
-        raise ConfigurationError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigurationError(f"tol must be a positive finite number, got {tol!r}")
     x = np.zeros(op.dimension)
     threshold = tol * (1.0 - gamma) / gamma
     for sweep in range(1, max_iterations + 1):
@@ -308,8 +308,11 @@ def hoeffding_bound(num_states: int, num_actions: int, eps: float, sample_size: 
     """
     if num_states < 1 or num_actions < 1:
         raise ConfigurationError("need at least one state and one action")
-    if eps <= 0 or radius <= 0 or sample_size < 1:
-        raise ConfigurationError("eps and radius must be positive, sample_size >= 1")
+    for name, value in (("eps", eps), ("radius", radius)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
+    if sample_size < 1:
+        raise ConfigurationError(f"sample_size must be >= 1, got {sample_size}")
     return float(2.0 * num_states * num_actions
                  * np.exp(-sample_size * eps ** 2 / (2.0 * radius ** 2)))
 

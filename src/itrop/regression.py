@@ -181,13 +181,16 @@ def sample_batches(num_samples: int, batch_size: int, sampling: str, stream: Rng
 
     With replacement a run reads batch_size uniforms u and takes floor(u * N);
     without replacement it reads N uniform keys and takes the batch_size
-    samples with the smallest keys, ascending.
+    samples with the smallest keys, ascending.  Any other mode is a
+    ConfigurationError.
     """
     if sampling == "with_replacement":
         idx = (stream.uniforms(batch_size, runs) * num_samples).astype(np.int64)
         return np.minimum(idx, num_samples - 1, out=idx)
-    keys = stream.uniforms(num_samples, runs)
-    return np.sort(np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size], axis=1)
+    if sampling == "without_replacement":
+        keys = stream.uniforms(num_samples, runs)
+        return np.sort(np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size], axis=1)
+    raise ConfigurationError(f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}")
 
 
 def sgd_factory(problem: RegressionProblem, batch_size: int,
@@ -255,8 +258,8 @@ def eigen_bounds(problem: RegressionProblem, region_radius: float = 1.0) -> Eige
 
 def contraction_coefficient(bounds: EigenBounds, beta: float) -> float:
     """Lipschitz bound max(|1 - beta*upper|, |1 - beta*lower|) of the GD step."""
-    if beta <= 0.0:
-        raise ConfigurationError("beta must be positive")
+    if not (np.isfinite(beta) and beta > 0):
+        raise ConfigurationError(f"beta must be a positive finite number, got {beta!r}")
     return max(abs(1.0 - beta * bounds.upper), abs(1.0 - beta * bounds.lower))
 
 
@@ -277,8 +280,8 @@ def solve_reference_minimizer(problem: RegressionProblem, tol: float = 1e-8,
     if problem.lam <= 0.0:
         raise ConfigurationError("solve_reference_minimizer needs lam > 0 "
                                  "(unique minimizer via strong convexity)")
-    if tol <= 0:
-        raise ConfigurationError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigurationError(f"tol must be a positive finite number, got {tol!r}")
     feats = problem.dataset.features
     ridge = problem.lam * np.eye(problem.dataset.dim)
     x = np.zeros(problem.dataset.dim)

@@ -75,8 +75,14 @@ def test_box_validation():
 
 # ---------------------------------------------------------------- orbit curves
 
+def scale_op(dim, scale):
+    """The exact map x -> scale * x, certified by its modulus |scale|."""
+    return itrop.ExactOperatorHandle(apply=lambda x: scale * x, dimension=dim,
+                                     claimed_modulus=abs(scale))
+
+
 def halving_op(dim):
-    return itrop.ExactOperatorHandle(apply=lambda x: x / 2.0, dimension=dim)
+    return scale_op(dim, 0.5)
 
 
 def test_distance_curve_zero_for_identical_routes():
@@ -561,7 +567,7 @@ def test_monotone_validation():
 
 def test_contraction_log_halving_factory_exact_mean():
     box = unit_box(3)
-    report = itrop.check_contraction_log(make_halving_factory(3), pair_count=8,
+    report = itrop.check_contraction_log(halving_op(3), make_halving_factory(3), pair_count=8,
                                          trials=10, box=box,
                                          stream=itrop.RngStream(70).child(0))
     assert report.verdict == "consistent"
@@ -574,15 +580,15 @@ def test_contraction_log_halving_factory_exact_mean():
 
 def test_contraction_log_empirical_bellman_bounded_by_discount(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 4)
-    report = itrop.check_contraction_log(factory, pair_count=8, trials=40,
-                                         box=unit_box(20),
+    report = itrop.check_contraction_log(itrop.bellman_operator(mdp20), factory, pair_count=8,
+                                         trials=40, box=unit_box(20),
                                          stream=itrop.RngStream(71).child(0))
     assert report.verdict == "consistent"
     assert report.evidence[0]["max_alpha_hat"] <= mdp20.discount * (1 + 1e-12)
 
 
 def test_contraction_log_isometry_is_not_consistent():
-    report = itrop.check_contraction_log(make_shift_factory(3, scale=1.0),
+    report = itrop.check_contraction_log(scale_op(3, 1.0), make_shift_factory(3, scale=1.0),
                                          pair_count=4, trials=10, box=unit_box(3),
                                          stream=itrop.RngStream(72).child(0))
     assert report.verdict == "inconclusive"
@@ -590,7 +596,7 @@ def test_contraction_log_isometry_is_not_consistent():
 
 
 def test_contraction_log_expanding_factory_violated():
-    report = itrop.check_contraction_log(constant_scale_factory(3, 2.0),
+    report = itrop.check_contraction_log(scale_op(3, 2.0), constant_scale_factory(3, 2.0),
                                          pair_count=4, trials=10, box=unit_box(3),
                                          stream=itrop.RngStream(73).child(0))
     assert report.verdict == "violated"
@@ -599,9 +605,10 @@ def test_contraction_log_expanding_factory_violated():
 def test_contraction_log_more_pairs_raise_the_estimate(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 2)
     stream = itrop.RngStream(74).child(0)
-    small = itrop.check_contraction_log(factory, pair_count=4, trials=30,
+    op = itrop.bellman_operator(mdp20)
+    small = itrop.check_contraction_log(op, factory, pair_count=4, trials=30,
                                         box=unit_box(20), stream=stream)
-    large = itrop.check_contraction_log(factory, pair_count=16, trials=30,
+    large = itrop.check_contraction_log(op, factory, pair_count=16, trials=30,
                                         box=unit_box(20), stream=stream)
     # the first 4 pairs of each trial coincide, so the 16-pair max dominates
     assert large.evidence[0]["mean_alpha_hat"] >= small.evidence[0]["mean_alpha_hat"]
@@ -611,7 +618,8 @@ def test_contraction_log_more_pairs_raise_the_estimate(mdp20):
 def test_contraction_log_of_a_sampled_bellman_sweep_reads_its_discount(mdp20):
     # every sampled sweep is a discount-contraction in sup norm, the factory's
     # norm; measured in l2 the same trials read a max ratio of 1.019
-    report = itrop.check_contraction_log(itrop.empirical_bellman_factory(mdp20, 1), 16, 200,
+    report = itrop.check_contraction_log(itrop.bellman_operator(mdp20),
+                                         itrop.empirical_bellman_factory(mdp20, 1), 16, 200,
                                          itrop.Box([0.0] * 20, [10.0] * 20), itrop.RngStream(5))
     assert report.evidence[0]["max_alpha_hat"] <= mdp20.discount * (1 + 1e-12)
     assert report.parameters["norm"] == "sup"
@@ -622,7 +630,8 @@ def test_lipschitz_checks_reject_a_box_of_another_dimension_before_the_first_dra
     factory = block_fake(2, lambda drawn, z: z / 2.0, draw=draw)
     for dim in (1, 3):
         with pytest.raises(ConfigurationError, match="box"):
-            itrop.check_contraction_log(factory, 4, 5, unit_box(dim), itrop.RngStream(0))
+            itrop.check_contraction_log(halving_op(2), factory, 4, 5, unit_box(dim),
+                                        itrop.RngStream(0))
         with pytest.raises(ConfigurationError, match="box"):
             itrop.check_composite_lipschitz(factory, 2, 4, 5, unit_box(dim), itrop.RngStream(0))
     assert calls == []
@@ -631,13 +640,53 @@ def test_lipschitz_checks_reject_a_box_of_another_dimension_before_the_first_dra
 def test_contraction_log_validation():
     factory = make_halving_factory(2)
     with pytest.raises(ConfigurationError, match="pair_count"):
-        itrop.check_contraction_log(factory, 1, 5, unit_box(2), itrop.RngStream(0))
+        itrop.check_contraction_log(halving_op(2), factory, 1, 5, unit_box(2),
+                                    itrop.RngStream(0))
     with pytest.raises(ConfigurationError, match="trials"):
-        itrop.check_contraction_log(factory, 4, 1, unit_box(2), itrop.RngStream(0))
+        itrop.check_contraction_log(halving_op(2), factory, 4, 1, unit_box(2),
+                                    itrop.RngStream(0))
     degenerate = itrop.Box(lower=[1.0], upper=[1.0])
     with pytest.raises(ConfigurationError, match="degenerate"):
-        itrop.check_contraction_log(make_halving_factory(1), 4, 5, degenerate,
+        itrop.check_contraction_log(halving_op(1), make_halving_factory(1), 4, 5, degenerate,
                                     itrop.RngStream(0))
+
+
+@pytest.mark.parametrize("modulus, verdict", [(0.5, "consistent"), (None, "inconclusive"),
+                                              (1.0, "inconclusive")])
+def test_contraction_log_reads_consistent_only_under_a_certificate_below_one(modulus, verdict):
+    # every ratio reads 0.5, so the ratios alone would read consistent
+    op = dataclasses.replace(halving_op(3), claimed_modulus=modulus)
+    report = itrop.check_contraction_log(op, make_halving_factory(3), 8, 10, unit_box(3),
+                                         itrop.RngStream(70).child(0))
+    assert report.evidence[0]["max_alpha_hat"] == 0.5
+    assert report.verdict == verdict
+    assert report.parameters["analytic_modulus"] == modulus
+
+
+@pytest.mark.parametrize("modulus", [0.5, None, 1.0])
+def test_contraction_log_expanding_factory_is_violated_whatever_the_modulus(modulus):
+    # a certificate, even a false one, cannot overrule ratios that show expansion
+    op = dataclasses.replace(scale_op(3, 2.0), claimed_modulus=modulus)
+    report = itrop.check_contraction_log(op, constant_scale_factory(3, 2.0), 4, 10,
+                                         unit_box(3), itrop.RngStream(73).child(0))
+    assert report.verdict == "violated"
+    assert report.parameters["analytic_modulus"] == modulus
+
+
+def test_contraction_log_refuses_a_factory_outside_the_operator_s_space(mdp20):
+    draw, calls = recording_draws()
+    l2_op = halving_op(20)
+    with pytest.raises(ConfigurationError, match="norm 'l2'"):
+        itrop.check_contraction_log(l2_op, block_fake(20, lambda drawn, z: z / 2.0, draw=draw,
+                                                      norm="sup"),
+                                    4, 5, unit_box(20), itrop.RngStream(0))
+    with pytest.raises(ConfigurationError, match="norm 'l2'"):  # a real family
+        itrop.check_contraction_log(l2_op, itrop.empirical_bellman_factory(mdp20, 4), 4, 5,
+                                    unit_box(20), itrop.RngStream(0))
+    with pytest.raises(ConfigurationError, match="dimension 20"):
+        itrop.check_contraction_log(l2_op, block_fake(19, lambda drawn, z: z / 2.0, draw=draw),
+                                    4, 5, unit_box(19), itrop.RngStream(0))
+    assert calls == []
 
 
 # ---------------------------------------------------------------- composite check
@@ -645,8 +694,8 @@ def test_contraction_log_validation():
 def test_composite_depth_one_matches_contraction_log(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 3)
     stream = itrop.RngStream(75).child(0)
-    single = itrop.check_contraction_log(factory, pair_count=6, trials=20,
-                                         box=unit_box(20), stream=stream)
+    single = itrop.check_contraction_log(itrop.bellman_operator(mdp20), factory, pair_count=6,
+                                         trials=20, box=unit_box(20), stream=stream)
     composite = itrop.check_composite_lipschitz(factory, depth=1, pair_count=6,
                                                 trials=20, box=unit_box(20),
                                                 stream=stream)
@@ -794,7 +843,7 @@ def check_reports(mdp20, traced, out_dir, sizes=(5, 400), trials=100):
         l2 = dataclasses.replace(factory, norm="l2")
         reports += [
             itrop.check_monotone(factory, np.zeros(20), pairs, trials, stream.child(1, i)),
-            itrop.check_contraction_log(factory, 4, trials, box, stream.child(2, i)),
+            itrop.check_contraction_log(op, factory, 4, trials, box, stream.child(2, i)),
             itrop.check_composite_lipschitz(l2, 2, 4, trials, box, stream.child(3, i)),
         ]
     out_dir.mkdir()
@@ -823,7 +872,8 @@ def test_sgd_checks_draw_on_the_calling_thread(logistic_problem, monkeypatch):
     for sampling in ("with_replacement", "without_replacement"):
         factory, names = draw_threads(itrop.sgd_factory(logistic_problem, 8, sampling))
         box = unit_box(factory.dimension)
-        itrop.check_contraction_log(factory, 4, 100, box, itrop.RngStream(101))
+        itrop.check_contraction_log(itrop.exact_gd_operator(logistic_problem), factory, 4,
+                                    100, box, itrop.RngStream(101))
         itrop.check_composite_lipschitz(factory, 2, 4, 100, box, itrop.RngStream(102))
         assert names and set(names) == {threading.current_thread().name}
 

@@ -4,7 +4,7 @@ import math
 import re
 import runpy
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +206,8 @@ def test_output_dir_override_is_checked_like_the_config(tmp_path, monkeypatch):
     assert list(cwd.iterdir()) == []
 
 
-DESK_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DESK_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", DESK_CONFIGS, ids=lambda p: p.name)
@@ -557,17 +558,44 @@ def test_assumption_suite_evi_all_consistent(tmp_path):
     assert meta["verdicts"]["A3-monotone"] == "consistent"
 
 
-def test_assumption_suite_unregularized_sgd_downgrades_a5(tmp_path):
-    data = {"experiment": "assumptions", "family": "sgd-logistic", "master_seed": 5,
+def unregularized_sgd_checks(out_dir):
+    """An assumptions config of an SGD family without a contraction certificate."""
+    return {"experiment": "assumptions", "family": "sgd-logistic", "master_seed": 5,
             "runs": 2, "horizon": 40, "sample_sizes": [8, 32],
-            "output_dir": str(tmp_path / "chk0"),
+            "output_dir": str(out_dir),
             "regression": {"num_samples": 80, "dim": 4, "seed": 3,
                            "lambda": 0, "beta": 0.05},
             "check": {"trials": 100, "pair_count": 8, "grid_size": 3}}
+
+
+def test_assumption_suite_unregularized_sgd_downgrades_a5(tmp_path):
+    data = unregularized_sgd_checks(tmp_path / "chk0")
     result = run_experiment(ExperimentConfig.from_dict(data))
     assert result.verdicts["A5-contraction-log"] in ("inconclusive", "violated")
     a5 = json.loads((tmp_path / "chk0" / "assumption_A5-contraction-log.json").read_text())
     assert a5["parameters"]["analytic_modulus"] is None
+
+
+@pytest.mark.parametrize("family, code", [("assumptions_evi", 0), ("unregularized_sgd", 3)])
+def test_a5_report_of_the_library_is_the_one_itrop_check_writes(tmp_path, family, code):
+    # the desk family's certificate reads consistent; the SGD family has none
+    # (and an SGD step is not monotone, so A3 exits 3)
+    if family == "assumptions_evi":
+        data = json.loads((CONFIG_DIR / "assumptions_evi.json").read_text())
+        data["output_dir"] = str(tmp_path / "cli")
+    else:
+        data = unregularized_sgd_checks(tmp_path / "cli")
+    assert main(["check", write_config(tmp_path, data)]) == code
+    # the A5 call as the suite makes it
+    config = ExperimentConfig.from_dict(data)
+    bundle = build_family(config, need_target=False)
+    box = itrop.Box.around(itrop.iterate_exact(bundle.op, bundle.x0, config.horizon))
+    report = itrop.check_contraction_log(
+        bundle.op, bundle.factories[0], config.check.pair_count, config.check.trials, box,
+        itrop.RngStream(config.master_seed).child(itrop.experiments.Purpose.A5))
+    itrop.core.write_json(tmp_path / "library.json", asdict(report))
+    assert ((tmp_path / "library.json").read_bytes()
+            == (tmp_path / "cli" / "assumption_A5-contraction-log.json").read_bytes())
 
 
 # ---------------------------------------------------------------- CLI

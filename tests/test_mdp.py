@@ -99,6 +99,13 @@ def test_solve_exact_iteration_cap(mdp20):
         itrop.solve_exact(itrop.bellman_operator(mdp20), tol=1e-10, max_iterations=3)
 
 
+def test_solve_exact_refuses_a_tolerance_that_is_not_positive_and_finite(mdp20):
+    # a NaN threshold passes no step, so the solve would sweep to its cap
+    for tol in (np.nan, np.inf, 0.0, -1e-10):
+        with pytest.raises(ConfigurationError, match="tol"):
+            itrop.solve_exact(itrop.bellman_operator(mdp20), tol=tol, max_iterations=3)
+
+
 def test_solve_exact_needs_a_contraction_certificate(ref_mdp2):
     # without a modulus in (0, 1) the stopping rule certifies nothing
     sweep = itrop.bellman_operator(ref_mdp2)
@@ -314,6 +321,14 @@ def test_hoeffding_bound_validation():
         itrop.hoeffding_bound(20, 5, -0.5, 10, 2.0)
     with pytest.raises(ConfigurationError):
         itrop.hoeffding_bound(20, 5, 0.5, 0, 2.0)
+
+
+def test_hoeffding_bound_refuses_an_eps_or_radius_that_is_not_positive_and_finite():
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(ConfigurationError, match="eps"):
+            itrop.hoeffding_bound(20, 5, bad, 10, 2.0)
+        with pytest.raises(ConfigurationError, match="radius"):
+            itrop.hoeffding_bound(20, 5, 0.5, 10, bad)
 
 
 def tail_frequency(model, v, eps, n, trials, stream):

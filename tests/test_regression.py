@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import itrop
 from itrop.core import ConfigurationError, NonConvergenceError
 from itrop.experiments import ExperimentConfig, build_family, run_experiment
-from itrop.regression import _check_labels
+from itrop.regression import SAMPLING_MODES, _check_labels
 
 
 def one_sample_problem(features, label, family, lam=0.0, beta=0.1):
@@ -227,6 +228,11 @@ def test_sgd_without_replacement_batches_are_ascending(batch):
     assert np.all(np.diff(idx, axis=1) > 0)
 
 
+def test_sample_batches_refuses_an_unknown_sampling_mode():
+    with pytest.raises(ConfigurationError, match=re.escape(str(SAMPLING_MODES))):
+        itrop.sample_batches(10, 2, "bogus", itrop.RngStream(0), [0])
+
+
 @pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
 def test_sgd_indices_are_uniform_over_samples(sampling):
     num_samples, batch, runs = 40, 10, 20000
@@ -352,6 +358,13 @@ def test_contraction_coefficient_unit_boundary():
         itrop.contraction_coefficient(bounds, 0.0)
 
 
+def test_contraction_coefficient_refuses_a_beta_that_is_not_positive_and_finite():
+    bounds = itrop.EigenBounds(lower=1.0, upper=4.0)
+    for beta in (np.nan, np.inf, 0.0, -0.1):
+        with pytest.raises(ConfigurationError, match="beta"):
+            itrop.contraction_coefficient(bounds, beta)
+
+
 # ---------------------------------------------------------------- reference solve
 
 def test_reference_minimizer_has_small_gradient(logistic_problem):
@@ -379,6 +392,14 @@ def test_reference_minimizer_validation(logistic_problem, poisson_problem):
         itrop.solve_reference_minimizer(logistic_problem, tol=0.0)
     with pytest.raises(NonConvergenceError):
         itrop.solve_reference_minimizer(poisson_problem, tol=1e-12, max_iterations=2)
+
+
+def test_reference_minimizer_refuses_a_tolerance_that_is_not_positive_and_finite(
+        logistic_problem):
+    # a NaN tolerance would stop the solve at its start point, as if converged
+    for tol in (np.nan, np.inf, 0.0, -1e-8):
+        with pytest.raises(ConfigurationError, match="tol"):
+            itrop.solve_reference_minimizer(logistic_problem, tol=tol)
 
 
 @pytest.mark.parametrize("fixture", ["logistic_problem", "poisson_problem"])
