@@ -302,8 +302,9 @@ class ExactOperatorHandle:
 
     norm ("l2" or "sup", checked here) is the metric of the space the map
     acts on: claimed_modulus, when known, is an upper bound on the map's
-    Lipschitz constant in that norm (sub-1 means the map is a contraction),
-    and solve_exact and check_sup_probability measure distances in it.
+    Lipschitz constant in that norm (a finite number >= 0, checked here;
+    sub-1 means the map is a contraction), and solve_exact and the checkers
+    measure distances in it.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -313,6 +314,10 @@ class ExactOperatorHandle:
 
     def __post_init__(self):
         _check_norm(self.norm)
+        modulus = self.claimed_modulus
+        if modulus is not None and not (np.isfinite(modulus) and modulus >= 0):
+            raise ConfigurationError(f"claimed_modulus must be None or a finite number >= 0, "
+                                     f"got {modulus!r}")
 
 
 @dataclass(frozen=True)

@@ -588,11 +588,15 @@ def test_contraction_log_empirical_bellman_bounded_by_discount(mdp20):
 
 
 def test_contraction_log_isometry_is_not_consistent():
-    report = itrop.check_contraction_log(scale_op(3, 1.0), make_shift_factory(3, scale=1.0),
-                                         pair_count=4, trials=10, box=unit_box(3),
-                                         stream=itrop.RngStream(72).child(0))
-    assert report.verdict == "inconclusive"
-    assert report.evidence[0]["mean_alpha_hat"] == pytest.approx(1.0, rel=1e-9)
+    # under a certificate of 1 and under one of 0.5, so that the ratio rule
+    # alone must keep ratios of 1 from reading consistent
+    for modulus in (1.0, 0.5):
+        op = dataclasses.replace(scale_op(3, 1.0), claimed_modulus=modulus)
+        report = itrop.check_contraction_log(op, make_shift_factory(3, scale=1.0),
+                                             pair_count=4, trials=10, box=unit_box(3),
+                                             stream=itrop.RngStream(72).child(0))
+        assert report.verdict == "inconclusive"
+        assert report.evidence[0]["mean_alpha_hat"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_contraction_log_expanding_factory_violated():
@@ -661,6 +665,19 @@ def test_contraction_log_reads_consistent_only_under_a_certificate_below_one(mod
     assert report.evidence[0]["max_alpha_hat"] == 0.5
     assert report.verdict == verdict
     assert report.parameters["analytic_modulus"] == modulus
+
+
+def test_contraction_log_needs_three_standard_errors_under_a_certificate_below_one():
+    # runs scale by 0.9 and 1.1 in turn: the mean log ratio, log(0.99) / 2, is
+    # below 0 by far less than three standard errors, and so is not evidence
+    factory = block_fake(3, lambda a, z: a[:, None, None] * z,
+                         draw=lambda stream, runs: np.where(np.asarray(runs) % 2, 1.1, 0.9))
+    report = itrop.check_contraction_log(halving_op(3), factory, 4, 10, unit_box(3),
+                                         itrop.RngStream(76).child(0))
+    row = report.evidence[0]
+    assert row["mean_log_alpha_hat"] == pytest.approx(math.log(0.99) / 2, rel=1e-9)
+    assert row["mean_log_alpha_hat"] + 3 * row["se_log_alpha_hat"] > 0
+    assert report.verdict == "inconclusive"
 
 
 @pytest.mark.parametrize("modulus", [0.5, None, 1.0])

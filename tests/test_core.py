@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 import threading
 
@@ -365,6 +366,16 @@ def test_operators_refuse_an_unknown_norm_where_they_are_built(norm):
     with pytest.raises(ConfigurationError, match="norm"):
         itrop.ExactOperatorHandle(apply=lambda x: x, dimension=2, norm=norm)
     assert calls == []
+
+
+@pytest.mark.parametrize("modulus", [-1.0, -0.5, math.nan, math.inf])
+def test_exact_handle_refuses_a_modulus_that_is_negative_or_not_finite(modulus):
+    # a Lipschitz bound is a finite number >= 0; a negative one would certify A5
+    with pytest.raises(ConfigurationError, match="claimed_modulus"):
+        dataclasses.replace(affine_op(0.5, 2), claimed_modulus=modulus)
+    for accepted in (None, 0.0, 0.5, 2.0):
+        assert dataclasses.replace(affine_op(0.5, 2),
+                                   claimed_modulus=accepted).claimed_modulus == accepted
 
 
 def test_each_family_measures_in_the_norm_of_its_modulus(mdp20, logistic_problem):
