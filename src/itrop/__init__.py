@@ -4,10 +4,10 @@ __version__ = "0.6.0"
 
 from .core import (ConfigurationError, DivergenceError, DIVERGENCE_LIMIT,
                    ExactOperatorHandle, NonConvergenceError, RandomOperatorFactory,
-                   RngStream, iterate_ensemble, iterate_exact, row_norm)
+                   RngStream, iterate_ensemble, iterate_exact, row_norm, solve_exact)
 from .mdp import (MdpModel, bellman_apply, bellman_operator, empirical_bellman_factory,
                   empirical_q_factory, hoeffding_bound, load_model, q_apply, q_operator,
-                  random_mdp, save_model, solve_exact, uses_alias)
+                  random_mdp, save_model, uses_alias)
 from .regression import (EigenBounds, RegressionDataset, RegressionProblem,
                          contraction_coefficient, eigen_bounds, exact_gd_operator,
                          gradient, load_csv_dataset, loss, save_csv_dataset,

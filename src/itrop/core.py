@@ -21,7 +21,7 @@ DIVERGENCE_LIMIT = 1e12
 
 NORMS = ("l2", "sup")
 
-# The engine and RandomOperatorFactory.reduce (step and the checkers) draw
+# The engine and RandomOperatorFactory.reduce, the factory's block method, draw
 # and move runs in chunks whose temporaries stay under this many bytes
 # (RandomOperatorFactory.chunk), so memory does not grow with the runs or trials.
 CHUNK_BYTES = 1 << 20
@@ -338,7 +338,8 @@ class RandomOperatorFactory:
     points to one of the same shape, every row moved with the same drawn
     randomness; a negative run is a ConfigurationError.  When not given it
     is draw and move with m = 1, so a realization, the engine's (m, d) step
-    (P = 1) and the checkers' (m, P, d) trials all run the same move.
+    (P = 1) and reduce's (m, P, d) blocks all run the same move.  realize
+    moves one run; reduce, the block method, moves many runs in chunks.
 
     norm ("l2" or "sup", checked here) is the metric of the space the
     realizations act on: orbit_curves and the checkers measure distances
@@ -408,14 +409,15 @@ class RandomOperatorFactory:
             pool.shutdown(cancel_futures=True)
 
     def reduce(self, layers, runs, width: int, start, stat) -> np.ndarray:
-        """stat(points, images) for the runs, in chunks of chunk(width) runs,
-        its rows stacked in run order.  runs is an ascending range or array
-        of distinct nonnegative run indices (anything else is a
-        ConfigurationError, a range checked without listing it), sliced a
-        chunk at a time as draws draws it (every layer of a chunk before the
-        next); points = start(part) is the (m, width, d) block of
-        runs[part], part a slice of positions, and images that block moved by
-        each run's realization from every stream of layers in turn.  The rows
+        """The block method: stat(points, images) for the runs, in chunks of
+        chunk(width) runs, its rows stacked in run order.  runs is an
+        ascending range or array of distinct nonnegative run indices
+        (anything else is a ConfigurationError, a range checked without
+        listing it), sliced a chunk at a time as draws draws it (every layer
+        of a chunk before the next); points = start(part) is the
+        (m, width, d) block of runs[part], part a slice of positions, and
+        images that block moved by each run's realization from every stream
+        of layers in turn, bitwise as realize(layer, run) moves it.  The rows
         are allocated at the first chunk, so only they grow with the runs."""
         runs = _check_runs(runs)
         total, size = len(runs), self.chunk(width)
@@ -433,21 +435,6 @@ class RandomOperatorFactory:
                     rows = np.empty((total,) + reduced.shape[1:], reduced.dtype)
                 rows[part] = reduced
         return rows
-
-    def step(self, stream: RngStream, runs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """The block whose row i is realize(stream, runs[i])(Z[i]),
-        bitwise.  Z is (m, d), one point per run, or (m, P, d), a block of P
-        points per run.  runs must be ascending, as in iterate_ensemble.  This
-        is reduce with the one layer stream, start block[part] and stat the
-        identity: the runs are drawn and moved in chunks."""
-        runs = _check_runs(runs)
-        z = np.asarray(z, dtype=np.float64)
-        if z.ndim not in (2, 3) or len(z) != len(runs) or z.shape[-1] != self.dimension:
-            raise ConfigurationError(f"points must have shape ({len(runs)}, [P,] "
-                                     f"{self.dimension}), got {z.shape}")
-        block = z.reshape(len(runs), -1, self.dimension)
-        return self.reduce([stream], runs, block.shape[1], lambda part: block[part],
-                           lambda _, images: images).reshape(z.shape)
 
 
 def _check_runs(runs):
@@ -507,6 +494,38 @@ def iterate_exact(op: ExactOperatorHandle, y0, num_steps: int) -> np.ndarray:
             raise DivergenceError(k)
         out[k] = y
     return out
+
+
+def solve_exact(op: ExactOperatorHandle, tol: float = 1e-10,
+                max_iterations: int = 10 ** 6) -> tuple[np.ndarray, int, float]:
+    """(fixed point, iterations, last step ||Tx - x||) of the contraction op,
+    by iteration from 0, every norm being op.norm; op.claimed_modulus, gamma,
+    must lie in (0, 1) and bound op's Lipschitz constant in that norm.
+
+    Stops once the step ||Tx - x|| shrinks below tol * (1 - gamma) / gamma;
+    then ||Tx - x*|| <= gamma / (1 - gamma) * ||Tx - x|| <= tol, and Tx is
+    returned.  A sweep that leaves the trusted range raises DivergenceError
+    at once, as in iterate_exact; reaching max_iterations sweeps raises
+    NonConvergenceError.
+    """
+    gamma = op.claimed_modulus
+    if gamma is None or not 0.0 < gamma < 1.0:
+        raise ConfigurationError(f"solve_exact needs a claimed modulus in (0, 1), got {gamma!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigurationError(f"tol must be a positive finite number, got {tol!r}")
+    x = np.zeros(op.dimension)
+    threshold = tol * (1.0 - gamma) / gamma
+    for sweep in range(1, max_iterations + 1):
+        nxt = np.asarray(op.apply(x), dtype=np.float64)
+        if _within_limit(nxt[None], 1, op.dimension, sweep) is not None:
+            raise DivergenceError(sweep)
+        moved = float(row_norm(nxt - x, op.norm))
+        if moved <= threshold:
+            return nxt, sweep, moved
+        x = nxt
+    raise NonConvergenceError(
+        f"reference solve did not converge: no fixed point to tolerance {tol} "
+        f"within {max_iterations} sweeps")
 
 
 def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,

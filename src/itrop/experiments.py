@@ -17,9 +17,9 @@ from .analysis import (Box, VERDICT_VIOLATED, check_contraction_log, check_monot
                        check_sup_probability, ensemble, lln_audit, orbit_curves)
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
                    RandomOperatorFactory, RngStream, iterate_exact, read_json,
-                   require_indexable, row_norm, write_json)
+                   require_indexable, row_norm, solve_exact, write_json)
 from .mdp import (MdpModel, bellman_operator, empirical_bellman_factory, empirical_q_factory,
-                  load_model, q_operator, random_mdp, solve_exact)
+                  load_model, q_operator, random_mdp)
 from .regression import (SAMPLING_MODES, EigenBounds, RegressionProblem, eigen_bounds,
                          exact_gd_operator, load_csv_dataset, sgd_factory,
                          solve_reference_minimizer, synth_dataset)
@@ -409,6 +409,9 @@ def _orbits(config: ExperimentConfig, out_dir: Path):
 
 def _lln(config: ExperimentConfig, out_dir: Path):
     """Long-run audit: time averages of the orbit's norm versus the ensemble tail."""
+    # lln_audit's own checks, made before the family is built
+    _require(config.horizon >= 2, "horizon must be >= 2")
+    _require(config.runs >= 2, "runs must be >= 2")
     bundle = build_family(config, need_target=False)
     stream = RngStream(config.master_seed).child(Purpose.LLN)
     files = []

@@ -9,9 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, read_json, require_indexable,
-                   row_norm, write_json)
+from .core import (ConfigurationError, ExactOperatorHandle, RandomOperatorFactory,
+                   RngStream, read_json, require_indexable, write_json)
 
 _ROW_SUM_TOL = 1e-12
 
@@ -252,34 +251,6 @@ def q_operator(model: MdpModel) -> ExactOperatorHandle:
 
     return ExactOperatorHandle(apply=apply, dimension=s * a, claimed_modulus=model.discount,
                                norm="sup")
-
-
-def solve_exact(op: ExactOperatorHandle, tol: float = 1e-10,
-                max_iterations: int = 10 ** 6) -> tuple[np.ndarray, int, float]:
-    """(fixed point, iterations, last step ||Tx - x||) of the contraction op,
-    by iteration from 0, every norm being op.norm; op.claimed_modulus, gamma,
-    must lie in (0, 1) and bound op's Lipschitz constant in that norm.
-
-    Stops once the step ||Tx - x|| shrinks below tol * (1 - gamma) / gamma;
-    then ||Tx - x*|| <= gamma / (1 - gamma) * ||Tx - x|| <= tol, and Tx is
-    returned.
-    """
-    gamma = op.claimed_modulus
-    if gamma is None or not 0.0 < gamma < 1.0:
-        raise ConfigurationError(f"solve_exact needs a claimed modulus in (0, 1), got {gamma!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ConfigurationError(f"tol must be a positive finite number, got {tol!r}")
-    x = np.zeros(op.dimension)
-    threshold = tol * (1.0 - gamma) / gamma
-    for sweep in range(1, max_iterations + 1):
-        nxt = op.apply(x)
-        moved = float(row_norm(nxt - x, op.norm))
-        if moved <= threshold:
-            return nxt, sweep, moved
-        x = nxt
-    raise NonConvergenceError(
-        f"reference solve did not converge: no fixed point to tolerance {tol} "
-        f"within {max_iterations} sweeps")
 
 
 def random_mdp(num_states: int, num_actions: int, seed: int, discount: float = 0.9) -> MdpModel:

@@ -181,13 +181,18 @@ def sample_batches(num_samples: int, batch_size: int, sampling: str, stream: Rng
 
     With replacement a run reads batch_size uniforms u and takes floor(u * N);
     without replacement it reads N uniform keys and takes the batch_size
-    samples with the smallest keys, ascending.  Any other mode is a
-    ConfigurationError.
+    samples with the smallest keys, ascending.  Any other mode, a batch_size
+    below 1, or one above N without replacement is a ConfigurationError.
     """
     if sampling == "with_replacement":
+        if batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         idx = (stream.uniforms(batch_size, runs) * num_samples).astype(np.int64)
         return np.minimum(idx, num_samples - 1, out=idx)
     if sampling == "without_replacement":
+        if not 1 <= batch_size <= num_samples:
+            raise ConfigurationError(f"batch_size must lie in [1, {num_samples}] without "
+                                     f"replacement, got {batch_size}")
         keys = stream.uniforms(num_samples, runs)
         return np.sort(np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size], axis=1)
     raise ConfigurationError(f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}")

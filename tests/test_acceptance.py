@@ -216,10 +216,12 @@ def test_criterion_06_hoeffding_tail_dominance(mdp20):
     t0 = time.perf_counter()
     rows = []
     ok = True
+    points = np.broadcast_to(v, (trials, 1, 20))
     for n in (50, 100, 200):
         # trial t is run t of the rung's stream
-        sweeps = itrop.empirical_bellman_factory(mdp20, n).step(
-            stream.child(n), np.arange(trials), np.broadcast_to(v, (trials, 20)))
+        sweeps = itrop.empirical_bellman_factory(mdp20, n).reduce(
+            [stream.child(n)], range(trials), 1, lambda part: points[part],
+            lambda _, images: images)[:, 0]
         hits = int(np.count_nonzero(_sup(sweeps - exact, axis=1) > 0.5))
         freq = hits / trials
         bound = itrop.hoeffding_bound(20, 5, eps=0.5, sample_size=n, radius=1.0)
@@ -260,9 +262,10 @@ def test_criterion_08_sampled_sweep_sits_below_exact_mean(mdp20):
     for rep in range(5):
         v = rng.uniform(-1.0, 3.0, 20)
         exact = itrop.bellman_apply(mdp20, v)
+        points = np.broadcast_to(v, (trials, 1, 20))
         # trial t is run t of the rung's stream
-        draws = factory.step(stream.child(rep), np.arange(trials),
-                             np.broadcast_to(v, (trials, 20)))
+        draws = factory.reduce([stream.child(rep)], range(trials), 1,
+                               lambda part: points[part], lambda _, images: images)[:, 0]
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(trials)
         excess = np.max((mean - exact) / np.where(se > 0, se, np.inf))

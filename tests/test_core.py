@@ -268,6 +268,17 @@ def test_iterate_exact_reports_nan_step():
     assert err.value.step == 1
 
 
+def test_solve_exact_stops_at_the_sweep_that_leaves_the_trusted_range():
+    # a false certificate: the map doubles, so its orbit from 0 is 2^k - 1 and
+    # passes the limit at step 40; without the guard the solve sweeps to its cap
+    op = itrop.ExactOperatorHandle(lambda x: 2 * x + 1, 3, claimed_modulus=0.5)
+    with pytest.raises(DivergenceError) as orbit:
+        itrop.iterate_exact(op, np.zeros(3), 100)
+    with pytest.raises(DivergenceError) as solve:
+        itrop.solve_exact(op)
+    assert orbit.value.step == solve.value.step == 40
+
+
 def test_divergence_guard_step_matches_doubling_oracle():
     # oracle: first k with 2^k > limit
     expected = next(k for k in range(1, 100) if 2.0 ** k > itrop.DIVERGENCE_LIMIT)

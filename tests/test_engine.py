@@ -30,6 +30,13 @@ def ensemble_orbits(factory, z0, runs, stream, horizon=HORIZON):
     return out, dropped
 
 
+def moved(factory, stream, runs, z):
+    """reduce with the one layer stream and the identity stat: row i of the
+    (m, P, d) block z moved by run runs[i]'s realization."""
+    return factory.reduce([stream], runs, z.shape[1], lambda part: z[part],
+                          lambda _, images: images)
+
+
 def factories(mdp20, logistic_problem):
     n_sgd = logistic_problem.dataset.num_samples
     return {
@@ -78,9 +85,10 @@ def test_realize_reads_the_same_draws_as_the_engine(mdp20):
     factory = itrop.empirical_bellman_factory(mdp20, 5)
     stream = itrop.RngStream(33).child(2)
     x = np.linspace(-1.0, 1.0, 20)
-    block = factory.step(stream, np.arange(4), np.tile(x, (4, 1)))
-    for r in range(4):
-        assert np.array_equal(factory.realize(stream, r)(x), block[r])
+    orbits, dropped = ensemble_orbits(factory, x, 4, stream, horizon=1)
+    assert dropped == {}
+    for r in range(4):  # step 1 draws from stream.child(0)
+        assert np.array_equal(factory.realize(stream.child(0), r)(x), orbits[r, 1])
 
 
 @pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "qvi-alias",
@@ -88,31 +96,20 @@ def test_realize_reads_the_same_draws_as_the_engine(mdp20):
 @pytest.mark.parametrize("chunk_bytes", [1 << 20, 1])
 def test_step_moves_a_block_of_points_per_run(mdp20, logistic_problem, monkeypatch, name,
                                               chunk_bytes):
-    # the checkers' (m, P, d) step: row i is run runs[i]'s realization of Z[i]
+    # reduce's (m, P, d) block: row i is run runs[i]'s realization of Z[i]
     monkeypatch.setattr(itrop.core, "CHUNK_BYTES", chunk_bytes)
     factory = factories(mdp20, logistic_problem)[name]
     stream = itrop.RngStream(36).child(3)
     runs = np.array([0, 2, 3, 7])
     z = np.random.default_rng(37).normal(size=(4, 5, factory.dimension))
-    block = factory.step(stream, runs, z)
+    block = moved(factory, stream, runs, z)
     assert block.shape == z.shape
     for i, r in enumerate(runs):
         assert np.array_equal(block[i], factory.realize(stream, r)(z[i]))
     # a broadcast block (the same points for every run) moves as its copy does
     shared = np.broadcast_to(z[0], z.shape)
-    assert np.array_equal(factory.step(stream, runs, shared),
-                          factory.step(stream, runs, np.ascontiguousarray(shared)))
-
-
-@pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "sgd-with"])
-@pytest.mark.parametrize("runs", [[2, 1, 4], [1, 1, 2], [-1, 0, 1], []],
-                         ids=["unsorted", "duplicate", "negative", "empty"])
-def test_step_checks_its_runs_as_the_engine_does(mdp20, logistic_problem, name, runs):
-    # a sampler reads a block of runs as one ascending span of its stream
-    factory = factories(mdp20, logistic_problem)[name]
-    z = np.zeros((len(runs), factory.dimension))
-    with pytest.raises(ConfigurationError, match="runs"):
-        factory.step(itrop.RngStream(38), np.array(runs, dtype=np.int64), z)
+    assert np.array_equal(moved(factory, stream, runs, shared),
+                          moved(factory, stream, runs, np.ascontiguousarray(shared)))
 
 
 @pytest.mark.parametrize("runs", [[], [2, 1], [1, 1], [-1, 0], np.zeros((1, 1), np.int64),
@@ -132,19 +129,6 @@ def test_reduce_checks_its_runs_before_the_first_draw(runs):
         factory.reduce([itrop.RngStream(39)], runs, 1, lambda part: np.zeros((1, 1, 1)),
                        lambda _, images: images)
     assert calls == []
-
-
-@pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "sgd-with"])
-def test_step_rejects_blocks_whose_points_are_not_of_its_dimension(mdp20, logistic_problem,
-                                                                  name):
-    # a reshape would read a (4, 2d) block as two points per run and a
-    # (4, 2, d/2) block as one: only the last axis may hold a point, and a
-    # block needs one row per run
-    factory = factories(mdp20, logistic_problem)[name]
-    d, runs = factory.dimension, np.arange(4)
-    for shape in [(4, 2 * d), (4, 2, d // 2), (4, d // 2, 2), (2, 2, d), (4, 1, 1, d), (4,)]:
-        with pytest.raises(ConfigurationError, match="shape"):
-            factory.step(itrop.RngStream(38), runs, np.zeros(shape))
 
 
 @pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "qvi-alias",
@@ -329,7 +313,7 @@ def test_multinomial_step_is_the_same_bytes_on_one_and_two_cpus(mdp20, monkeypat
     for cpus in (1, 2):
         on_cpus(monkeypatch, cpus)
         traced, names = draw_threads(factory)
-        blocks[cpus] = traced.step(stream, runs, z)
+        blocks[cpus] = moved(traced, stream, runs, z)
         assert len(names) == runs.size
         assert {name.startswith("itrop-draw") for name in names} == {cpus > 1}
     assert blocks[1].tobytes() == blocks[2].tobytes()

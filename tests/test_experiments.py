@@ -805,6 +805,16 @@ def test_cli_run_refuses_a_single_run_before_any_work(tmp_path, capsys, monkeypa
     assert not list((tmp_path / "o").iterdir())
 
 
+@pytest.mark.parametrize("key", ["runs", "horizon"])
+def test_cli_lln_refuses_a_single_run_or_step_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             key):
+    monkeypatch.setattr(itrop.experiments, "build_family", None)
+    data = evi_config(tmp_path / "o", experiment="lln", family="evi", **{key: 1})
+    assert main(["run", write_config(tmp_path, data)]) == 1
+    assert capsys.readouterr().err == f"config error: {key} must be >= 2\n"
+    assert not list((tmp_path / "o").iterdir())
+
+
 @pytest.mark.parametrize("discount", ["0", "1", "2", "nan"])
 def test_cli_gen_mdp_checks_the_discount_before_drawing(tmp_path, capsys, monkeypatch, discount):
     monkeypatch.setattr(itrop.mdp, "RngStream", None)
@@ -1042,3 +1052,16 @@ def test_full_scale_configs_parse_with_the_run_count_asked_for(tmp_path, monkeyp
             "_full", "_desk")).read_text())
         scale = {"runs": 3, "horizon": 1000, "output_dir": f"out/{Path(path).stem}"}
         assert full == {**desk, **scale}
+    # without --runs every config asks for 1000 runs
+    monkeypatch.setattr("sys.argv", ["full_scale_configs.py", "--out", "default"])
+    runpy.run_path(str(script), run_name="__main__")
+    assert len(capsys.readouterr().out.split()) == 4
+    assert {json.loads(p.read_text())["runs"] for p in Path("default").glob("*.json")} == {1000}
+    # run needs two runs: fewer is a usage error, and no config is written
+    for runs in ("1", "0", "-3"):
+        monkeypatch.setattr("sys.argv", ["full_scale_configs.py", "--out", "few", "--runs", runs])
+        with pytest.raises(SystemExit) as refused:
+            runpy.run_path(str(script), run_name="__main__")
+        assert refused.value.code == 2
+        assert f"error: --runs must be >= 2, got {runs}\n" in capsys.readouterr().err
+        assert not Path("few").exists()

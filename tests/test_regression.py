@@ -233,6 +233,19 @@ def test_sample_batches_refuses_an_unknown_sampling_mode():
         itrop.sample_batches(10, 2, "bogus", itrop.RngStream(0), [0])
 
 
+@pytest.mark.parametrize("sampling, batch_size", [("with_replacement", 0),
+                                                  ("with_replacement", -3),
+                                                  ("without_replacement", 0),
+                                                  ("without_replacement", 11)])
+def test_sample_batches_refuses_a_batch_size_it_cannot_draw(sampling, batch_size):
+    stream = itrop.RngStream(0)
+    with pytest.raises(ConfigurationError, match=f"batch_size must .*, got {batch_size}$"):
+        itrop.sample_batches(10, batch_size, sampling, stream, [0, 1])
+    # a batch may exceed N only with replacement
+    assert itrop.sample_batches(10, 20, "with_replacement", stream, [0, 1]).shape == (2, 20)
+    assert itrop.sample_batches(10, 10, "without_replacement", stream, [0, 1]).shape == (2, 10)
+
+
 @pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
 def test_sgd_indices_are_uniform_over_samples(sampling):
     num_samples, batch, runs = 40, 10, 20000
