@@ -1,6 +1,6 @@
 """Simulation toolkit for iterated random operators approximating contraction maps."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .core import (ConfigurationError, DivergenceError, DIVERGENCE_LIMIT,
                    ExactOperatorHandle, NonConvergenceError, RandomOperatorFactory,

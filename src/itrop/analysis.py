@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (ConfigurationError, DivergenceError, ExactOperatorHandle,
-                   RandomOperatorFactory, RngStream, as_point, iterate_ensemble,
+                   RandomOperatorFactory, RngStream, as_finite, as_point, iterate_ensemble,
                    read_text, row_norm, write_atomic)
 
 VERDICT_CONSISTENT = "consistent"
@@ -30,12 +30,9 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=np.float64)
-        hi = np.asarray(self.upper, dtype=np.float64)
+        lo, hi = as_finite(self.lower, "box lower bound"), as_finite(self.upper, "box upper bound")
         if lo.ndim != 1 or lo.shape != hi.shape or lo.size == 0:
             raise ConfigurationError("box bounds must be matching nonempty vectors")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ConfigurationError("box bounds must be finite")
         if np.any(lo > hi):
             raise ConfigurationError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
@@ -140,7 +137,7 @@ def orbit_curves(factory: RandomOperatorFactory, exact, target, stream: RngStrea
     `total += z_k` (np.add.accumulate), so every value is the one a
     step-by-step reduction gives, bit for bit, for any block size.
     """
-    exact, target = np.asarray(exact, dtype=np.float64), as_point(target)
+    exact, target = as_finite(exact, "exact"), as_point(target)
     if exact.ndim != 2 or not len(exact) or exact.shape[1] != target.size:
         raise ConfigurationError(f"need a nonempty (K+1, {target.size}) orbit for a target "
                                  f"of dimension {target.size}, got shape {exact.shape}")
@@ -298,7 +295,7 @@ def check_sup_probability(op: ExactOperatorHandle,
         raise ConfigurationError("factories must have strictly increasing sample sizes")
     if trials < 100:
         raise ConfigurationError("need trials >= 100 for stable probability estimates")
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = as_finite(grid, "grid")
     if grid.ndim != 2 or not len(grid) or grid.shape[1] != op.dimension:
         raise ConfigurationError(f"grid must be a nonempty (G, {op.dimension}) array of "
                                  f"points, got shape {grid.shape}")
@@ -349,10 +346,10 @@ def check_monotone(factory: RandomOperatorFactory, x0, pairs, trials: int,
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     d = factory.dimension
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = as_finite(x0, "x0")
     if x0.shape != (d,):
         raise ConfigurationError(f"x0 must have shape ({d},), got {x0.shape}")
-    pairs = np.asarray(pairs, dtype=np.float64)
+    pairs = as_finite(pairs, "pairs")
     if pairs.ndim != 3 or pairs.shape[1:] != (2, d):
         raise ConfigurationError(f"pairs must have shape (P, 2, {d}), got {pairs.shape}")
     unordered = np.flatnonzero(np.any(pairs[:, 0] > pairs[:, 1], axis=1))
@@ -451,30 +448,27 @@ class LlnReport:
     max_gap_to_tail: float
 
 
-def _batch_means_se(values: np.ndarray, num_batches: int = 20) -> np.ndarray:
-    # Standard error of the mean of each row (a correlated series) via batch means.
-    runs, length = values.shape
-    b = min(num_batches, length)
-    width = length // b
-    return _mean_se(values[:, :b * width].reshape(runs, b, width).mean(axis=2))
-
-
 def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], np.ndarray],
               horizon: int, runs: int, stream: RngStream) -> LlnReport:
     """Run several randomized orbits (runs 0..runs-1 of stream, moved as one
     block) and compare the time average of f on each with the cross-run mean
-    of f at the final step.  f maps the (runs, d) block of one step to one
-    value per run, in one call per step; the engine's blocks of steps fill
-    the (runs, horizon + 1) matrix of f, the same bytes for any block size.
+    of f at the final step: both estimate the same stationary expectation when
+    the iteration is stable, so they should agree within sampling error.
 
-    Both estimate the same stationary expectation when the iteration is
-    stable, so they should agree within sampling error.
+    f maps the (runs, d) block of one step to one value per run, in one call
+    per step.  Each run keeps f at step K and the step-by-step sums of f over
+    b = min(20, K) batches of K // b steps and over the steps after them, so
+    memory does not grow with K, nor the bytes with the block size.  The time
+    average is the total over K; its SE, that of the b batch means.
     """
     if horizon < 2:
         raise ConfigurationError("horizon must be >= 2")
     if runs < 2:
         raise ConfigurationError("runs must be >= 2")
-    values = np.empty((runs, horizon + 1))
+    batches = min(20, horizon)
+    width = horizon // batches
+    sums = np.zeros((runs, batches + 1))  # column `batches`: the steps after the last batch
+    tails = np.empty(runs)
 
     def record(first, alive, block):
         for k, z in enumerate(block, first):
@@ -482,20 +476,19 @@ def lln_audit(factory: RandomOperatorFactory, x0, f: Callable[[np.ndarray], np.n
             if row.shape != alive.shape:
                 raise ConfigurationError(
                     f"f must map an (m, d) block to m values, got {row.shape}")
-            values[alive, k] = row
+            if k < horizon:
+                sums[alive, min(k // width, batches)] += row
+            else:
+                tails[alive] = row
 
     dropped = iterate_ensemble(factory, x0, horizon, stream, range(runs), record)
     if dropped:
         raise DivergenceError(min(dropped.values()))
-    time_avgs = values[:, :horizon].mean(axis=1)
-    ses = _batch_means_se(values[:, :horizon])
-    tails = values[:, horizon]
+    time_avgs = sums.sum(axis=1) / horizon
     tail_mean = float(np.mean(tails))
-    tail_se = float(_mean_se(tails))
-    spread = float(np.max(time_avgs) - np.min(time_avgs))
     return LlnReport(time_averages=time_avgs,
-                     time_average_ses=ses,
+                     time_average_ses=_mean_se(sums[:, :batches] / width),
                      tail_mean=tail_mean,
-                     tail_se=tail_se,
-                     spread=spread,
+                     tail_se=float(_mean_se(tails)),
+                     spread=float(np.max(time_avgs) - np.min(time_avgs)),
                      max_gap_to_tail=float(np.max(np.abs(time_avgs - tail_mean))))

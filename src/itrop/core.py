@@ -43,13 +43,19 @@ class NonConvergenceError(RuntimeError):
     """An iterative solve hit its iteration cap before reaching tolerance."""
 
 
+def as_finite(x, name: str) -> np.ndarray:
+    """x as a float64 array; ConfigurationError naming `name` if an entry is not finite."""
+    a = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ConfigurationError(f"{name} has non-finite entries")
+    return a
+
+
 def as_point(x) -> np.ndarray:
     """Coerce to a finite 1-D float64 vector."""
-    p = np.asarray(x, dtype=np.float64)
+    p = as_finite(x, "point")
     if p.ndim != 1 or p.size == 0:
         raise ConfigurationError(f"point must be a nonempty 1-D vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ConfigurationError("point has non-finite coordinates")
     return p
 
 
@@ -364,7 +370,7 @@ class RandomOperatorFactory:
             object.__setattr__(self, "realize", self._realize)
 
     def _realize(self, stream: RngStream, run: int = 0):
-        drawn = self.draw(stream, _check_runs([run]))
+        drawn = self.draw(stream, check_runs([run]))
 
         def apply(x):
             x = np.asarray(x, dtype=np.float64)
@@ -419,7 +425,7 @@ class RandomOperatorFactory:
         images that block moved by each run's realization from every stream
         of layers in turn, bitwise as realize(layer, run) moves it.  The rows
         are allocated at the first chunk, so only they grow with the runs."""
-        runs = _check_runs(runs)
+        runs = check_runs(runs)
         total, size = len(runs), self.chunk(width)
         chunks = range(0, total, size)
         plan = ((layer, np.asarray(runs[lo:lo + size])) for lo in chunks for layer in layers)
@@ -437,7 +443,7 @@ class RandomOperatorFactory:
         return rows
 
 
-def _check_runs(runs):
+def check_runs(runs):
     """runs as an int64 array, or a range as it is, which must list distinct
     run indices in ascending order: the samplers read a block of runs as one
     span of their stream.  A range is checked without listing its runs."""
@@ -554,7 +560,7 @@ def iterate_ensemble(factory: RandomOperatorFactory, z0, num_steps: int,
     step.  The orbits are the same bytes for any number of CPUs.
     """
     z0 = _check_start(z0, factory.dimension, num_steps)
-    runs = np.asarray(_check_runs(runs), dtype=np.int64)
+    runs = np.asarray(check_runs(runs), dtype=np.int64)
     size = factory.chunk()
     z = np.tile(z0, (runs.size, 1))
     # a block and a visit's norms over it stay in a core's cache (1 MiB blocks

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigurationError, ExactOperatorHandle, NonConvergenceError,
-                   RandomOperatorFactory, RngStream, read_text, require_indexable,
-                   write_atomic)
+                   RandomOperatorFactory, RngStream, as_finite, check_runs, read_text,
+                   require_indexable, write_atomic)
 
 FAMILIES = ("logistic", "poisson")
 SAMPLING_MODES = ("with_replacement", "without_replacement")
@@ -39,15 +39,11 @@ class RegressionDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        l = np.asarray(self.labels, dtype=np.float64)
+        f, l = as_finite(self.features, "features"), as_finite(self.labels, "labels")
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
             raise ConfigurationError(f"features must be a nonempty (N, m) matrix, got {f.shape}")
         if l.shape != (f.shape[0],):
-            raise ConfigurationError(
-                f"labels must have shape ({f.shape[0]},), got {l.shape}")
-        if not np.all(np.isfinite(f)) or not np.all(np.isfinite(l)):
-            raise ConfigurationError("dataset has non-finite entries")
+            raise ConfigurationError(f"labels must have shape ({f.shape[0]},), got {l.shape}")
         if not np.all(f[:, 0] == 1.0):
             raise ConfigurationError("first feature column must be the constant 1")
         object.__setattr__(self, "features", f)
@@ -93,9 +89,9 @@ class RegressionProblem:
 
     def __post_init__(self):
         _check_labels(self.dataset.labels, self.family)
-        if not (self.lam >= 0.0):
+        if not 0.0 <= self.lam < np.inf:
             raise ConfigurationError(f"lam must be >= 0, got {self.lam!r}")
-        if not (self.beta > 0.0):
+        if not 0.0 < self.beta < np.inf:
             raise ConfigurationError(f"beta must be > 0, got {self.beta!r}")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "beta", float(self.beta))
@@ -109,7 +105,7 @@ class EigenBounds:
     upper: float
 
     def __post_init__(self):
-        if not (0.0 < self.lower <= self.upper):
+        if not 0.0 < self.lower <= self.upper < np.inf:
             raise ConfigurationError(
                 f"need 0 < lower <= upper, got ({self.lower!r}, {self.upper!r})")
 
@@ -182,20 +178,26 @@ def sample_batches(num_samples: int, batch_size: int, sampling: str, stream: Rng
     With replacement a run reads batch_size uniforms u and takes floor(u * N);
     without replacement it reads N uniform keys and takes the batch_size
     samples with the smallest keys, ascending.  Any other mode, a batch_size
-    below 1, or one above N without replacement is a ConfigurationError.
+    below 1, one above N without replacement, or runs that are not distinct
+    nonnegative indices in ascending order is a ConfigurationError.
     """
+    if sampling not in SAMPLING_MODES:
+        raise ConfigurationError(f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}")
+    if sampling == "with_replacement" and batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if sampling == "without_replacement" and not 1 <= batch_size <= num_samples:
+        raise ConfigurationError(f"batch_size must lie in [1, {num_samples}] without "
+                                 f"replacement, got {batch_size}")
+    return _batches(num_samples, batch_size, sampling, stream, check_runs(runs))
+
+
+def _batches(num_samples: int, batch_size: int, sampling: str, stream: RngStream, runs):
+    """sample_batches without its checks, for runs listed ascending and distinct."""
     if sampling == "with_replacement":
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         idx = (stream.uniforms(batch_size, runs) * num_samples).astype(np.int64)
         return np.minimum(idx, num_samples - 1, out=idx)
-    if sampling == "without_replacement":
-        if not 1 <= batch_size <= num_samples:
-            raise ConfigurationError(f"batch_size must lie in [1, {num_samples}] without "
-                                     f"replacement, got {batch_size}")
-        keys = stream.uniforms(num_samples, runs)
-        return np.sort(np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size], axis=1)
-    raise ConfigurationError(f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}")
+    keys = stream.uniforms(num_samples, runs)
+    return np.sort(np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size], axis=1)
 
 
 def sgd_factory(problem: RegressionProblem, batch_size: int,
@@ -214,8 +216,7 @@ def sgd_factory(problem: RegressionProblem, batch_size: int,
     if not (1 <= batch_size <= n):
         raise ConfigurationError(f"batch_size must lie in [1, {n}], got {batch_size}")
     if sampling not in SAMPLING_MODES:
-        raise ConfigurationError(
-            f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}")
+        raise ConfigurationError(f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}")
     feats, labels = problem.dataset.features, problem.dataset.labels
     link = _sigmoid if problem.family == "logistic" else np.exp
 
@@ -230,7 +231,7 @@ def sgd_factory(problem: RegressionProblem, batch_size: int,
         return z - problem.beta * grad
 
     width = batch_size if sampling == "with_replacement" else n
-    draw = lambda stream, runs: sample_batches(n, batch_size, sampling, stream, runs)
+    draw = lambda stream, runs: _batches(n, batch_size, sampling, stream, runs)
     # per run: the gathered rows, t, residual and batch temporaries, the draws;
     # per further point: its t, link and residual, and its gradient temporaries
     d = problem.dataset.dim

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,18 @@ def test_orbit_curves_rejects_a_run_count_below_one_before_the_first_step(runs):
     factory = block_fake(2, lambda drawn, z: z, draw=draw)
     with pytest.raises(ConfigurationError, match="runs"):
         itrop.orbit_curves(factory, np.zeros((4, 2)), np.zeros(2), itrop.RngStream(0), runs)
+    assert calls == []
+
+
+def test_orbit_curves_refuses_an_exact_orbit_that_is_not_finite_before_the_first_step():
+    # a NaN step of the exact orbit would read as a NaN distance, with no error
+    draw, calls = recording_draws()
+    factory = block_fake(2, lambda drawn, z: z, draw=draw)
+    for bad in (np.nan, np.inf):
+        exact = np.zeros((4, 2))
+        exact[2] = bad
+        with pytest.raises(ConfigurationError, match="exact"):
+            itrop.orbit_curves(factory, exact, np.zeros(2), itrop.RngStream(0), 2)
     assert calls == []
 
 
@@ -482,6 +495,18 @@ def test_sup_probability_validation(mdp20):
         itrop.check_sup_probability(op, [f1], [], 0.1, 100, stream)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sup_probability_refuses_a_grid_that_is_not_finite_before_the_first_draw(bad):
+    # an all-NaN grid read `consistent`, every rung at probability 0
+    draw, calls = recording_draws()
+    factory = block_fake(2, lambda drawn, z: z, draw=draw)
+    for grid in (np.full((3, 2), bad), [[0.0, 0.0], [1.0, bad]]):
+        with pytest.raises(ConfigurationError, match="grid"):
+            itrop.check_sup_probability(halving_op(2), [factory], grid, 0.1, 100,
+                                        itrop.RngStream(0))
+    assert calls == []
+
+
 # ---------------------------------------------------------------- monotonicity check
 
 def test_monotone_identity_factory_consistent():
@@ -549,6 +574,27 @@ def test_monotone_rejects_points_of_another_dimension_before_the_first_draw():
                 np.zeros((2, 2, 1))):
         with pytest.raises(ConfigurationError, match="pairs"):
             itrop.check_monotone(factory, np.zeros(2), bad, trials=5, stream=stream)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_monotone_refuses_an_x0_that_is_not_finite_before_the_first_draw(bad):
+    # a NaN x0 read `consistent`: every comparison with NaN is False
+    draw, calls = recording_draws()
+    factory = block_fake(2, lambda drawn, z: z, draw=draw)
+    with pytest.raises(ConfigurationError, match="x0"):
+        itrop.check_monotone(factory, [0.0, bad], [(np.zeros(2), np.ones(2))], trials=5,
+                             stream=itrop.RngStream(0))
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_monotone_refuses_pairs_that_are_not_finite_before_the_first_draw(bad):
+    draw, calls = recording_draws()
+    factory = block_fake(2, lambda drawn, z: z, draw=draw)
+    with pytest.raises(ConfigurationError, match="pairs"):
+        itrop.check_monotone(factory, np.zeros(2), [(np.zeros(2), [1.0, bad])], trials=5,
+                             stream=itrop.RngStream(0))
     assert calls == []
 
 
@@ -993,15 +1039,41 @@ def test_summaries_reject_f_without_one_value_per_row():
                         stream=itrop.RngStream(0))
 
 
-def test_batch_means_se_of_a_block_matches_each_row():
-    def one_row(values, num_batches=20):
-        b = min(num_batches, values.size)
-        width = values.size // b
-        means = values[:b * width].reshape(b, width).mean(axis=1)
-        return float(np.std(means, ddof=1) / np.sqrt(b))
+def test_lln_audit_matches_a_matrix_oracle_of_its_orbits():
+    # the oracle stores f at every step of every run and reduces the matrix
+    # with numpy's pairwise means; the audit's step-by-step sums round apart
+    factory = block_fake(2, lambda shifts, z: 0.8 * z + shifts[:, None],
+                         draw=normal_draws(2))
+    f = lambda z: z[:, 0] + z[:, 1] ** 2
+    runs, stream = 5, itrop.RngStream(94).child(0)
+    for horizon in (2, 3, 19, 20, 41, 1003):
+        values = np.array([f(run_alone(factory, [1.0, -1.0], horizon, stream, r))
+                           for r in range(runs)])
+        b = min(20, horizon)
+        width = horizon // b
+        means = values[:, :b * width].reshape(runs, b, width).mean(axis=2)
+        tails = values[:, horizon]
+        report = itrop.lln_audit(factory, [1.0, -1.0], f, horizon, runs, stream)
+        assert np.allclose(report.time_averages, values[:, :horizon].mean(axis=1),
+                           rtol=1e-12, atol=0), horizon
+        assert np.allclose(report.time_average_ses,
+                           np.std(means, axis=1, ddof=1) / np.sqrt(b), rtol=1e-12, atol=0)
+        assert report.tail_mean == float(np.mean(tails))
+        assert report.tail_se == float(np.std(tails, ddof=1) / np.sqrt(runs))
 
-    rng = np.random.default_rng(94)
-    for length in (2, 3, 19, 20, 41, 1000, 1003):
-        block = rng.standard_exponential((25, length + 1)) * rng.uniform(1e-3, 1e3)
-        got = itrop.analysis._batch_means_se(block[:, :length])
-        assert got.tolist() == [one_row(row[:length]) for row in block]
+
+def test_lln_audit_memory_does_not_grow_with_the_horizon():
+    # a (runs, horizon + 1) matrix of f would add 11 MB at the longer horizon
+    factory = block_fake(1, lambda runs, z: -z)
+    audit = lambda horizon: itrop.lln_audit(factory, [1.0], lambda z: z[:, 0], horizon, 200,
+                                            itrop.RngStream(97).child(0))
+    audit(2)  # first-call allocations are not the audit's
+    peaks = []
+    for horizon in (1000, 8000):
+        tracemalloc.start()
+        try:
+            audit(horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (256 << 10), peaks

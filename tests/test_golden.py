@@ -49,14 +49,14 @@ CONFIGS = {
 EXIT_CODES = {"assumptions-sgd": 3}  # every other kind exits 0
 
 GOLDEN = {
-    "evi": "78c1d89c74995e2b20c1bb3389cc13589970f8ad48137f5f86f2de0423fa84e9",
-    "qvi": "e203e99e3aa20a40f4bbd8120db9ad6d2b5cd44ff3a79f1b0407740aabb842f9",
-    "sgd-logistic": "229584a2a80d0b248c0584f6bf18a35d0a68da7e7764c17f24b7987b9f49a426",
-    "sgd-poisson": "a808a4bded83dc380d64d7c1f8c76f7b2ee4bb11628fff493b534f7f67c982b0",
-    "lln": "737d670b8c9c90a431b680d61127cf4f8944163fa7cf1e5de25d6a2accb6720c",
-    "lln-sgd": "138e6721ed48ab4e97f497c3a1539d401d5a713186e65f57cf1ec128cdf19ca3",
-    "assumptions": "ba59fb1620ef8e56a90429a15d683847944007731c1da95a5990bcbcebb99fe3",
-    "assumptions-sgd": "57acebed249460a5cb588cb8ee9aaae9a439e426ec7b4d6bfa62578957e3fa6a",
+    "evi": "12b75d1fb3070d5a2e593356eb733717144776e79f4d5704107e9b09d5fa52bc",
+    "qvi": "3403258e5fd9a8ab5ae0e6dda194b1096c8a4193d00e0e349814d71f4dfdcf60",
+    "sgd-logistic": "6331a0336183ce03cdcbe0a3961b3f2dbd94c676cd7b84f3d8620b596b7aada7",
+    "sgd-poisson": "377f4caea5528de3cdcf52d51a2d3626e88bfd6322ca5ca3026c6e12ce2fdc51",
+    "lln": "9b6e5e5010bab6a73c6ea61081511caa0ba6d46114f45cbad0392c008e1e1f81",
+    "lln-sgd": "9d91a5b08f511b37f6aa3f50ce2c8d785f569b81931c4bf8af44ff8cc861e5fa",
+    "assumptions": "16f286db24b1bcd8a6faa786e86493e62ad977369bf44e6482cd1431431a55f7",
+    "assumptions-sgd": "1519fc41ad67bd9e4384738e577469e74da22c4bc4b308ade660782219a1f0dd",
 }
 
 # SHA-256 of the model file `itrop gen mdp --num-states 3 --num-actions 2 --seed 5` writes

@@ -58,6 +58,14 @@ def test_problem_validation():
             family="logistic", lam=0.0, beta=0.1)
 
 
+@pytest.mark.parametrize("lam, beta, name", [(np.inf, 0.1, "lam"), (np.nan, 0.1, "lam"),
+                                             (0.0, np.inf, "beta"), (0.0, np.nan, "beta")])
+def test_problem_refuses_a_lam_or_beta_that_is_not_finite(lam, beta, name):
+    ds = itrop.RegressionDataset(features=np.array([[1.0]]), labels=np.array([1.0]))
+    with pytest.raises(ConfigurationError, match=name):
+        itrop.RegressionProblem(dataset=ds, family="logistic", lam=lam, beta=beta)
+
+
 # ---------------------------------------------------------------- loss hand values
 
 def test_logistic_loss_at_zero_is_log_two():
@@ -246,6 +254,20 @@ def test_sample_batches_refuses_a_batch_size_it_cannot_draw(sampling, batch_size
     assert itrop.sample_batches(10, 10, "without_replacement", stream, [0, 1]).shape == (2, 10)
 
 
+@pytest.mark.parametrize("sampling", SAMPLING_MODES)
+@pytest.mark.parametrize("runs", [[0, 3, 2], [-1, 0], [1, 1], []],
+                         ids=["unordered", "negative", "repeated", "empty"])
+def test_sample_batches_refuses_runs_that_are_not_ascending_and_distinct(sampling, runs):
+    # [0, 3, 2] labelled run 1's batch as run 3's; [-1, 0] read before the
+    # stream's start; [1, 1] gave one batch twice
+    with pytest.raises(ConfigurationError, match="ascending list of distinct run indices"):
+        itrop.sample_batches(10, 3, sampling, itrop.RngStream(0), runs)
+    spread = itrop.sample_batches(10, 3, sampling, itrop.RngStream(0), [0, 2, 5])
+    alone = [itrop.sample_batches(10, 3, sampling, itrop.RngStream(0), [r])[0]
+             for r in (0, 2, 5)]
+    assert np.array_equal(spread, alone)
+
+
 @pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
 def test_sgd_indices_are_uniform_over_samples(sampling):
     num_samples, batch, runs = 40, 10, 20000
@@ -343,6 +365,12 @@ def test_eigen_bounds_validation():
         itrop.EigenBounds(lower=0.0, upper=1.0)
     with pytest.raises(ConfigurationError):
         itrop.EigenBounds(lower=2.0, upper=1.0)
+
+
+@pytest.mark.parametrize("upper", [np.inf, np.nan])
+def test_eigen_bounds_refuse_an_upper_bound_that_is_not_finite(upper):
+    with pytest.raises(ConfigurationError, match="upper"):
+        itrop.EigenBounds(lower=1.0, upper=upper)
 
 
 def test_contraction_coefficient_minimizer():
