@@ -497,7 +497,7 @@ def test_sup_probability_validation(mdp20):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sup_probability_refuses_a_grid_that_is_not_finite_before_the_first_draw(bad):
-    # an all-NaN grid read `consistent`, every rung at probability 0
+    # an all-NaN grid would read `consistent`, every rung at probability 0
     draw, calls = recording_draws()
     factory = block_fake(2, lambda drawn, z: z, draw=draw)
     for grid in (np.full((3, 2), bad), [[0.0, 0.0], [1.0, bad]]):
@@ -579,7 +579,7 @@ def test_monotone_rejects_points_of_another_dimension_before_the_first_draw():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_monotone_refuses_an_x0_that_is_not_finite_before_the_first_draw(bad):
-    # a NaN x0 read `consistent`: every comparison with NaN is False
+    # a NaN x0 would read `consistent`: every comparison with NaN is False
     draw, calls = recording_draws()
     factory = block_fake(2, lambda drawn, z: z, draw=draw)
     with pytest.raises(ConfigurationError, match="x0"):

@@ -258,8 +258,8 @@ def test_sample_batches_refuses_a_batch_size_it_cannot_draw(sampling, batch_size
 @pytest.mark.parametrize("runs", [[0, 3, 2], [-1, 0], [1, 1], []],
                          ids=["unordered", "negative", "repeated", "empty"])
 def test_sample_batches_refuses_runs_that_are_not_ascending_and_distinct(sampling, runs):
-    # [0, 3, 2] labelled run 1's batch as run 3's; [-1, 0] read before the
-    # stream's start; [1, 1] gave one batch twice
+    # unchecked, [0, 3, 2] would label run 1's batch as run 3's, [-1, 0] would
+    # read before the stream's start and [1, 1] would give one batch twice
     with pytest.raises(ConfigurationError, match="ascending list of distinct run indices"):
         itrop.sample_batches(10, 3, sampling, itrop.RngStream(0), runs)
     spread = itrop.sample_batches(10, 3, sampling, itrop.RngStream(0), [0, 2, 5])
