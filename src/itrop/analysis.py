@@ -84,19 +84,28 @@ class EnsembleSummary:
         lines = [ln for ln in read_text(path).splitlines() if ln]
         if not lines or lines[0] != _CSV_HEADER:
             raise ConfigurationError(f"{path}: expected header {_CSV_HEADER!r}")
-        cols = {name: [] for name in _CSV_HEADER.split(",")}
-        for lineno, line in enumerate(lines[1:], start=2):
+        cols = {name: [] for name in _CSV_HEADER.split(",")[1:6]}
+        counts = set()
+        for k, line in enumerate(lines[1:]):
+            lineno = k + 2
             parts = line.split(",")
             if len(parts) != 7:
                 raise ConfigurationError(f"{path}: line {lineno}: expected 7 fields")
+            if parts[0] != str(k):
+                raise ConfigurationError(f"{path}: line {lineno}: expected k = {k}, "
+                                         f"got {parts[0]!r}")
+            count = parts[6]
+            if not (count.isascii() and count.isdigit() and int(count) > 0):
+                raise ConfigurationError(f"{path}: line {lineno}: count must be a positive "
+                                         f"integer, got {count!r}")
+            counts.add(int(count))
             try:
-                values = [float(v) for v in parts]
+                values = [float(v) for v in parts[1:6]]
             except ValueError:
                 raise ConfigurationError(
                     f"{path}: line {lineno}: non-numeric field") from None
             for name, v in zip(cols, values):
                 cols[name].append(v)
-        counts = set(cols["count"])
         if len(counts) != 1:
             raise ConfigurationError(f"{path}: inconsistent count column")
         return cls(mean=np.asarray(cols["mean"]),
@@ -104,7 +113,7 @@ class EnsembleSummary:
                    std_error=np.asarray(cols["std_error"]),
                    min=np.asarray(cols["min"]),
                    max=np.asarray(cols["max"]),
-                   count=int(counts.pop()))
+                   count=counts.pop())
 
 
 @dataclass(frozen=True)

@@ -293,13 +293,19 @@ class RngStream:
         """(len(runs), width) uniforms in [0, 1) for fixed-width draws.
 
         Row i is the part of run runs[i] (ascending): the `width` draws that
-        start runs[i] * width draws into the lineage's stream.
+        start runs[i] * width draws into the lineage's stream.  Each block of
+        consecutive runs is drawn from its own restart, so runs far apart
+        draw nothing in between.
         """
         runs = np.asarray(runs, dtype=np.int64)
         first = int(runs[0])
-        span = int(runs[-1]) - first + 1
-        u = self._generator_at(first * width).random((span, width))
-        return u if span == runs.size else u[runs - first]
+        if int(runs[-1]) - first + 1 == runs.size:  # one block, as the engine's runs are
+            return self._generator_at(first * width).random((runs.size, width))
+        bounds = [0, *(np.flatnonzero(np.diff(runs) != 1) + 1).tolist(), runs.size]
+        u = np.empty((runs.size, width))
+        for lo, hi in zip(bounds, bounds[1:]):
+            self._generator_at(int(runs[lo]) * width).random(out=u[lo:hi])
+        return u
 
 
 @dataclass(frozen=True)

@@ -189,14 +189,31 @@ def _empirical_kernels(model: MdpModel, n: int, stream: RngStream, runs) -> np.n
     return kernels
 
 
+def _action_min(q: np.ndarray) -> np.ndarray:
+    """q.min(axis=-1) as A - 1 elementwise minimums over the columns of q
+    viewed as (rows, A): numpy's reduce over a short last axis costs about
+    55 ns per output row, which dominates a sweep's block.  Bit for bit the
+    reduce's result, except that a tie of 0.0 and -0.0 may give the other
+    zero (the reduce orders its comparisons by SIMD lane)."""
+    cols = q.reshape(-1, q.shape[-1])
+    best = cols[:, 0].copy()
+    for j in range(1, cols.shape[1]):
+        np.minimum(best, cols[:, j], out=best)
+    return best.reshape(q.shape[:-1])
+
+
 def _sweep(model: MdpModel, kind: str, kernels: np.ndarray, z: np.ndarray):
     """Each point of row i of the (m, P, d) block z swept with the empirical
-    kernel kernels[i] (S*A, S), one mat-vec per point."""
+    kernel kernels[i] (S*A, S), one mat-vec per point.  c + discount * emp is
+    formed in the product's own array: IEEE products and sums commute, so
+    the bytes are those of the expression."""
     (m, p, _), s, a = z.shape, model.num_states, model.num_actions
-    w = z if kind == "value" else z.reshape(m, p, s, a).min(axis=3)
-    emp = np.matmul(kernels[:, None], w[..., None]).reshape(m, p, s, a)
-    out = model.cost + model.discount * emp
-    return out.min(axis=3) if kind == "value" else out.reshape(m, p, s * a)
+    w = z if kind == "value" else _action_min(z.reshape(m, p, s, a))
+    out = np.matmul(kernels[:, None], w[..., None]).reshape(m, p, s, a)
+    del w  # the q kind's w is dead: free it before the cost's broadcast buffer
+    out *= model.discount
+    out += model.cost
+    return _action_min(out) if kind == "value" else out.reshape(m, p, s * a)
 
 
 def _empirical_factory(model: MdpModel, sample_size: int, kind: str) -> RandomOperatorFactory:
@@ -207,7 +224,7 @@ def _empirical_factory(model: MdpModel, sample_size: int, kind: str) -> RandomOp
     row_bytes = 3 * 8 * s * a * s  # counts, kernel, and the sweep's product
     if alias:
         row_bytes += 6 * 8 * s * a * sample_size  # per-sample temporaries
-    point_bytes = 3 * 8 * s * a  # each further point's product, its sum and image
+    point_bytes = 3 * 8 * s * a  # loosely bounds each further point's product and image
     # numpy's multinomial releases the GIL, so its chunks may be drawn ahead
     return RandomOperatorFactory(
         sample_size, s if kind == "value" else s * a,

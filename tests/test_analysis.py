@@ -363,6 +363,25 @@ def test_ensemble_csv_parse_errors(tmp_path):
         itrop.EnsembleSummary.from_csv(path)
 
 
+@pytest.mark.parametrize("count", ["inf", "nan", "2.5", "0", "-3", "+3", " 3", "1_0"])
+def test_ensemble_csv_refuses_a_count_that_is_not_a_positive_integer(tmp_path, count):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"k,mean,variance,std_error,min,max,count\n0,1.0,0.0,0.0,1.0,1.0,{count}\n")
+    with pytest.raises(ConfigurationError, match="bad.csv: line 2: count must be a positive"):
+        itrop.EnsembleSummary.from_csv(path)
+
+
+@pytest.mark.parametrize("ks", [("5", "0"), ("1", "2"), ("0", "2"), ("0", "0"), ("0", "1.0")])
+def test_ensemble_csv_refuses_a_k_column_that_is_not_0_1_2(tmp_path, ks):
+    # the curves are read by position, so a k column out of step misaligns them
+    path = tmp_path / "bad.csv"
+    path.write_text("k,mean,variance,std_error,min,max,count\n"
+                    + "".join(f"{k},1.0,0.0,0.0,1.0,1.0,2\n" for k in ks))
+    line = 2 if ks[0] != "0" else 3
+    with pytest.raises(ConfigurationError, match=f"bad.csv: line {line}: expected k = {line - 2}"):
+        itrop.EnsembleSummary.from_csv(path)
+
+
 # ---------------------------------------------------------------- reports
 
 def test_assumption_report_guards():

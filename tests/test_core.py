@@ -74,6 +74,10 @@ def test_stream_runs_read_disjoint_parts_of_one_stream():
     assert np.array_equal(u.ravel(), whole)
     assert np.array_equal(s.uniforms(4, [2])[0], whole[8:])
     assert np.array_equal(s.uniforms(4, [0, 2]), u[[0, 2]])
+    # blocks of consecutive runs, each from its own restart, give the same rows
+    many = s.uniforms(3, range(12))
+    runs = [0, 1, 4, 5, 6, 9, 11]
+    assert np.array_equal(s.uniforms(3, runs), many[runs])
     # variable-width parts: run r reads its own region of 2^64 draws
     bits = np.random.PCG64(np.random.SeedSequence(42, spawn_key=(3,)))
     bits.advance(3 << 64)

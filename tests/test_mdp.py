@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import itrop
 from itrop.cli import main
 from itrop.core import ConfigurationError, NonConvergenceError
+from itrop.mdp import _action_min, _sweep
 
 value_lists = st.lists(st.floats(-5, 5), min_size=20, max_size=20)
 
@@ -203,6 +205,80 @@ def test_alias_sampler_frequencies_match_rows():
     se = np.sqrt(p * (1.0 - p) / draws)
     assert np.all(counts[p == 0.0] == 0)
     assert np.all(np.abs(freq - p) <= 5.0 * se + 1e-12)
+
+
+def salted_block(rng, shape, signed_zeros):
+    """Normal draws with NaN, +-inf and zero ties mixed in; the zeros are
+    +0.0 and -0.0 alike when signed_zeros, else +0.0 only."""
+    q = rng.standard_normal(shape)
+    salt = rng.random(shape)
+    q[salt < 0.05] = np.nan
+    q[(0.05 <= salt) & (salt < 0.1)] = np.inf
+    q[(0.1 <= salt) & (salt < 0.15)] = -np.inf
+    q[(0.15 <= salt) & (salt < 0.4)] = 0.0
+    q[(0.4 <= salt) & (salt < 0.65)] = -0.0 if signed_zeros else 0.0
+    return q
+
+
+@pytest.mark.parametrize("a", [1, 2, 5, 10, 17])
+def test_action_min_is_numpy_min_bit_for_bit(a):
+    rng = np.random.default_rng(a)
+    for rows in (1, 7, 100, 2000):
+        q = salted_block(rng, (rows, a), signed_zeros=False)
+        assert np.array_equal(_action_min(q).view(np.uint64), q.min(axis=-1).view(np.uint64))
+        q = salted_block(rng, (2, rows, a), signed_zeros=True).transpose(1, 0, 2)
+        got, want = _action_min(q), q.min(axis=-1)
+        assert got.shape == want.shape == (rows, 2)
+        # numpy's reduce orders its comparisons by SIMD lane, so a tie of
+        # 0.0 and -0.0 may resolve to either zero; nothing else may differ
+        differs = got.view(np.uint64) != want.view(np.uint64)
+        assert np.all(got[differs] == 0) and np.all(want[differs] == 0)
+
+
+def parent_sweep(model, kind, kernels, z):
+    """The sweep as c + discount * emp with numpy's min, for reference."""
+    (m, p, _), s, a = z.shape, model.num_states, model.num_actions
+    w = z if kind == "value" else z.reshape(m, p, s, a).min(axis=3)
+    emp = np.matmul(kernels[:, None], w[..., None]).reshape(m, p, s, a)
+    out = model.cost + model.discount * emp
+    return out.min(axis=3) if kind == "value" else out.reshape(m, p, s * a)
+
+
+def random_kernels(rng, m, model):
+    k = rng.random((m, model.num_states * model.num_actions, model.num_states))
+    return k / k.sum(axis=2, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["value", "q"])
+@pytest.mark.parametrize("num_actions", [1, 5])
+@pytest.mark.parametrize("m, p", [(1, 1), (10, 1), (18, 5), (8, 33)])
+def test_sweep_is_the_affine_formula_bit_for_bit(kind, num_actions, m, p):
+    model = itrop.random_mdp(20, num_actions, seed=m + p)
+    rng = np.random.default_rng(m * p)
+    kernels = random_kernels(rng, m, model)
+    d = 20 if kind == "value" else 20 * num_actions
+    z = rng.standard_normal((m, p, d))
+    got, want = _sweep(model, kind, kernels, z), parent_sweep(model, kind, kernels, z)
+    assert got.shape == want.shape == (m, p, d)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["value", "q"])
+def test_sweep_holds_one_product_array(mdp20, kind):
+    # (8, 33) is a checker's block: the sweep forms c + discount * emp in the
+    # product's own array, where c + discount * emp as an expression holds three
+    m, p, s, a = 8, 33, 20, 5
+    rng = np.random.default_rng(8)
+    kernels = random_kernels(rng, m, mdp20)
+    z = rng.standard_normal((m, p, s if kind == "value" else s * a))
+    _sweep(mdp20, kind, kernels, z)  # first-call allocations are not the sweep's
+    tracemalloc.start()
+    try:
+        _sweep(mdp20, kind, kernels, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * m * p * s * a, peak
 
 
 def test_empirical_bellman_same_stream_shares_draws(mdp20):

@@ -268,6 +268,16 @@ def test_sample_batches_refuses_runs_that_are_not_ascending_and_distinct(samplin
     assert np.array_equal(spread, alone)
 
 
+@pytest.mark.parametrize("sampling", SAMPLING_MODES)
+def test_sample_batches_draws_nothing_between_runs_far_apart(sampling):
+    # 2**60 runs apart: a sampler that drew the whole span would ask for
+    # exabytes and fail on any host
+    stream = itrop.RngStream(0)
+    far = itrop.sample_batches(10, 3, sampling, stream, [0, 2**60])
+    alone = [itrop.sample_batches(10, 3, sampling, stream, [r])[0] for r in (0, 2**60)]
+    assert np.array_equal(far, alone)
+
+
 @pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
 def test_sgd_indices_are_uniform_over_samples(sampling):
     num_samples, batch, runs = 40, 10, 20000
