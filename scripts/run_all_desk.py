@@ -14,6 +14,7 @@ from itrop.cli import main as cli_main
 JOBS = [
     ("run", "evi_desk.json"),
     ("run", "qvi_desk.json"),
+    ("run", "qvi_wide_desk.json"),
     ("run", "sgd_logistic_desk.json"),
     ("run", "sgd_poisson_desk.json"),
     ("run", "lln_evi.json"),

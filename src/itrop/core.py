@@ -26,6 +26,10 @@ NORMS = ("l2", "sup")
 # (RandomOperatorFactory.chunk), so memory does not grow with the runs or trials.
 CHUNK_BYTES = 1 << 20
 
+# The alias sampler draws next states this many at a time, into buffers each
+# thread reuses, so its per-sample arrays stay in a core's cache.
+SAMPLE_BLOCK = 3 << 13
+
 
 class ConfigurationError(ValueError):
     """Bad inputs: shapes, ranges, unknown keys, malformed files."""
@@ -262,7 +266,7 @@ class RngStream:
             return _pcg_states(np.random.SeedSequence(self.master_seed).pool[None])[0]
         return _child_starts(self.master_seed, self.lineage[:-1], self.lineage[-1:])[0]
 
-    def _generator_at(self, offset: int) -> np.random.Generator:
+    def generator_at(self, offset: int) -> np.random.Generator:
         """This thread's generator, restarted `offset` draws into the
         lineage's stream."""
         try:
@@ -279,7 +283,7 @@ class RngStream:
         """Run 0's generator, the lineage's stream from its start; every call
         replays the same draws.  The generator is valid until the same thread
         takes its next generator from any stream."""
-        return self._generator_at(0)
+        return self.generator_at(0)
 
     def generators(self, runs) -> Iterator[np.random.Generator]:
         """The generator of each of runs in turn: run r reads the r-th region
@@ -287,10 +291,10 @@ class RngStream:
         other runs.  Each generator is valid until the same thread takes its
         next generator from any stream."""
         for r in runs:
-            yield self._generator_at(int(r) << 64)
+            yield self.generator_at(int(r) << 64)
 
-    def uniforms(self, width: int, runs) -> np.ndarray:
-        """(len(runs), width) uniforms in [0, 1) for fixed-width draws.
+    def uniforms(self, width: int, runs, out=None) -> np.ndarray:
+        """(len(runs), width) uniforms in [0, 1) for fixed-width draws, into out if given.
 
         Row i is the part of run runs[i] (ascending): the `width` draws that
         start runs[i] * width draws into the lineage's stream.  Each block of
@@ -300,11 +304,11 @@ class RngStream:
         runs = np.asarray(runs, dtype=np.int64)
         first = int(runs[0])
         if int(runs[-1]) - first + 1 == runs.size:  # one block, as the engine's runs are
-            return self._generator_at(first * width).random((runs.size, width))
+            return self.generator_at(first * width).random((runs.size, width), out=out)
         bounds = [0, *(np.flatnonzero(np.diff(runs) != 1) + 1).tolist(), runs.size]
-        u = np.empty((runs.size, width))
+        u = np.empty((runs.size, width)) if out is None else out
         for lo, hi in zip(bounds, bounds[1:]):
-            self._generator_at(int(runs[lo]) * width).random(out=u[lo:hi])
+            self.generator_at(int(runs[lo]) * width).random(out=u[lo:hi])
         return u
 
 
@@ -341,9 +345,9 @@ class RandomOperatorFactory:
     move(draws, Z) moves row i of the (m, P, d) block Z with the draws of
     runs[i].  row_bytes bounds the temporaries of one run moving one point,
     and point_bytes those of each further point.  draws_ahead says that
-    draw releases the GIL, so draws() may draw coming chunks on worker
-    threads.  sample_size is the number of per-step samples a realization
-    averages.
+    draw releases the GIL for most of its time, so draws() may draw coming
+    chunks on worker threads.  sample_size is the number of per-step
+    samples a realization averages.
 
     realize(stream, run=0) draws one realization, the one that run `run`
     reads from stream: a deterministic map of any (..., dimension) array of
@@ -452,16 +456,17 @@ class RandomOperatorFactory:
 def check_runs(runs):
     """runs as an int64 array, or a range as it is, which must list distinct
     run indices in ascending order: the samplers read a block of runs as one
-    span of their stream.  A range is checked without listing its runs."""
+    span of their stream.  Run indices are integers (not bools) that int64
+    holds; a range is checked without listing its runs."""
     if isinstance(runs, range):
-        ok = bool(runs) and runs.start >= 0 and runs.step > 0
+        ok = bool(runs) and runs.start >= 0 and runs.step > 0 and runs[-1] < 2 ** 63
     else:
-        runs = np.asarray(runs, dtype=np.int64)
-        ok = (runs.ndim == 1 and runs.size > 0 and runs[0] >= 0
-              and not np.any(np.diff(runs) <= 0))
+        runs = np.asarray(runs)
+        ok = (runs.dtype.kind in "iu" and runs.ndim == 1 and runs.size > 0 and runs[0] >= 0
+              and runs.max() < 2 ** 63 and not np.any(np.diff(runs.astype(np.int64)) <= 0))
     if not ok:
         raise ConfigurationError("runs must be a nonempty ascending list of distinct run indices")
-    return runs
+    return runs if isinstance(runs, range) else runs.astype(np.int64, copy=False)
 
 
 def _usable_cpus() -> int:

@@ -4,23 +4,28 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import (ConfigurationError, ExactOperatorHandle, RandomOperatorFactory,
-                   RngStream, read_json, require_indexable, write_json)
+from .core import (SAMPLE_BLOCK, ConfigurationError, ExactOperatorHandle,
+                   RandomOperatorFactory, RngStream, read_json, require_indexable,
+                   write_json)
 
 _ROW_SUM_TOL = 1e-12
 
-# Sample sizes below ALIAS_CROSSOVER * sqrt(S) draw next states from alias
-# tables; larger ones draw counts from numpy's multinomial (see uses_alias).
+# Sample sizes below ALIAS_CROSSOVER * sqrt(S) or ALIAS_PER_STATE * S draw next
+# states from alias tables; larger ones draw counts from numpy's multinomial.
 ALIAS_CROSSOVER = 35.0
+ALIAS_PER_STATE = 7.5
 
 # Bound on the int64 counts one multinomial call returns before they are
 # divided into the kernel.
 MULTINOMIAL_BLOCK_BYTES = 1 << 17
+
+_buffers = threading.local()  # each thread's alias-draw buffers (see _alias_counts)
 
 
 def _check_discount(discount) -> None:
@@ -137,7 +142,8 @@ class _NextStateSampler:
         self.pvals = np.ascontiguousarray(p / p.sum(axis=1, keepdims=True))
         prob, alias = _alias_tables(self.pvals)
         self.prob = prob.ravel()
-        self.alias_offset = alias.ravel() - np.arange(alias.size)
+        self.alias_offset = (alias.ravel() - np.arange(alias.size)).astype(np.int32)  # < S
+        self.row_start = np.arange(0, alias.size, s)[:, None]  # each row's first index
         self.below_s = np.nextafter(float(s), 0.0)
 
 
@@ -145,30 +151,59 @@ def uses_alias(num_states: int, sample_size: int) -> bool:
     """Whether a realization draws next states from alias tables (S*A*n
     uniforms per run, counted by bincount) rather than numpy's multinomial.
 
-    The alias cost grows with n and the multinomial's with S: per run the
-    two cost the same near n = 160 at S = 20, A = 5 and near n = 250-350 at
-    S = 100, A = 10, which n = 35 * sqrt(S) matches to within that range.
+    The alias cost grows with n and the multinomial's with S.  Per run the
+    two cost the same near n = 160 at S = 20, A = 5, and with both drawn
+    ahead on 2 CPUs (A = 10) near n = 450, 900+ and 2,000 at S = 50, 100 and
+    200; 7.5 * S stays under those, and under 35 * sqrt(S) up to S = 21.
     """
-    return sample_size < ALIAS_CROSSOVER * math.sqrt(num_states)
+    return sample_size < max(ALIAS_CROSSOVER * math.sqrt(num_states),
+                             ALIAS_PER_STATE * num_states)
 
 
 def _alias_counts(model: MdpModel, n: int, stream: RngStream, runs) -> np.ndarray:
-    """(len(runs), S*A, S) counts of n next states per (s, a) and run, drawn
-    from the alias tables."""
+    """(len(runs), S*A, S) float64 counts of n next states per (s, a) and run,
+    drawn from the alias tables.
+
+    Blocks of at most SAMPLE_BLOCK samples (or one row) hold whole runs when
+    a run's S*A*n fit, else rows of one run; their per-sample arrays go into
+    this thread's buffers.  The bytes are those of all samples at once."""
     s = model.num_states
     rows = s * model.num_actions
-    tables = model._sampler
-    u = stream.uniforms(rows * n, runs)
-    u *= tables.below_s  # the largest double under S, so no column reaches S
-    col = u.astype(np.int64)
-    u -= col  # the coin: uniform on [0, 1) given the column
-    col += np.repeat(np.arange(0, rows * s, s), n)  # flat table index
-    # where the coin fails, move from the column to its alias
-    jump = tables.alias_offset.take(col)
-    jump *= u >= tables.prob.take(col)
-    col += jump
-    col += np.arange(0, len(runs) * rows * s, rows * s)[:, None]
-    return np.bincount(col.ravel(), minlength=len(runs) * rows * s).reshape(len(runs), rows, s)
+    width, tables = rows * n, model._sampler
+    runs = np.asarray(runs, dtype=np.int64)
+    counts = np.empty((runs.size, rows, s))
+    per_block = max(1, SAMPLE_BLOCK // width)  # whole runs in a block, or one run
+    per_run = min(rows, max(1, SAMPLE_BLOCK // n))  # rows of a run in a block
+    if getattr(_buffers, "size", 0) < (size := min(per_block, runs.size) * per_run * n):
+        _buffers.size, gather = size, np.empty(size)  # grown to the largest block yet
+        _buffers.arrays = (np.empty(size), np.empty(size, np.int64), gather,
+                           gather.view(np.int32)[:size], np.empty(size, bool))
+    u, col, threshold, jump, coin = _buffers.arrays  # jump: the gather as int32
+    blocks = [(i, lo) for i in range(0, runs.size, per_block) for lo in range(0, rows, per_run)]
+    for i, lo in blocks:
+        k, h = min(per_block, runs.size - i), min(per_run, rows - lo)
+        m = k * h * n
+        uu, cc, tt, jj, co = u[:m], col[:m], threshold[:m], jump[:m], coin[:m]
+        if h == rows:
+            stream.uniforms(width, runs[i:i + k], out=uu.reshape(k, width))
+        else:
+            stream.generator_at(int(runs[i]) * width + lo * n).random(out=uu)
+        uu *= tables.below_s  # the largest double under S, so no column reaches S
+        cc[...] = uu  # the column, truncated
+        uu -= cc  # the coin: uniform on [0, 1) given the column
+        # the index into the block's rows' tables: the sample's bin in its run's part
+        grid = cc.reshape(k, h, n)
+        grid += tables.row_start[:h]
+        prob, offset = tables.prob[lo * s:(lo + h) * s], tables.alias_offset[lo * s:(lo + h) * s]
+        # where the coin fails, move to the alias ("clip": take fills out in place)
+        np.greater_equal(uu, prob.take(cc, out=tt, mode="clip"), out=co)
+        offset.take(cc, out=jj, mode="clip")
+        jj *= co
+        cc += jj
+        if k > 1:  # each run's bins after those of the runs before it
+            grid += np.arange(0, k * h * s, h * s)[:, None, None]
+        counts[i:i + k, lo:lo + h] = np.bincount(cc, minlength=k * h * s).reshape(k, h, s)
+    return counts
 
 
 def _empirical_kernels(model: MdpModel, n: int, stream: RngStream, runs) -> np.ndarray:
@@ -176,7 +211,8 @@ def _empirical_kernels(model: MdpModel, n: int, stream: RngStream, runs) -> np.n
     next states per (s, a), divided by n."""
     s = model.num_states
     if uses_alias(s, n):
-        return _alias_counts(model, n, stream, runs) / n
+        counts = _alias_counts(model, n, stream, runs)
+        return np.divide(counts, n, out=counts)
     # blocks of consecutive rows continue one generator, so they draw the
     # same counts as all rows at once but hold only a block of them
     pvals = model._sampler.pvals
@@ -220,17 +256,16 @@ def _empirical_factory(model: MdpModel, sample_size: int, kind: str) -> RandomOp
     if sample_size < 1:
         raise ConfigurationError("sample_size must be >= 1")
     s, a = model.num_states, model.num_actions
-    alias = uses_alias(s, sample_size)
     row_bytes = 3 * 8 * s * a * s  # counts, kernel, and the sweep's product
-    if alias:
-        row_bytes += 6 * 8 * s * a * sample_size  # per-sample temporaries
     point_bytes = 3 * 8 * s * a  # loosely bounds each further point's product and image
-    # numpy's multinomial releases the GIL, so its chunks may be drawn ahead
+    # numpy's multinomial releases the GIL, and so does an alias draw for most
+    # of each full block; smaller alias draws hold it and stay on the caller
+    ahead = not uses_alias(s, sample_size) or s * a * sample_size >= SAMPLE_BLOCK
     return RandomOperatorFactory(
         sample_size, s if kind == "value" else s * a,
         draw=lambda stream, runs: _empirical_kernels(model, sample_size, stream, runs),
         move=lambda kernels, z: _sweep(model, kind, kernels, z),
-        row_bytes=row_bytes, point_bytes=point_bytes, draws_ahead=not alias, norm="sup")
+        row_bytes=row_bytes, point_bytes=point_bytes, draws_ahead=ahead, norm="sup")
 
 
 def empirical_bellman_factory(model: MdpModel, sample_size: int) -> RandomOperatorFactory:

@@ -131,6 +131,45 @@ def test_reduce_checks_its_runs_before_the_first_draw(runs):
     assert calls == []
 
 
+# unchecked, 2.7 read run 2, "3" run 3, True run 1, and 1e20 overflowed int64
+NOT_RUN_INDICES = {"fraction": [2.7], "fractions": [0.9, 1.2], "whole float": [2.0],
+                   "string": ["3"], "bool": [True], "float beyond int64": [1e20],
+                   "int beyond int64": [2 ** 63], "int beyond uint64": [2 ** 70],
+                   "range beyond int64": range(2 ** 63 - 1, 2 ** 63 + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_RUN_INDICES))
+def test_run_indices_must_be_integers_that_int64_holds(mdp20, name):
+    runs = NOT_RUN_INDICES[name]
+    refused = pytest.raises(ConfigurationError, match="ascending list of distinct run indices")
+    factory, stream = itrop.empirical_bellman_factory(mdp20, 5), itrop.RngStream(46)
+    with refused:
+        itrop.core.check_runs(runs)
+    if not isinstance(runs, range):
+        with refused:
+            factory.realize(stream, runs[0])
+    with refused:
+        factory.reduce([stream], runs, 1, lambda part: np.zeros((1, 1, 20)),
+                       lambda _, images: images)
+    with refused:
+        itrop.iterate_ensemble(factory, np.zeros(20), 2, stream, runs, lambda *args: None)
+    with refused:
+        itrop.sample_batches(10, 2, "with_replacement", stream, runs)
+
+
+def test_integer_run_indices_of_any_integer_type_are_kept():
+    for runs in ([0, 3], np.array([0, 3], np.uint32), np.array([0, 3], np.int8)):
+        checked = itrop.core.check_runs(runs)
+        assert checked.dtype == np.int64 and checked.tolist() == [0, 3]
+    top = np.iinfo(np.int64).max
+    assert itrop.core.check_runs([top]).tolist() == [top]
+    assert itrop.core.check_runs(np.array([top], np.uint64)).tolist() == [top]
+    assert itrop.core.check_runs(range(top - 1, top + 1)) == range(top - 1, top + 1)
+    # a numpy integer is a run index: the fake's realization adds its run
+    factory = block_fake(1, lambda drawn, z: z + drawn[:, None, None])
+    assert factory.realize(itrop.RngStream(47), np.int64(2))(np.zeros(1)).tolist() == [2.0]
+
+
 @pytest.mark.parametrize("name", ["evi-alias", "evi-multinomial", "qvi-alias",
                                   "sgd-with", "sgd-without", "sgd-full"])
 @pytest.mark.parametrize("shape", [(7,), (4, 2)])
@@ -319,6 +358,27 @@ def test_multinomial_step_is_the_same_bytes_on_one_and_two_cpus(mdp20, monkeypat
     assert blocks[1].tobytes() == blocks[2].tobytes()
     for i, r in enumerate(runs):
         assert np.array_equal(blocks[2][i], factory.realize(stream, r)(z[i]))
+    assert not [t for t in threading.enumerate() if t.name.startswith("itrop-draw")]
+
+
+@pytest.mark.parametrize("kind", ["value", "q"])
+def test_alias_draws_that_span_a_block_go_ahead_with_the_same_bytes(mdp20, monkeypatch, kind):
+    monkeypatch.setattr(itrop.mdp, "SAMPLE_BLOCK", 1000)  # a run's 2500 samples span it
+    monkeypatch.setattr(itrop.core, "CHUNK_BYTES", 1)  # one run per chunk
+    factory = itrop.mdp._empirical_factory(mdp20, 25, kind)
+    assert itrop.uses_alias(20, 25) and factory.draws_ahead
+    stream = itrop.RngStream(45).child(25)
+    z0 = np.linspace(0.0, 1.0, factory.dimension)
+    orbits = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        traced, names = draw_threads(factory)
+        orbits[cpus], dropped = ensemble_orbits(traced, z0, 4, stream)
+        assert dropped == {}
+        assert {name.startswith("itrop-draw") for name in names} == {cpus > 1}
+    assert orbits[1].tobytes() == orbits[2].tobytes()
+    for r in range(4):
+        assert np.array_equal(orbits[2][r], run_alone(factory, z0, HORIZON, stream, r))
     assert not [t for t in threading.enumerate() if t.name.startswith("itrop-draw")]
 
 

@@ -49,14 +49,14 @@ CONFIGS = {
 EXIT_CODES = {"assumptions-sgd": 3}  # every other kind exits 0
 
 GOLDEN = {
-    "evi": "12b75d1fb3070d5a2e593356eb733717144776e79f4d5704107e9b09d5fa52bc",
-    "qvi": "3403258e5fd9a8ab5ae0e6dda194b1096c8a4193d00e0e349814d71f4dfdcf60",
-    "sgd-logistic": "6331a0336183ce03cdcbe0a3961b3f2dbd94c676cd7b84f3d8620b596b7aada7",
-    "sgd-poisson": "377f4caea5528de3cdcf52d51a2d3626e88bfd6322ca5ca3026c6e12ce2fdc51",
-    "lln": "9b6e5e5010bab6a73c6ea61081511caa0ba6d46114f45cbad0392c008e1e1f81",
-    "lln-sgd": "9d91a5b08f511b37f6aa3f50ce2c8d785f569b81931c4bf8af44ff8cc861e5fa",
-    "assumptions": "16f286db24b1bcd8a6faa786e86493e62ad977369bf44e6482cd1431431a55f7",
-    "assumptions-sgd": "1519fc41ad67bd9e4384738e577469e74da22c4bc4b308ade660782219a1f0dd",
+    "evi": "54c62427912cc4bc8deb2f4fed1b8c763ad8a50f0b9d9b5e924879bf112f1bd4",
+    "qvi": "57be061da529ff0a1d297984086e7fa0caa94e203179780828ad73cd94a299ca",
+    "sgd-logistic": "09bbe64e64919f7a975fb53e9b5c95e67d0fc986274f0a01e715a0aa4c1d3b39",
+    "sgd-poisson": "6569e860493324d44c8b40d510d1578b554f40f84a573eba5dd7b35ea85a55e7",
+    "lln": "299fd08885cb46c388890399c4f32c806dacdc031430cb0f764a68961901b22b",
+    "lln-sgd": "984befa731f1ace16a0831d0df4aa7f22510b9ef3c886ea08ed674dd6e99ed47",
+    "assumptions": "8c4b7256d69285855c69949e4f0ce0ce7a689f88a7cbe9a9735789be4aa1aeef",
+    "assumptions-sgd": "75d65251f1bd5d1ae7ac50a81f68cec57393200661f1e4010f6ca24f7d3b3af3",
 }
 
 # SHA-256 of the model file `itrop gen mdp --num-states 3 --num-actions 2 --seed 5` writes

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,107 @@ def test_alias_sampler_frequencies_match_rows():
     se = np.sqrt(p * (1.0 - p) / draws)
     assert np.all(counts[p == 0.0] == 0)
     assert np.all(np.abs(freq - p) <= 5.0 * se + 1e-12)
+
+
+def whole_array_alias_counts(model, n, stream, runs):
+    """The alias sampler with every per-sample array of the runs allocated at
+    once: the oracle of the blocked _alias_counts."""
+    s = model.num_states
+    rows = s * model.num_actions
+    tables = model._sampler
+    u = stream.uniforms(rows * n, runs)
+    u *= tables.below_s
+    col = u.astype(np.int64)
+    u -= col
+    col += np.repeat(np.arange(0, rows * s, s), n)
+    jump = tables.alias_offset.take(col)
+    jump *= u >= tables.prob.take(col)
+    col += jump
+    col += np.arange(0, len(runs) * rows * s, rows * s)[:, None]
+    return np.bincount(col.ravel(), minlength=len(runs) * rows * s).reshape(len(runs), rows, s)
+
+
+# S=6, A=3: a run draws 18 * n samples
+ALIAS_BLOCKS = {
+    "whole runs, partial last block": (100, 2, range(7)),  # 2, 2, 2, 1 runs
+    "rows of one run, partial last block": (40, 5, range(3)),  # 8, 8, 2 rows per run
+    "gapped runs, whole": (100, 2, [0, 3, 4, 9]),
+    "gapped runs, rows": (40, 5, [0, 3, 4, 9]),
+    "a run at 2**40": (40, 5, [5, 2 ** 40, 2 ** 40 + 1]),
+    "run width one under a block": (37, 2, range(4)),
+    "run width a block": (36, 2, range(4)),
+    "run width one over a block": (35, 2, range(4)),
+    "n one under a block": (40, 39, [0, 2]),
+    "n a block": (40, 40, [0, 2]),
+    "n one over a block": (40, 41, [0, 2]),
+    "one sample per block": (1, 3, [1, 2]),
+    "the module's block": (itrop.core.SAMPLE_BLOCK, 25, range(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIAS_BLOCKS))
+def test_blocked_alias_counts_are_the_bytes_of_the_whole_array_draw(monkeypatch, name):
+    block, n, runs = ALIAS_BLOCKS[name]
+    monkeypatch.setattr(itrop.mdp, "SAMPLE_BLOCK", block)
+    model = itrop.random_mdp(6, 3, seed=21)
+    assert itrop.uses_alias(6, n)
+    stream = itrop.RngStream(22).child(n)
+    runs = np.asarray(runs, dtype=np.int64)
+    counts = itrop.mdp._alias_counts(model, n, stream, runs)
+    expected = whole_array_alias_counts(model, n, stream, runs)
+    assert counts.dtype == np.float64
+    assert counts.tobytes() == expected.astype(np.float64).tobytes()
+
+
+def test_a_wide_alias_rung_s_traced_peak_does_not_grow_with_the_horizon(monkeypatch):
+    monkeypatch.setattr(itrop.core, "_usable_cpus", lambda: 1)  # no draw threads
+    factory = itrop.empirical_q_factory(itrop.random_mdp(100, 10, seed=23), 400)
+    assert itrop.uses_alias(100, 400)
+    stream = itrop.RngStream(24).child(400)
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            itrop.iterate_ensemble(factory, np.zeros(factory.dimension), horizon, stream,
+                                   range(1), lambda first, alive, block: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the sampling tables and this thread's buffers are built once
+    short, long = peak(5), peak(50)
+    kernel = 8 * 100 * 10 * 100  # one realization's (S*A, S) kernel
+    # the engine's own bookkeeping grows to its caps (a visit block of 16
+    # steps, 256 step streams), less than one kernel; the sampler not at all
+    assert long < short + kernel and short < 2 * kernel, (short, long)
+
+
+# Every (S, n) pair that the tests, the golden configs, the desk configs and the
+# benchmark ladders draw from, and whether it draws from the alias tables.
+ALIAS_PAIRS = {
+    (3, 3): True, (3, 100): False, (4, 1): True, (4, 5): True, (5, 50): True,
+    **{(6, n): True for n in (1, 2, 5, 8)}, (6, 200): False,
+    **{(20, n): True for n in (1, 2, 3, 4, 5, 7, 10, 16, 20, 25, 50, 100)},
+    **{(20, n): False for n in (200, 256, 400)},
+    (100, 25): True, (100, 400): True,
+}
+
+
+def test_uses_alias_is_pinned_on_every_shape_in_use():
+    assert {pair: itrop.uses_alias(*pair) for pair in ALIAS_PAIRS} == ALIAS_PAIRS
+    # up to S = 21 (every S the tests use but qvi-wide's) the 35 * sqrt(S) rule holds
+    for s in range(1, 22):
+        assert ([itrop.uses_alias(s, n) for n in range(1, 1025)]
+                == [n < 35.0 * math.sqrt(s) for n in range(1, 1025)]), s
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for path in configs.glob("*.json"):
+        doc = json.loads(path.read_text())
+        if "mdp" in doc:
+            for n in doc["sample_sizes"]:
+                assert (doc["mdp"]["num_states"], n) in ALIAS_PAIRS, (path.name, n)
+    # an alias draw of a run that spans a block is drawn ahead; one of less is not
+    assert itrop.empirical_q_factory(itrop.random_mdp(100, 10, seed=1), 400).draws_ahead
+    assert not itrop.empirical_bellman_factory(itrop.random_mdp(20, 5, seed=1), 25).draws_ahead
 
 
 def salted_block(rng, shape, signed_zeros):
